@@ -111,7 +111,12 @@ def per_layer_units():
 # ---------------------------------------------------------------------------
 
 def _env():
-    return dict(os.environ, PYTHONPATH=str(SRC))
+    """Environment of every process the benchmark starts: ospart from
+    src/, with its bytecode cached as in an installed package (the first
+    start writes it) even where PYTHONDONTWRITEBYTECODE is set."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
 
 
 def measure_setup():

@@ -1,52 +1,13 @@
-"""Kernel backend selection.
+"""Word kernels: the hot loops every layer calls as ``K.<name>``.
 
-The compiled extension is preferred when present; ``OSPART_PURE=1`` forces
-the pure-Python twin.  Structural helpers that are not hot (ideal and
-interval enumeration, cached incidence values) always come from ``_pure``;
-the two backends share one enumeration order, pinned by tests.
+The implementation lives in ``_pure``; this package only re-exports it, so
+that ``_pure`` keeps its own bindings for the loops inside the kernel layer.
 """
 
-import os
-from functools import lru_cache
+from ._pure import (beta_semigroup_identity, block_map, compositions, fubini,
+                    goldberg_oracle_table, ideal_words, interval_type_words,
+                    interval_words, iter_osp_words, kernel_word, leq_words,
+                    mu_tilde_words, mu_zeta_identity, osp_words, quasi_meet,
+                    rgs_word, weisner_oracle_table, zeta_tilde_words)
 
-from . import _pure
-
-_forced_pure = os.environ.get("OSPART_PURE") == "1"
-_compiled = None
-if not _forced_pure:
-    try:
-        from . import _ckernels as _compiled
-    except ImportError:
-        _compiled = None
-
-BACKEND = "cython" if _compiled is not None else "pure"
-_impl = _compiled if _compiled is not None else _pure
-
-fubini = _impl.fubini
-kernel_word = _impl.kernel_word
-rgs_word = _impl.rgs_word
-quasi_meet = _impl.quasi_meet
-leq_words = _impl.leq_words
-interval_type_words = _impl.interval_type_words
-mu_zeta_identity = _impl.mu_zeta_identity
-beta_semigroup_identity = _impl.beta_semigroup_identity
-weisner_oracle_table = _impl.weisner_oracle_table
-goldberg_oracle_table = _impl.goldberg_oracle_table
-
-iter_osp_words = _pure.iter_osp_words
-ideal_words = _pure.ideal_words
-interval_words = _pure.interval_words
-compositions = _pure.compositions
-mu_tilde_words = _pure.mu_tilde_words
-zeta_tilde_words = _pure.zeta_tilde_words
-block_map = _pure.block_map
-
-
-if _compiled is not None:
-
-    @lru_cache(maxsize=None)
-    def osp_words(n: int) -> tuple:
-        return tuple(_compiled.osp_words_list(n))
-
-else:
-    osp_words = _pure.osp_words
+BACKEND = "pure"

@@ -4,9 +4,7 @@ An ordered set partition of {1,...,n} is encoded as its *word*: a tuple
 ``w`` of length n where ``w[k]`` is the 1-based index of the block
 containing k+1, and the set of values is exactly {1,...,p} for some p.
 All hot loops (enumeration, quasi-meet, incidence convolutions, brute-force
-coefficient tables) work on these plain tuples.  The compiled twin in
-``_ckernels.pyx`` implements the same surface; ``test_kernels.py`` pins the
-two backends to identical outputs, including enumeration order.
+coefficient tables) work on these plain tuples.
 """
 
 from fractions import Fraction

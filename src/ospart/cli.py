@@ -140,7 +140,9 @@ def cmd_coeff(args):
 
 
 def cmd_cumulants(args):
-    if not 1 <= args.n <= CUMULANTS_CAP and not args.force:
+    if args.n < 1:
+        raise UsageError("n must be >= 1")
+    if args.n > CUMULANTS_CAP and not args.force:
         raise CapError(f"cumulants cap is n = {CUMULANTS_CAP}; "
                        "pass --force to override")
     eng = systems.engine(args.system)

@@ -122,10 +122,6 @@ class NCPoly:
     __repr__ = __str__
 
 
-def lie_bracket(a: NCPoly, b: NCPoly) -> NCPoly:
-    return a * b - b * a
-
-
 # ---------------------------------------------------------------------------
 # the Eulerian projector and shuffle-system cumulants
 # ---------------------------------------------------------------------------

@@ -282,10 +282,6 @@ def osp(value):
 # order, kernels, intervals
 # ---------------------------------------------------------------------------
 
-def underlying(pi):
-    return pi.underlying()
-
-
 def leq(sigma, pi) -> bool:
     """sigma <= pi; dominance order for OP, refinement order for SP."""
     if isinstance(sigma, SetPartition) and isinstance(pi, SetPartition):
@@ -303,14 +299,6 @@ def quasi_meet(pi, sigma):
 def kernel(indices):
     """Ordered kernel partition of an index tuple, blocks by ascending value."""
     return OrderedSetPartition._raw(len(tuple(indices)), K.kernel_word(tuple(indices)))
-
-
-def to_word(pi):
-    return pi.to_word()
-
-
-def restrict(sigma, subset):
-    return sigma.restrict(subset)
 
 
 def interval_type(sigma, pi):
@@ -337,10 +325,6 @@ def ideal_elements(pi):
     """Stream every sigma <= pi."""
     for w in K.ideal_words(pi.word):
         yield OrderedSetPartition._raw(pi.n, w)
-
-
-def permute_blocks(pi, h):
-    return pi.permute_blocks(h)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ identities compare directly.  Symbols are tagged tuples:
     ("m", labels)   joint moment of the word of variable labels
     ("c", labels)   free-cumulant symbol
     ("pm", labels)  second-family (psi) moment
-    ("pc", labels)  second-family cumulant
     ("t", j)        time parameter attached to block j
     ("v", name)     scalar indeterminate such as N or M
 
@@ -19,7 +18,6 @@ from fractions import Fraction
 MOMENT = "m"
 FREE_CUMULANT = "c"
 PSI_MOMENT = "pm"
-PSI_CUMULANT = "pc"
 TIME = "t"
 VAR = "v"
 
@@ -34,10 +32,6 @@ def free_cumulant_symbol(labels):
 
 def psi_moment_symbol(labels):
     return (PSI_MOMENT, tuple(labels))
-
-
-def psi_cumulant_symbol(labels):
-    return (PSI_CUMULANT, tuple(labels))
 
 
 def time_symbol(j: int):
@@ -69,8 +63,7 @@ def symbol_str(sym) -> str:
         return str(payload)
     labels = [str(x) for x in payload]
     joined = "".join(labels) if all(len(s) == 1 for s in labels) else ",".join(labels)
-    name = {MOMENT: "m", FREE_CUMULANT: "c", PSI_MOMENT: "pm",
-            PSI_CUMULANT: "pc"}[kind]
+    name = {MOMENT: "m", FREE_CUMULANT: "c", PSI_MOMENT: "pm"}[kind]
     return f"{name}[{joined}]"
 
 
@@ -204,14 +197,6 @@ class Poly:
             if e == k:
                 out[tuple(rest)] = out.get(tuple(rest), 0) + c
         return Poly({m: c for m, c in out.items() if c})
-
-    def degree(self, symbol) -> int:
-        d = 0
-        for mono, _ in self.terms.items():
-            for sym, e in mono:
-                if sym == symbol:
-                    d = max(d, e)
-        return d
 
     def symbols(self):
         out = set()

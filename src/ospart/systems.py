@@ -529,22 +529,6 @@ def engine(name: str) -> Engine:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def phi_pi(eng, pi, labels):
-    return eng.phi_pi(pi, labels)
-
-
-def phi_pi_indexed(eng, pi, labels, indices):
-    return eng.phi_pi_indexed(pi, labels, indices)
-
-
-def dilate(eng, pi, labels, scale):
-    return eng.dilate(pi, labels, scale)
-
-
-def cumulant(eng, pi, labels):
-    return eng.cumulant(pi, labels)
-
-
 def moments_from_cumulants(table, pi):
     """phi_pi = sum over sigma <= pi of K_sigma zeta~(sigma,pi)."""
     total = ZERO

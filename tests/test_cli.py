@@ -98,6 +98,9 @@ def test_cumulants_c2m():
 def test_cumulants_cap():
     code, _ = run("cumulants", "--system", "tensor", "-n", "6")
     assert code == cli.EXIT_CAP
+    for n in ("0", "-3"):
+        code, _ = run("cumulants", "--system", "tensor", "-n", n)
+        assert code == cli.EXIT_USAGE
 
 
 def test_cbh_routes():

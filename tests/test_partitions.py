@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ospart import _kernels as K
 from ospart import partitions as P
 
 o = P.osp
@@ -194,6 +197,89 @@ def test_restrict_relabels_to_subset_order():
     sg = o("3|1,2")  # blocks ({3},{1,2})
     r = sg.restrict({1, 3})
     assert r.n == 2 and r.blocks == ((2,), (1,))
+
+
+# ---------------------------------------------------------------------------
+# word kernels against block-level definitions, random words up to n = 7
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _runs(draw, items):
+    """An ordered set partition of ``items`` as a list of blocks: a
+    permutation of them cut into nonempty runs."""
+    order = draw(st.permutations(items))
+    runs = [[order[0]]]
+    for x in order[1:]:
+        if draw(st.booleans()):
+            runs.append([])
+        runs[-1].append(x)
+    return runs
+
+
+@st.composite
+def _op_triples(draw):
+    """(pi, rho, sigma, type): rho arbitrary, sigma refines pi's blocks in
+    order, type[j] = number of sigma-blocks inside pi-block j."""
+    n = draw(st.integers(1, 7))
+    pi = P.OrderedSetPartition(n, draw(_runs(range(1, n + 1))))
+    rho = P.OrderedSetPartition(n, draw(_runs(range(1, n + 1))))
+    pieces = [draw(_runs(blk)) for blk in pi.blocks]
+    sigma = P.OrderedSetPartition(n, [b for run in pieces for b in run])
+    return pi, rho, sigma, tuple(len(run) for run in pieces)
+
+
+def _leq_blocks(sigma, pi):
+    """sigma <= pi: each sigma-block lies in one pi-block, and those
+    pi-blocks never go back as sigma's blocks are read in order."""
+    hosts = []
+    for blk in sigma.blocks:
+        inside = [j for j, big in enumerate(pi.blocks) if set(blk) <= set(big)]
+        if not inside:
+            return False
+        hosts.append(inside[0])
+    return hosts == sorted(hosts)
+
+
+def _quasi_meet_blocks(pi, sigma):
+    """sigma's restrictions to pi's blocks, concatenated in pi's order."""
+    return P.OrderedSetPartition(pi.n, [
+        set(big) & set(blk) for big in pi.blocks for blk in sigma.blocks
+        if set(big) & set(blk)])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_op_triples())
+def test_word_kernels_match_block_definitions(triple):
+    pi, rho, sigma, sigma_type = triple
+    assert K.leq_words(sigma.word, pi.word)
+    assert _leq_blocks(sigma, pi)
+    assert K.interval_type_words(sigma.word, pi.word) == sigma_type
+    assert K.quasi_meet(pi.word, sigma.word) == sigma.word
+    below = _leq_blocks(rho, pi)
+    assert K.leq_words(rho.word, pi.word) == below
+    if not below:
+        with pytest.raises(ValueError):
+            K.interval_type_words(rho.word, pi.word)
+    for a, b in ((pi, rho), (rho, pi), (sigma, rho)):
+        assert K.quasi_meet(a.word, b.word) == _quasi_meet_blocks(a, b).word
+    for w in (pi.word, rho.word, sigma.word):
+        assert K.kernel_word(w) == w
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 9), min_size=1, max_size=7))
+def test_kernel_word_matches_block_definition(seq):
+    blocks = [[k + 1 for k, x in enumerate(seq) if x == v]
+              for v in sorted(set(seq))]
+    kern = P.OrderedSetPartition(len(seq), blocks)
+    assert K.kernel_word(tuple(seq)) == kern.word
+    canonical = P.OrderedSetPartition(len(seq), sorted(kern.blocks))
+    assert K.rgs_word(tuple(seq)) == canonical.word
+
+
+def test_osp_words_guard():
+    with pytest.raises(ValueError):
+        K.osp_words(8)
 
 
 # ---------------------------------------------------------------------------

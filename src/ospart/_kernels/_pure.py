@@ -167,7 +167,7 @@ def ideal_words(v) -> tuple:
 def interval_words(u, v) -> list:
     """All rho with u <= rho <= v (composition choices per pi-block run)."""
     vb = block_map(u, v)
-    if vb is None or not leq_words(u, v):
+    if vb is None:
         raise ValueError("incomparable words")
     pu, pv = max(u), max(v)
     runs = [[] for _ in range(pv + 1)]

@@ -160,11 +160,10 @@ def cmd_cumulants(args):
         from . import _kernels as kern
         from .symbolic import Poly, scalar_symbol
         for pi in parts.enumerate_partitions(args.n):
-            total = Poly()
-            for w in kern.ideal_words(pi.word):
-                sym = scalar_symbol(
-                    "K[" + "".join(str(b) for b in w) + "]")
-                total = total + Poly.sym(sym) * kern.zeta_tilde_words(w, pi.word)
+            total = Poly.sum([
+                Poly.sym(scalar_symbol("K[" + "".join(map(str, w)) + "]"))
+                * kern.zeta_tilde_words(w, pi.word)
+                for w in kern.ideal_words(pi.word)])
             table[str(pi)] = total.render_map()
         head = "phi"
         symbols = "formal"
@@ -197,8 +196,8 @@ def cmd_cbh(args):
     if args.route == "all":
         results = {name: fn(letters, args.degree, cap=None)
                    for name, fn in routes.items()}
-        agree = len({hash(s) for s in results.values()}) == 1 and \
-            results["direct"] == results["cumulant"] == results["goldberg"]
+        agree = (results["direct"] == results["cumulant"]
+                 == results["goldberg"])
         series = results["direct"]
     else:
         series = routes[args.route](letters, args.degree, cap=None)

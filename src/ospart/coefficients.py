@@ -179,11 +179,14 @@ def goldberg(tau, eta) -> Fraction:
     rw = _relative_word_or_none(tau, eta)
     if rw is None:
         return Fraction(0)
-    return _goldberg_from_relative(rw)
+    return goldberg_from_word(rw)
 
 
 @lru_cache(maxsize=None)
-def _goldberg_from_relative(rw) -> Fraction:
+def goldberg_from_word(rw) -> Fraction:
+    """Goldberg integral of a word: (1/prod q_j!) times the integral over
+    [-1,0] of x^des (1+x)^asc prod P_{q_j}(x), with q_j its level-run
+    lengths."""
     des, _, asc = stats(rw)
     qs = runs(rw, LEVEL).lengths
     poly = (0,) * des + (1,)
@@ -198,37 +201,28 @@ def _goldberg_from_relative(rw) -> Fraction:
     return integrate_unit(poly) / denom
 
 
-def _restriction_pairs(tau, eta, pi):
+def _over_blocks(fn, tau, eta, pi) -> Fraction:
+    """Product of fn over the restrictions to the blocks of pi."""
+    if not (tau.n == eta.n == pi.n):
+        raise ValueError("mismatched ground sets")
+    if _relative_word_or_none(tau, eta) is None:
+        return Fraction(0)
+    if not K.leq_words(tau.word, pi.word):
+        return Fraction(0)
+    total = Fraction(1)
     for blk in pi.blocks:
-        yield tau.restrict(blk), eta.restrict(blk)
+        total *= fn(tau.restrict(blk), eta.restrict(blk))
+    return total
 
 
 def weisner3(tau, eta, pi) -> Fraction:
     """Relative Weisner coefficient, factorizing over the blocks of pi."""
-    if not (tau.n == eta.n == pi.n):
-        raise ValueError("mismatched ground sets")
-    if _relative_word_or_none(tau, eta) is None:
-        return Fraction(0)
-    if not K.leq_words(tau.word, pi.word):
-        return Fraction(0)
-    total = Fraction(1)
-    for t_, e_ in _restriction_pairs(tau, eta, pi):
-        total *= weisner(t_, e_)
-    return total
+    return _over_blocks(weisner, tau, eta, pi)
 
 
 def goldberg3(tau, eta, pi) -> Fraction:
     """Relative Goldberg coefficient, factorizing over the blocks of pi."""
-    if not (tau.n == eta.n == pi.n):
-        raise ValueError("mismatched ground sets")
-    if _relative_word_or_none(tau, eta) is None:
-        return Fraction(0)
-    if not K.leq_words(tau.word, pi.word):
-        return Fraction(0)
-    total = Fraction(1)
-    for t_, e_ in _restriction_pairs(tau, eta, pi):
-        total *= goldberg(t_, e_)
-    return total
+    return _over_blocks(goldberg, tau, eta, pi)
 
 
 # ---------------------------------------------------------------------------

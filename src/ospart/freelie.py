@@ -13,17 +13,15 @@ from functools import lru_cache
 from math import factorial
 
 from . import _kernels as K
-from .coefficients import eulerian_poly, integrate_unit, poly_mul, stats
+from .coefficients import goldberg_from_word
 from .partitions import iter_pseudo_partitions
+from .symbolic import SparseSum, add_into
 
 
-class NCPoly:
+class NCPoly(SparseSum):
     """Finitely supported map from words (tuples of letters) to Fraction."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     @classmethod
     def word(cls, letters, coeff=1):
@@ -38,36 +36,11 @@ class NCPoly:
     def one(cls):
         return cls({(): Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NCPoly({(): Fraction(other)}) if other else NCPoly()
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-        return NCPoly(out)
-
-    def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, NCPoly):
+            return NotImplemented
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -84,12 +57,6 @@ class NCPoly:
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return NCPoly()
-        return NCPoly({w: cc * c for w, cc in self.terms.items()})
-
     def graded(self):
         """{degree: {word: coeff}}."""
         out = {}
@@ -102,11 +69,8 @@ class NCPoly:
 
     def apply_to_letters(self, mapping):
         """Substitute letters (an alphabet map); words only get renamed."""
-        out = {}
-        for w, c in self.terms.items():
-            w2 = tuple(mapping[x] for x in w)
-            out[w2] = out.get(w2, 0) + c
-        return NCPoly({w: c for w, c in out.items() if c})
+        return NCPoly(add_into({}, ((tuple(mapping[x] for x in w), c)
+                                    for w, c in self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -136,11 +100,13 @@ def _projector_terms(n: int):
     out = []
     for w in K.osp_words(n):
         p = max(w)
-        order = []
-        for b in range(1, p + 1):
-            order.extend(i for i, x in enumerate(w) if x == b)
-        out.append((tuple(order), Fraction((-1) ** (p - 1), p)))
+        out.append((_block_order(w), Fraction((-1) ** (p - 1), p)))
     return tuple(out)
+
+
+def _block_order(word):
+    """Positions of a partition word, block by block (increasing within)."""
+    return tuple(sorted(range(len(word)), key=word.__getitem__))
 
 
 def pi_projector(letters) -> NCPoly:
@@ -148,20 +114,15 @@ def pi_projector(letters) -> NCPoly:
     letters = tuple(letters)
     if not letters:
         raise ValueError("the projector is not defined on the empty word")
-    out = {}
-    for order, coeff in _projector_terms(len(letters)):
-        w = tuple(letters[i] for i in order)
-        out[w] = out.get(w, 0) + coeff
-    return NCPoly({w: c for w, c in out.items() if c})
+    terms = _projector_terms(len(letters))
+    return NCPoly(add_into({}, ((tuple(letters[i] for i in order), coeff)
+                                for order, coeff in terms)))
 
 
 def pi_on_poly(p: NCPoly) -> NCPoly:
     """Linear extension of the projector to polynomials (unit killed)."""
-    total = NCPoly()
-    for w, c in p.terms.items():
-        if w:
-            total = total + pi_projector(w).scale(c)
-    return total
+    return NCPoly.sum([pi_projector(w).scale(c)
+                       for w, c in p.terms.items() if w])
 
 
 def nct_cumulant(elements):
@@ -191,22 +152,13 @@ def shuffle_moment(letters, indices) -> NCPoly:
     indices = tuple(indices)
     if len(letters) != len(indices):
         raise ValueError("length mismatch")
-    w = K.kernel_word(indices)
-    p = max(w)
-    order = []
-    for b in range(1, p + 1):
-        order.extend(i for i, x in enumerate(w) if x == b)
-    return NCPoly.word(tuple(letters[i] for i in order))
+    return phi_word_partition(letters, K.kernel_word(indices))
 
 
 def phi_word_partition(letters, word) -> NCPoly:
     """phi_pi for the shuffle system: the block-ordered concatenation."""
     letters = tuple(letters)
-    p = max(word)
-    order = []
-    for b in range(1, p + 1):
-        order.extend(i for i, x in enumerate(word) if x == b)
-    return NCPoly.word(tuple(letters[i] for i in order))
+    return NCPoly.word(tuple(letters[i] for i in _block_order(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +185,14 @@ def pi_convolution_oracle(letters) -> NCPoly:
     """The projector via its convolution definition (coproduct route)."""
     letters = tuple(letters)
     n = len(letters)
-    total = NCPoly()
+    out = {}
     for k in range(1, n + 1):
-        part = {}
-        for key, c in coproduct_k(letters, k).items():
-            if any(not w for w in key):  # (Id - counit) kills empty factors
-                continue
-            w = sum(key, ())
-            part[w] = part.get(w, 0) + c
-        for w, c in part.items():
-            cc = Fraction((-1) ** (k - 1), k) * c
-            total = total + NCPoly({w: cc})
-    return total
+        sign = Fraction((-1) ** (k - 1), k)
+        # (Id - counit) kills the terms with an empty factor
+        add_into(out, ((sum(key, ()), sign * c)
+                       for key, c in coproduct_k(letters, k).items()
+                       if all(key)))
+    return NCPoly(out)
 
 
 def pi_k(letters, k: int) -> NCPoly:
@@ -253,7 +201,7 @@ def pi_k(letters, k: int) -> NCPoly:
     n = len(letters)
     if not 1 <= k <= n:
         raise ValueError("k out of range")
-    total = NCPoly()
+    out = {}
     for w in K.osp_words(n):
         if max(w) != k:
             continue
@@ -261,8 +209,8 @@ def pi_k(letters, k: int) -> NCPoly:
         for b in range(1, k + 1):
             blk = tuple(letters[i] for i, x in enumerate(w) if x == b)
             term = term * pi_projector(blk)
-        total = total + term
-    return total.scale(Fraction(1, factorial(k)))
+        add_into(out, term.terms.items())
+    return NCPoly(out).scale(Fraction(1, factorial(k)))
 
 
 def dilation_coefficients(letters):
@@ -273,7 +221,7 @@ def dilation_coefficients(letters):
     """
     letters = tuple(letters)
     n = len(letters)
-    coeffs = [NCPoly() for _ in range(n + 1)]
+    coeffs = [{} for _ in range(n + 1)]
     one = (1,) * n
     for w in K.ideal_words(one):
         s = max(w)
@@ -291,8 +239,8 @@ def dilation_coefficients(letters):
             deg += 1
         for d in range(1, s + 1):
             if binom[d]:
-                coeffs[d] = coeffs[d] + word_poly.scale(binom[d])
-    return coeffs[1:]
+                add_into(coeffs[d], word_poly.scale(binom[d]).terms.items())
+    return [NCPoly(c) for c in coeffs[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +291,9 @@ class TruncatedNCSeries:
         other = self._coerce(other)
         out = {}
         for w1, c1 in self.poly.terms.items():
-            for w2, c2 in other.poly.terms.items():
-                if len(w1) + len(w2) > self.order:
-                    continue
-                w = w1 + w2
-                nc = out.get(w, 0) + c1 * c2
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
+            add_into(out, [(w1 + w2, c1 * c2)
+                           for w2, c2 in other.poly.terms.items()
+                           if len(w1) + len(w2) <= self.order])
         return TruncatedNCSeries(NCPoly(out), self.order)
 
     def _coerce(self, other):
@@ -360,7 +302,7 @@ class TruncatedNCSeries:
                 raise ValueError("mixed truncation orders")
             return other
         if isinstance(other, (int, Fraction)):
-            return TruncatedNCSeries(NCPoly({(): Fraction(other)}), self.order)
+            return TruncatedNCSeries(NCPoly.const(other), self.order)
         raise TypeError(other)
 
     def constant_term(self) -> Fraction:
@@ -449,7 +391,7 @@ def cbh_cumulant(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
     _check_cbh_args(letters, order, cap)
     letters = tuple(letters)
     n = len(letters)
-    total = NCPoly()
+    out = {}
 
     def rec(i, remaining, current):
         if i == n:
@@ -459,22 +401,23 @@ def cbh_cumulant(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
                 for a, p in zip(letters, current):
                     seq.extend([a] * p)
                     denom *= factorial(p)
-                nonlocal total
-                total = total + pi_projector(seq).scale(Fraction(1, denom))
+                add_into(out, pi_projector(seq).scale(
+                    Fraction(1, denom)).terms.items())
             return
         for p in range(0, remaining + 1):
             rec(i + 1, remaining - p, current + [p])
 
     rec(0, order, [])
-    return TruncatedNCSeries(total, order)
+    return TruncatedNCSeries(NCPoly(out), order)
 
 
 def goldberg_word_coefficient(monomial) -> Fraction:
     """CBH coefficient of a_{i_1}^{q_1}...a_{i_m}^{q_m}.
 
     monomial is a sequence of (letter index, multiplicity) pairs with
-    adjacent indices distinct; exact integral of x^des (1+x)^asc times
-    the homogeneous Eulerian polynomials of the multiplicities.
+    adjacent indices distinct.  Its word i_1^q_1...i_m^q_m has the
+    multiplicities as level runs and the descents and ascents of the
+    index sequence, so the coefficient is that word's Goldberg integral.
     """
     monomial = tuple(monomial)
     if not monomial:
@@ -485,15 +428,7 @@ def goldberg_word_coefficient(monomial) -> Fraction:
         raise ValueError("multiplicities must be >= 1")
     if any(a == b for a, b in zip(idx, idx[1:])):
         raise ValueError("adjacent letter indices must differ")
-    des, _, asc = stats(idx)
-    poly = (0,) * des + (1,)
-    for _ in range(asc):
-        poly = poly_mul(poly, (1, 1))
-    denom = 1
-    for q in qs:
-        poly = poly_mul(poly, eulerian_poly(q))
-        denom *= factorial(q)
-    return integrate_unit(poly) / denom
+    return goldberg_from_word(tuple(i for i, q in monomial for _ in range(q)))
 
 
 def cbh_goldberg(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
@@ -546,12 +481,10 @@ def dynkin(p: NCPoly) -> NCPoly:
 
     Lie elements are fixed points; in particular dynkin(pi(w)) = pi(w).
     """
-    total = NCPoly()
-    for w, c in p.terms.items():
-        if not w:
-            raise ValueError("the Dynkin map is not defined on the unit")
-        total = total + _dynkin_word(w).scale(c / len(w))
-    return total
+    if () in p.terms:
+        raise ValueError("the Dynkin map is not defined on the unit")
+    return NCPoly.sum([_dynkin_word(w).scale(c / len(w))
+                       for w, c in p.terms.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ identities compare directly.  Symbols are tagged tuples:
     ("t", j)        time parameter attached to block j
     ("v", name)     scalar indeterminate such as N or M
 
-A polynomial is a dict monomial -> Fraction where a monomial is a sorted
-tuple of (symbol, exponent) pairs.
+A polynomial is a SparseSum (the exact sparse sum shared with
+freelie.NCPoly) whose keys are monomials: sorted tuples of (symbol,
+exponent) pairs.
 """
 
 from fractions import Fraction
@@ -67,8 +68,24 @@ def symbol_str(sym) -> str:
     return f"{name}[{joined}]"
 
 
-class Poly:
-    """Immutable-by-convention sparse polynomial with Fraction coefficients."""
+def add_into(out, items):
+    """Add (key, coefficient) pairs into the dict out in place, dropping
+    every key whose coefficient cancels to zero; returns out."""
+    for k, c in items:
+        nc = out.get(k, 0) + c
+        if nc:
+            out[k] = nc
+        else:
+            out.pop(k, None)
+    return out
+
+
+class SparseSum:
+    """Exact sparse sum: a finitely supported map key -> nonzero Fraction.
+
+    The key () is the unit (the empty monomial or the empty word), so an
+    int or Fraction c stands for {(): c}.  Subclasses supply the product.
+    """
 
     __slots__ = ("terms",)
 
@@ -81,14 +98,17 @@ class Poly:
         return cls({(): c}) if c else cls()
 
     @classmethod
-    def sym(cls, symbol):
-        return cls({((symbol, 1),): Fraction(1)})
+    def sum(cls, summands):
+        """Sum of the summands, added in place into one dict."""
+        out = {}
+        for s in summands:
+            add_into(out, s.terms.items())
+        return cls(out)
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Poly):
-            return x
-        return Poly.const(x)
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.const(other)
+        return other if isinstance(other, type(self)) else None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,41 +117,53 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = Poly._coerce(other)
-        return self.terms == other.terms
+        other = self._coerce(other)
+        return other is not None and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as its Fraction, since it equals that number
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        other = Poly._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return Poly(out)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return type(self)(add_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return type(self)({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-Poly._coerce(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return Poly._coerce(other) + (-self)
+        return -self + other
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return type(self)()
+        return type(self)({k: cc * c for k, cc in self.terms.items()})
+
+
+class Poly(SparseSum):
+    """Immutable-by-convention sparse polynomial with Fraction coefficients."""
+
+    __slots__ = ()
+
+    @classmethod
+    def sym(cls, symbol):
+        return cls({((symbol, 1),): Fraction(1)})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly()
-            c = Fraction(other)
-            return Poly({m: cc * c for m, cc in self.terms.items()})
-        other = Poly._coerce(other)
+            return self.scale(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -155,48 +187,32 @@ class Poly:
 
     def substitute(self, fn):
         """Replace symbols: fn(symbol) returns a Poly/number or None to keep."""
-        out = Poly()
+        out = {}
         for mono, c in self.terms.items():
             term = Poly.const(c)
             for sym, e in mono:
                 rep = fn(sym)
-                if rep is None:
-                    term = term * Poly.sym(sym) ** e
-                else:
-                    term = term * Poly._coerce(rep) ** e
-            out = out + term
-        return out
+                term = term * (Poly.sym(sym) if rep is None else rep) ** e
+            add_into(out, term.terms.items())
+        return Poly(out)
 
     def diff(self, symbol):
         """Formal partial derivative."""
-        out = {}
-        for mono, c in self.terms.items():
-            for i, (sym, e) in enumerate(mono):
-                if sym == symbol:
-                    rest = mono[:i] + ((sym, e - 1),) + mono[i + 1:] if e > 1 \
-                        else mono[:i] + mono[i + 1:]
-                    nc = out.get(rest, 0) + c * e
-                    if nc:
-                        out[rest] = nc
-                    else:
-                        out.pop(rest, None)
-                    break
-        return Poly(out)
+        def pieces():
+            for mono, c in self.terms.items():
+                for i, (sym, e) in enumerate(mono):
+                    if sym == symbol:
+                        lowered = ((sym, e - 1),) if e > 1 else ()
+                        yield mono[:i] + lowered + mono[i + 1:], c * e
+                        break
+        return Poly(add_into({}, pieces()))
 
     def coefficient(self, symbol, k: int):
         """Coefficient of symbol**k (a polynomial in the other symbols)."""
-        out = {}
-        for mono, c in self.terms.items():
-            e = 0
-            rest = []
-            for sym, ee in mono:
-                if sym == symbol:
-                    e = ee
-                else:
-                    rest.append((sym, ee))
-            if e == k:
-                out[tuple(rest)] = out.get(tuple(rest), 0) + c
-        return Poly({m: c for m, c in out.items() if c})
+        return Poly(add_into({}, (
+            (tuple(p for p in mono if p[0] != symbol), c)
+            for mono, c in self.terms.items()
+            if dict(mono).get(symbol, 0) == k)))
 
     def symbols(self):
         out = set()
@@ -253,7 +269,3 @@ def _mono_mul(m1, m2):
     for s, e in m2:
         d[s] = d.get(s, 0) + e
     return tuple(sorted(d.items(), key=lambda it: _symbol_key(it[0])))
-
-
-ZERO = Poly()
-ONE = Poly.const(1)

@@ -23,7 +23,7 @@ from . import _kernels as K
 from .coefficients import goldberg3, weisner3
 from .incidence import generalized_binomial
 from .partitions import OrderedSetPartition, noncrossing_set_partitions
-from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly,
+from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, add_into,
                        free_cumulant_symbol, moment_symbol, psi_moment_symbol,
                        scalar_symbol, time_symbol)
 
@@ -112,10 +112,8 @@ class Engine:
         if len(labels) != pi.n:
             raise ValueError("need one variable label per element")
         at = atoms or self.atoms(labels)
-        total = ZERO
-        for w in K.ideal_words(pi.word):
-            total = total + self._phi_word(w, at) * K.mu_tilde_words(w, pi.word)
-        return total
+        return Poly.sum([self._phi_word(w, at) * K.mu_tilde_words(w, pi.word)
+                         for w in K.ideal_words(pi.word)])
 
     def cumulant_n(self, labels, atoms=None):
         """K_n, the cumulant of the one-block partition."""
@@ -127,24 +125,18 @@ class Engine:
         indices = tuple(indices)
         eta_w = K.kernel_word(indices)
         at = self.atoms(labels)
-        total = ZERO
-        for w in K.ideal_words(pi.word):
-            total = total + self._phi_word(K.quasi_meet(w, eta_w), at) \
-                * K.mu_tilde_words(w, pi.word)
-        return total
+        return Poly.sum([self._phi_word(K.quasi_meet(w, eta_w), at)
+                         * K.mu_tilde_words(w, pi.word)
+                         for w in K.ideal_words(pi.word)])
 
     def cumulant_table(self, n, labels=None):
         """{word: K_pi} over all of OP_n."""
         labels = tuple(labels) if labels is not None else _default_labels(n)
         at = self.atoms(labels)
         phis = {w: self._phi_word(w, at) for w in K.osp_words(n)}
-        table = {}
-        for v in K.osp_words(n):
-            total = ZERO
-            for w in K.ideal_words(v):
-                total = total + phis[w] * K.mu_tilde_words(w, v)
-            table[v] = total
-        return table
+        return {v: Poly.sum([phis[w] * K.mu_tilde_words(w, v)
+                             for w in K.ideal_words(v)])
+                for v in K.osp_words(n)}
 
     def multiplicative_cumulant(self, pi, labels):
         """K_(pi): product of one-block cumulants over the blocks of pi."""
@@ -163,14 +155,14 @@ class Engine:
         sigma-block index (1-based) to pi-block index.  Plain dilation is
         the identity assignment.
         """
-        total = ZERO
+        out = {}
         for w in K.ideal_words(sigma_word):
             t = K.interval_type_words(w, sigma_word)
             f = ONE
             for i, k in enumerate(t):
                 f = f * generalized_binomial(params[assignment[i + 1] - 1], k)
-            total = total + self._phi_word(w, at) * f
-        return total
+            add_into(out, (self._phi_word(w, at) * f).terms.items())
+        return Poly(out)
 
     def dilate(self, pi, labels, scale, atoms=None):
         """phi_pi(N.X_1,...,N.X_n); polynomial in a symbolic scale.
@@ -199,12 +191,10 @@ class Engine:
         labels = tuple(labels)
         at = self.atoms(labels)
         scales = [_as_scale(s) for s in scales]
-        total = ZERO
-        for w in K.ideal_words(pi.word):
-            assignment = K.block_map(w, pi.word)
-            total = total + self._phi_dilated(w, at, scales, assignment) \
-                * K.mu_tilde_words(w, pi.word)
-        return total
+        return Poly.sum([self._phi_dilated(w, at, scales,
+                                           K.block_map(w, pi.word))
+                         * K.mu_tilde_words(w, pi.word)
+                         for w in K.ideal_words(pi.word)])
 
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
@@ -212,14 +202,15 @@ class Engine:
         at = self.atoms(labels)
         inner = _as_scale(inner)
         outer = _as_scale(outer)
-        total = ZERO
+        out = {}
         for w in K.ideal_words(pi.word):
             sigma = OrderedSetPartition._raw(pi.n, w)
             f = ONE
             for k in K.interval_type_words(w, pi.word):
                 f = f * generalized_binomial(outer, k)
-            total = total + self.dilate(sigma, labels, inner, atoms=at) * f
-        return total
+            add_into(out, (self.dilate(sigma, labels, inner, atoms=at)
+                           * f).terms.items())
+        return Poly(out)
 
     # -- time evolution -----------------------------------------------------
 
@@ -262,7 +253,7 @@ class Engine:
         lhs = self.phi_t(pi, labels, ts).diff(time_symbol(j))
         blocks = pi.blocks
         pj = blocks[j - 1]
-        rhs = [ZERO, ZERO]
+        rhs = [{}, {}]
         for mask in range(1, 1 << len(pj)):
             a = [pj[i] for i in range(len(pj)) if mask >> i & 1]
             rest = [x for x in pj if x not in a]
@@ -280,9 +271,9 @@ class Engine:
                 pi2 = OrderedSetPartition(pi.n, newblocks)
                 phi2 = self._phi_dilated(pi2.word, at, params,
                                          list(range(len(newblocks) + 1)))
-                rhs[form] = rhs[form] + phi2.diff(s_sym).substitute(
-                    lambda sym: 0 if sym == s_sym else None)
-        return lhs - rhs[0], lhs - rhs[1]
+                add_into(rhs[form], phi2.diff(s_sym).substitute(
+                    lambda sym: 0 if sym == s_sym else None).terms.items())
+        return lhs - Poly(rhs[0]), lhs - Poly(rhs[1])
 
     # -- central limit ------------------------------------------------------
 
@@ -452,7 +443,7 @@ class FreeEngine(Engine):
     def _phi_word(self, word, atoms):
         # sum of free-cumulant products over noncrossing refinements
         n = len(word)
-        total = ZERO
+        out = {}
         for blocks in noncrossing_set_partitions(n):
             ok = True
             for blk in blocks:
@@ -465,8 +456,8 @@ class FreeEngine(Engine):
             term = ONE
             for blk in blocks:
                 term = term * atoms.free_cumulant(tuple(x - 1 for x in blk))
-            total = total + term
-        return total
+            add_into(out, term.terms.items())
+        return Poly(out)
 
 
 class CMonotoneEngine(Engine):
@@ -531,12 +522,11 @@ def engine(name: str) -> Engine:
 
 def moments_from_cumulants(table, pi):
     """phi_pi = sum over sigma <= pi of K_sigma zeta~(sigma,pi)."""
-    total = ZERO
-    for w in K.ideal_words(pi.word):
-        if w not in table:
-            raise ValueError("cumulant table does not cover the ideal")
-        total = total + table[w] * K.zeta_tilde_words(w, pi.word)
-    return total
+    ideal = K.ideal_words(pi.word)
+    if any(w not in table for w in ideal):
+        raise ValueError("cumulant table does not cover the ideal")
+    return Poly.sum([table[w] * K.zeta_tilde_words(w, pi.word)
+                     for w in ideal])
 
 
 def monotone_mc_defect(n, labels=None):
@@ -544,10 +534,9 @@ def monotone_mc_defect(n, labels=None):
     from .partitions import MONOTONE as MONO_CLASS, enumerate_partitions
     labels = tuple(labels) if labels is not None else _default_labels(n)
     lhs = MONOTONE.phi_pi(OrderedSetPartition.one_block(n), labels)
-    rhs = ZERO
-    for pi in enumerate_partitions(n, MONO_CLASS):
-        rhs = rhs + MONOTONE.multiplicative_cumulant(pi, labels) \
-            * Fraction(1, factorial(len(pi)))
+    rhs = Poly.sum([MONOTONE.multiplicative_cumulant(pi, labels)
+                    * Fraction(1, factorial(len(pi)))
+                    for pi in enumerate_partitions(n, MONO_CLASS)])
     return lhs - rhs
 
 
@@ -555,24 +544,24 @@ def mixed_cumulant_moment(pi, eta, eng, labels):
     """K_pi of copy-indexed entries via Weisner coefficients over moments."""
     labels = tuple(labels)
     at = eng.atoms(labels)
-    total = ZERO
+    out = {}
     for w in K.osp_words(pi.n):
         coeff = weisner3(OrderedSetPartition._raw(pi.n, w), eta, pi)
         if coeff:
-            total = total + eng._phi_word(w, at) * coeff
-    return total
+            add_into(out, (eng._phi_word(w, at) * coeff).terms.items())
+    return Poly(out)
 
 
 def mixed_cumulant_cumulant(pi, eta, eng, labels):
     """K_pi of copy-indexed entries via Goldberg coefficients over cumulants."""
     labels = tuple(labels)
     table = eng.cumulant_table(pi.n, labels)
-    total = ZERO
+    out = {}
     for w in K.osp_words(pi.n):
         coeff = goldberg3(OrderedSetPartition._raw(pi.n, w), eta, pi)
         if coeff:
-            total = total + table[w] * coeff
-    return total
+            add_into(out, (table[w] * coeff).terms.items())
+    return Poly(out)
 
 
 def singleton_defect(eng, pi, labels, k):

@@ -1,13 +1,69 @@
+import functools
 import itertools
+import operator
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ospart import freelie as FL
+from ospart.symbolic import Poly, scalar_symbol
 
 
 def words_over(alphabet, length):
     return itertools.product(alphabet, repeat=length)
+
+
+# ---------------------------------------------------------------------------
+# the exact sparse sum behind Poly and NCPoly
+# ---------------------------------------------------------------------------
+
+_X, _Y = scalar_symbol("x"), scalar_symbol("y")
+_KEYS = {
+    Poly: [(), ((_X, 1),), ((_X, 2),), ((_X, 1), (_Y, 1)), ((_Y, 1),)],
+    FL.NCPoly: [(), ("a",), ("b",), ("a", "b"), ("b", "a")],
+}
+
+
+@pytest.mark.parametrize("cls", [Poly, FL.NCPoly])
+def test_sparse_sum_equality_and_hash(cls):
+    zero, two = cls(), cls.const(2)
+    assert not zero and zero == 0 and hash(zero) == hash(0)
+    assert two and two == 2 and two == F(2) and hash(two) == hash(F(2))
+    assert len({two, 2, F(2)}) == 1 and len({cls.const(1), 1}) == 1
+    for foreign in (None, "x", object(), [two]):
+        assert two != foreign and zero != foreign
+    assert zero not in [None] and two not in [None, "x"]
+    other_cls = FL.NCPoly if cls is Poly else Poly
+    assert two != other_cls.const(2) and zero != other_cls()
+    x = cls({_KEYS[cls][1]: F(1)})
+    assert x + 1 == 1 + x and hash(x + 1) == hash(1 + x)
+    assert x - x == 0 and not (x - x).terms and 1 - x == -(x - 1)
+
+
+def _sparse_sums(cls):
+    term = st.dictionaries(
+        st.sampled_from(_KEYS[cls]),
+        st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(2)]), max_size=4)
+    return st.lists(term.map(cls), max_size=6)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_sum_equals_left_fold(data):
+    for cls in (Poly, FL.NCPoly):
+        xs = data.draw(_sparse_sums(cls))
+        # append negations so that partial sums cancel to zero
+        picks = data.draw(st.lists(st.integers(0, max(len(xs) - 1, 0)),
+                                   max_size=len(xs)))
+        xs += [-xs[i] for i in picks if xs]
+        before = [dict(x.terms) for x in xs]
+        total = cls.sum(xs)
+        assert total == functools.reduce(operator.add, xs, cls())
+        assert type(total) is cls and all(total.terms.values())
+        assert [x.terms for x in xs] == before
+    assert Poly.sum([]) == 0 and not FL.NCPoly.sum(iter(()))
 
 
 # ---------------------------------------------------------------------------

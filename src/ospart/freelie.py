@@ -10,7 +10,8 @@ through descent statistics and homogeneous Eulerian polynomials.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import permutations
+from math import comb, factorial
 
 from . import _kernels as K
 from .coefficients import goldberg_from_word
@@ -94,13 +95,15 @@ class NCPoly(SparseSum):
 def _projector_terms(n: int):
     """Position rearrangements with coefficients: the degree-n projector.
 
-    Each ordered set partition contributes its block-concatenated position
-    order with coefficient (-1)^(p-1)/p.
+    Summing (-1)^(p-1)/p over the ordered set partitions with p blocks
+    whose block-concatenated position order is the permutation sigma
+    leaves Solomon's first Eulerian idempotent: sigma alone, with
+    coefficient (-1)^d / (n C(n-1, d)), where d is its number of descents.
     """
     out = []
-    for w in K.osp_words(n):
-        p = max(w)
-        out.append((_block_order(w), Fraction((-1) ** (p - 1), p)))
+    for order in permutations(range(n)):
+        d = sum(a > b for a, b in zip(order, order[1:]))
+        out.append((order, Fraction((-1) ** d, n * comb(n - 1, d))))
     return tuple(out)
 
 
@@ -128,22 +131,21 @@ def pi_on_poly(p: NCPoly) -> NCPoly:
 def nct_cumulant(elements):
     """Shuffle-system cumulant of ring elements.
 
-    Works for anything with +, * and Fraction scalar multiplication
-    (NCPoly, RationalMatrix); the order of the factors inside a block
-    follows the positions.
+    Works for any type with *, Fraction scalar multiplication and a
+    classmethod sum(list) (NCPoly, RationalMatrix); the order of the
+    factors inside a block follows the positions.
     """
     elements = tuple(elements)
     n = len(elements)
     if n == 0:
         raise ValueError("need at least one element")
-    total = None
+    terms = []
     for order, coeff in _projector_terms(n):
         term = elements[order[0]]
         for i in order[1:]:
             term = term * elements[i]
-        term = term * coeff
-        total = term if total is None else total + term
-    return total
+        terms.append(term * coeff)
+    return type(elements[0]).sum(terms)
 
 
 def shuffle_moment(letters, indices) -> NCPoly:
@@ -156,8 +158,18 @@ def shuffle_moment(letters, indices) -> NCPoly:
 
 
 def phi_word_partition(letters, word) -> NCPoly:
-    """phi_pi for the shuffle system: the block-ordered concatenation."""
+    """phi_pi for the shuffle system: the block-ordered concatenation.
+
+    word is the partition word of pi: one block index per letter, the
+    indices being exactly 1..max(word).
+    """
     letters = tuple(letters)
+    word = tuple(word)
+    if len(word) != len(letters):
+        raise ValueError("word and letters differ in length")
+    blocks = set(word)
+    if blocks != set(range(1, len(blocks) + 1)):
+        raise ValueError("block indices must be exactly 1..max(word)")
     return NCPoly.word(tuple(letters[i] for i in _block_order(word)))
 
 
@@ -506,11 +518,30 @@ class RationalMatrix:
     def identity(cls, m):
         return cls([[1 if i == j else 0 for j in range(m)] for i in range(m)])
 
+    @classmethod
+    def sum(cls, summands):
+        """Entrywise sum of a nonempty sequence of same-size matrices."""
+        summands = list(summands)
+        if not summands:
+            raise ValueError("need at least one matrix")
+        for s in summands[1:]:
+            summands[0]._check_size(s)
+        return cls([[sum(col) for col in zip(*rows)]
+                    for rows in zip(*(s.rows for s in summands))])
+
     @property
     def size(self):
         return len(self.rows)
 
+    def _check_size(self, other):
+        if other.size != self.size:
+            raise ValueError(
+                f"matrix sizes differ: {self.size} and {other.size}")
+
     def __add__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        self._check_size(other)
         return RationalMatrix(
             [[a + b for a, b in zip(r1, r2)]
              for r1, r2 in zip(self.rows, other.rows)])
@@ -519,6 +550,9 @@ class RationalMatrix:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return RationalMatrix([[x * c for x in r] for r in self.rows])
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        self._check_size(other)
         m = self.size
         return RationalMatrix(
             [[sum(self.rows[i][k] * other.rows[k][j] for k in range(m))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ospart import _kernels as K
 from ospart import freelie as FL
 from ospart.symbolic import Poly, scalar_symbol
 
@@ -70,6 +71,26 @@ def test_sum_equals_left_fold(data):
 # projector
 # ---------------------------------------------------------------------------
 
+def _osp_projector_terms(n):
+    """The projector's definition: every ordered set partition with p
+    blocks, as its block-concatenated position order, weighs
+    (-1)^(p-1)/p."""
+    for w in K.osp_words(n):
+        p = max(w)
+        yield FL._block_order(w), F((-1) ** (p - 1), p)
+
+
+def test_projector_terms_match_osp_sum():
+    from math import factorial
+    for n in range(1, 7):
+        grouped = {}
+        for order, coeff in _osp_projector_terms(n):
+            grouped[order] = grouped.get(order, 0) + coeff
+        table = dict(FL._projector_terms(n))
+        assert len(table) == factorial(n) == len(FL._projector_terms(n))
+        assert table == grouped, n
+
+
 def test_projector_degree_one_and_two():
     assert FL.pi_projector(("a",)) == FL.NCPoly.word(("a",))
     pab = FL.pi_projector(("a", "b"))
@@ -101,6 +122,12 @@ def test_projector_convolution_oracle():
               ("a", "a", "b"), ("a", "b", "c", "d"), ("a", "b", "a", "b"),
               ("a", "a", "b", "b"), ("b", "a", "a", "c")]:
         assert FL.pi_convolution_oracle(w) == FL.pi_projector(w), w
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=5))
+def test_projector_convolution_oracle_random_words(w):
+    assert FL.pi_projector(w) == FL.pi_convolution_oracle(w)
 
 
 def test_coproduct_examples():
@@ -151,6 +178,14 @@ def test_dilation_identity(full_mode):
         assert len(coeffs) == n
         for k in range(1, n + 1):
             assert coeffs[k - 1] == FL.pi_k(letters, k), (letters, k)
+
+
+def test_phi_word_partition_checks_its_word():
+    assert FL.phi_word_partition(("a", "b"), (2, 1)) == FL.NCPoly.word("ba")
+    for letters, word in ((("a", "b"), (1,)), (("a",), (1, 2)),
+                          (("a", "b", "c"), (1, 3, 3))):
+        with pytest.raises(ValueError):
+            FL.phi_word_partition(letters, word)
 
 
 def test_shuffle_moment_is_kernel_ordered():
@@ -308,9 +343,38 @@ def test_nct_cumulant_matrix_commutator():
 
 
 def test_nct_cumulant_on_letters_is_projector():
-    letters = ("a", "b", "c")
-    elems = [FL.NCPoly.word((x,)) for x in letters]
-    assert FL.nct_cumulant(elems) == FL.pi_projector(letters)
+    for letters in ("abc", "abcd", "abcde"):
+        elems = [FL.NCPoly.word((x,)) for x in letters]
+        assert FL.nct_cumulant(elems) == FL.pi_projector(letters), letters
+
+
+def test_nct_cumulant_matrices_match_osp_fold():
+    elems = [FL.RationalMatrix([[1, 2], [0, -1]]),
+             FL.RationalMatrix([[0, 1], [F(1, 2), 3]]),
+             FL.RationalMatrix([[2, 0], [1, 1]])]
+    total = None
+    for order, coeff in _osp_projector_terms(len(elems)):
+        term = functools.reduce(operator.mul, [elems[i] for i in order])
+        term = term * coeff
+        total = term if total is None else total + term
+    got = FL.nct_cumulant(elems)
+    assert got == total and not got.is_zero()
+
+
+def test_rational_matrix_sizes_must_match():
+    one = FL.RationalMatrix([[2]])
+    two = FL.RationalMatrix.identity(2)
+    assert FL.RationalMatrix.sum([two, two, two]) == two * 3
+    for op in (operator.add, operator.mul, operator.sub):
+        for x, y in ((two, one), (one, two)):
+            with pytest.raises(ValueError):
+                op(x, y)
+    with pytest.raises(ValueError):
+        FL.RationalMatrix.sum([two, one])
+    with pytest.raises(ValueError):
+        FL.RationalMatrix.sum([])
+    with pytest.raises(TypeError):
+        two + 1
 
 
 def test_commuting_split_check():

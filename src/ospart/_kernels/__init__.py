@@ -8,6 +8,7 @@ from ._pure import (beta_semigroup_identity, block_map, compositions, fubini,
                     goldberg_oracle_table, ideal_words, interval_type_words,
                     interval_words, iter_osp_words, kernel_word, leq_words,
                     mu_tilde_words, mu_zeta_identity, osp_words, quasi_meet,
-                    rgs_word, weisner_oracle_table, zeta_tilde_words)
+                    relative_word, rgs_word, segments, weisner_oracle_table,
+                    zeta_tilde_words)
 
 BACKEND = "pure"

@@ -94,6 +94,31 @@ def quasi_meet(u, v) -> tuple:
     return tuple(rank[pr] for pr in zip(u, v))
 
 
+def _hosts(u, v):
+    """Padded list: entry a is the v-block holding u-block a (entry 0 is
+    padding), or None when the lengths differ or a u-block meets two
+    v-blocks."""
+    if len(u) != len(v):
+        return None
+    vb = [0] * (max(u) + 1)
+    for a, b in zip(u, v):
+        if vb[a] == 0:
+            vb[a] = b
+        elif vb[a] != b:
+            return None
+    return vb
+
+
+def relative_word(u, v):
+    """The v-block holding each u-block, in u's block order.
+
+    None when the lengths differ or some u-block meets two v-blocks, i.e.
+    when the underlying partition of u does not refine that of v.
+    """
+    vb = _hosts(u, v)
+    return None if vb is None else tuple(vb[1:])
+
+
 def block_map(u, v):
     """For sigma=u <= pi=v, the map sigma-block index -> pi-block index.
 
@@ -101,13 +126,10 @@ def block_map(u, v):
     two pi-blocks, or the induced map is not weakly increasing).
     Entry 0 is padding; entries 1..max(u) are meaningful.
     """
-    vb = [0] * (max(u) + 1)
-    for a, b in zip(u, v):
-        if vb[a] == 0:
-            vb[a] = b
-        elif vb[a] != b:
-            return None
-    for i in range(1, max(u)):
+    vb = _hosts(u, v)
+    if vb is None:
+        return None
+    for i in range(1, len(vb) - 1):
         if vb[i] > vb[i + 1]:
             return None
     return vb
@@ -130,6 +152,18 @@ def interval_type_words(u, v) -> tuple:
     if 0 in counts[1:]:
         raise ValueError("incomparable words")
     return tuple(counts[1:])
+
+
+def segments(seq, lengths) -> list:
+    """Cut a sequence into consecutive pieces of the given lengths."""
+    out = []
+    pos = 0
+    for ln in lengths:
+        out.append(seq[pos:pos + ln])
+        pos += ln
+    if pos != len(seq):
+        raise ValueError("lengths do not add up to the sequence length")
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -46,20 +46,10 @@ def relative_word(tau, eta):
     """
     if tau.n != eta.n:
         raise ValueError("mismatched ground sets")
-    out = []
-    for blk in tau.blocks:
-        vals = {eta.word[x - 1] for x in blk}
-        if len(vals) > 1:
-            raise ValueError("tau does not refine eta")
-        out.append(vals.pop())
-    return tuple(out)
-
-
-def _relative_word_or_none(tau, eta):
-    try:
-        return relative_word(tau, eta)
-    except ValueError:
-        return None
+    rw = K.relative_word(tau.word, eta.word)
+    if rw is None:
+        raise ValueError("tau does not refine eta")
+    return rw
 
 
 @dataclass(frozen=True)
@@ -151,21 +141,25 @@ def weisner(tau, eta) -> Fraction:
     """
     if tau.n != eta.n:
         raise ValueError("mismatched ground sets")
-    rw = _relative_word_or_none(tau, eta)
-    if rw is None:
-        return Fraction(0)
+    rw = K.relative_word(tau.word, eta.word)
+    return Fraction(0) if rw is None else weisner_from_word(rw)
+
+
+def weisner_from_word(rw) -> Fraction:
+    """Weisner/Solomon closed form of a word with s letters and asc
+    ascents: (-1)^(s-asc-1) / (s C(s-1, asc))."""
     asc = stats(rw)[2]
-    s = len(tau)
+    s = len(rw)
     return Fraction((-1) ** (s - asc - 1), s * comb(s - 1, asc))
 
 
 def weisner_via_integral(tau, eta) -> Fraction:
     """Same value through the exact Beta integral; cross-check route."""
-    rw = _relative_word_or_none(tau, eta)
+    rw = K.relative_word(tau.word, eta.word)
     if rw is None:
         return Fraction(0)
     asc = stats(rw)[2]
-    return integrate_monomial(len(tau) - asc - 1, asc)
+    return integrate_monomial(len(rw) - asc - 1, asc)
 
 
 def goldberg(tau, eta) -> Fraction:
@@ -176,10 +170,8 @@ def goldberg(tau, eta) -> Fraction:
     """
     if tau.n != eta.n:
         raise ValueError("mismatched ground sets")
-    rw = _relative_word_or_none(tau, eta)
-    if rw is None:
-        return Fraction(0)
-    return goldberg_from_word(rw)
+    rw = K.relative_word(tau.word, eta.word)
+    return Fraction(0) if rw is None else goldberg_from_word(rw)
 
 
 @lru_cache(maxsize=None)
@@ -202,27 +194,27 @@ def goldberg_from_word(rw) -> Fraction:
 
 
 def _over_blocks(fn, tau, eta, pi) -> Fraction:
-    """Product of fn over the restrictions to the blocks of pi."""
+    """Product of fn over the pieces of the relative word of (tau, eta)
+    that the blocks of pi cut out (tau's blocks in each pi-block)."""
     if not (tau.n == eta.n == pi.n):
         raise ValueError("mismatched ground sets")
-    if _relative_word_or_none(tau, eta) is None:
-        return Fraction(0)
-    if not K.leq_words(tau.word, pi.word):
+    rw = K.relative_word(tau.word, eta.word)
+    if rw is None or not K.leq_words(tau.word, pi.word):
         return Fraction(0)
     total = Fraction(1)
-    for blk in pi.blocks:
-        total *= fn(tau.restrict(blk), eta.restrict(blk))
+    for piece in K.segments(rw, K.interval_type_words(tau.word, pi.word)):
+        total *= fn(piece)
     return total
 
 
 def weisner3(tau, eta, pi) -> Fraction:
     """Relative Weisner coefficient, factorizing over the blocks of pi."""
-    return _over_blocks(weisner, tau, eta, pi)
+    return _over_blocks(weisner_from_word, tau, eta, pi)
 
 
 def goldberg3(tau, eta, pi) -> Fraction:
     """Relative Goldberg coefficient, factorizing over the blocks of pi."""
-    return _over_blocks(goldberg, tau, eta, pi)
+    return _over_blocks(goldberg_from_word, tau, eta, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +271,13 @@ def goldberg_oracle_table(n: int, bound=ORACLE_BOUND) -> dict:
 # fiber structure
 # ---------------------------------------------------------------------------
 
-def _merge_along(tau, groups):
-    blocks = tau.blocks
-    merged = []
-    for grp in groups:
-        blk = []
-        for i in grp:
-            blk.extend(blocks[i])
-        merged.append(blk)
-    return OrderedSetPartition(tau.n, merged)
-
-
-def _run_groups(rw, kind):
-    lengths = runs(rw, kind).lengths
-    out = []
-    pos = 0
-    for ln in lengths:
-        out.append(tuple(range(pos, pos + ln)))
-        pos += ln
-    return out
+def _merge_runs(tau, eta, kind):
+    """tau with its blocks merged along the runs of the relative word."""
+    label = [0]
+    for r, length in enumerate(runs(relative_word(tau, eta), kind).lengths,
+                               start=1):
+        label += [r] * length
+    return OrderedSetPartition._raw(tau.n, tuple(label[b] for b in tau.word))
 
 
 def sigma_max_asc(tau, eta) -> OrderedSetPartition:
@@ -306,14 +286,12 @@ def sigma_max_asc(tau, eta) -> OrderedSetPartition:
     Merges tau's blocks along the ascending runs of the relative word; the
     fiber is exactly the interval [tau, sigma_max_asc(tau, eta)].
     """
-    rw = relative_word(tau, eta)
-    return _merge_along(tau, _run_groups(rw, ASCENDING))
+    return _merge_runs(tau, eta, ASCENDING)
 
 
 def sigma_max_pla(tau, eta) -> OrderedSetPartition:
     """Top of {sigma >= tau with underlying(sigma) refining underlying(eta)}."""
-    rw = relative_word(tau, eta)
-    return _merge_along(tau, _run_groups(rw, LEVEL))
+    return _merge_runs(tau, eta, LEVEL)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ through descent statistics and homogeneous Eulerian polynomials.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 
 from . import _kernels as K
-from .coefficients import goldberg_from_word
+from .coefficients import goldberg_from_word, weisner_from_word
 from .partitions import iter_pseudo_partitions
 from .symbolic import SparseSum, add_into
 
@@ -98,13 +98,11 @@ def _projector_terms(n: int):
     Summing (-1)^(p-1)/p over the ordered set partitions with p blocks
     whose block-concatenated position order is the permutation sigma
     leaves Solomon's first Eulerian idempotent: sigma alone, with
-    coefficient (-1)^d / (n C(n-1, d)), where d is its number of descents.
+    coefficient (-1)^d / (n C(n-1, d)), where d is its number of descents,
+    which is the Weisner closed form of sigma read as a word.
     """
-    out = []
-    for order in permutations(range(n)):
-        d = sum(a > b for a, b in zip(order, order[1:]))
-        out.append((order, Fraction((-1) ** d, n * comb(n - 1, d))))
-    return tuple(out)
+    return tuple((order, weisner_from_word(order))
+                 for order in permutations(range(n)))
 
 
 def _block_order(word):

@@ -21,12 +21,12 @@ def _pair_type(sigma, pi):
     if isinstance(sigma, SetPartition) and isinstance(pi, SetPartition):
         if sigma.n != pi.n:
             raise ValueError("mismatched ground sets")
-        if not sigma.refines(pi):
+        rw = K.relative_word(sigma.word, pi.word)
+        if rw is None:
             raise ValueError("incomparable set partitions")
-        owner = {x: k for k, blk in enumerate(pi.blocks) for x in blk}
-        counts = [0] * len(pi.blocks)
-        for blk in sigma.blocks:
-            counts[owner[blk[0]]] += 1
+        counts = [0] * len(pi)
+        for b in rw:
+            counts[b - 1] += 1
         return tuple(counts)
     return interval_type(sigma, pi)
 
@@ -104,20 +104,7 @@ def _psi_compositions(sigma, rho, pi):
     This is the image of rho under the interval isomorphism: block i of pi
     contributes the sizes |G| of the rho-groups of sigma-blocks inside it.
     """
-    bm_sp = K.block_map(sigma.word, pi.word)
-    bm_sr = K.block_map(sigma.word, rho.word)
-    bm_rp = K.block_map(rho.word, pi.word)
-    if bm_sp is None or bm_sr is None or bm_rp is None:
-        raise ValueError("need sigma <= rho <= pi")
-    p = len(pi)
-    groups = [[] for _ in range(p + 1)]  # pi-block -> list of group sizes
-    sizes = {}
-    for i in range(1, len(sigma) + 1):
-        r = bm_sr[i]
-        sizes[r] = sizes.get(r, 0) + 1
-    for r in range(1, len(rho) + 1):
-        groups[bm_rp[r]].append(sizes[r])
-    return [tuple(g) for g in groups[1:]]
+    return K.segments(interval_type(sigma, rho), interval_type(rho, pi))
 
 
 def gamma_vec(ts, sigma, rho, pi):

@@ -29,114 +29,117 @@ CLASSES = (ALL, SP, NC, IP, ONC, OI, MONOTONE, PAIR, PAIR_NC, PAIR_IP,
 fubini = K.fubini
 
 
-def _check_cover(n, blocks, allow_empty=False):
-    seen = [False] * (n + 1)
-    for blk in blocks:
+def _cover_word(n, blocks, allow_empty=False):
+    """Word of blocks that must cover {1,...,n} exactly once each."""
+    w = [0] * n
+    for k, blk in enumerate(blocks, start=1):
+        blk = tuple(blk)
         if not blk and not allow_empty:
             raise ValueError("empty block")
         for x in blk:
             if not isinstance(x, int) or x < 1 or x > n:
                 raise ValueError(f"element {x!r} outside 1..{n}")
-            if seen[x]:
+            if w[x - 1]:
                 raise ValueError(f"element {x} repeated")
-            seen[x] = True
-    if not all(seen[1:]):
+            w[x - 1] = k
+    if not all(w):
         raise ValueError("blocks do not cover the ground set")
+    return tuple(w)
 
 
-class SetPartition:
-    """Partition of {1,...,n}; blocks stored sorted by minimum element."""
-
-    __slots__ = ("n", "blocks")
-
-    def __init__(self, n, blocks):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        blocks = tuple(tuple(sorted(blk)) for blk in blocks)
-        _check_cover(n, blocks)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", tuple(sorted(blocks)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetPartition is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, SetPartition)
-                and self.n == other.n and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __repr__(self):
-        return f"SetPartition({self.n}, {format_blocks(self.blocks)!r})"
-
-    def __str__(self):
-        return format_blocks(self.blocks)
-
-    def block_of(self, i):
-        """1-based index of the block containing i."""
-        for k, blk in enumerate(self.blocks):
-            if i in blk:
-                return k + 1
-        raise ValueError(f"{i} not in ground set")
-
-    def refines(self, other):
-        """True iff every block of self lies inside a block of other."""
-        if self.n != other.n:
-            raise ValueError("mismatched ground sets")
-        owner = {}
-        for k, blk in enumerate(other.blocks):
-            for x in blk:
-                owner[x] = k
-        return all(len({owner[x] for x in blk}) == 1 for blk in self.blocks)
-
-    def meet(self, other):
-        """Common refinement (lattice meet)."""
-        if self.n != other.n:
-            raise ValueError("mismatched ground sets")
-        cells = {}
-        for x in range(1, self.n + 1):
-            cells.setdefault((self.block_of(x), other.block_of(x)), []).append(x)
-        return SetPartition(self.n, cells.values())
-
-    def is_noncrossing(self):
-        return _word_noncrossing(rgs_of_blocks(self.n, self.blocks))
-
-    def is_interval(self):
-        return _word_interval(rgs_of_blocks(self.n, self.blocks))
+def _word_blocks(word):
+    """Blocks of a word, block 1 first, each in increasing order."""
+    out = [[] for _ in range(max(word))]
+    for pos, b in enumerate(word, start=1):
+        out[b - 1].append(pos)
+    return tuple(tuple(blk) for blk in out)
 
 
-def rgs_of_blocks(n, blocks):
-    w = [0] * n
-    for k, blk in enumerate(blocks):
-        for x in blk:
-            w[x - 1] = k + 1
-    return K.rgs_word(tuple(w))
-
-
-class OrderedSetPartition:
-    """Sequence of disjoint nonempty blocks covering {1,...,n}.
-
-    Canonically stored through its word: position k carries the 1-based
-    index of the block containing k+1.
-    """
+class _Partition:
+    """A partition of {1,...,n} stored as its word: position k carries
+    the 1-based index of the block containing k+1."""
 
     __slots__ = ("n", "word")
 
     def __init__(self, n, blocks):
         if n < 1:
             raise ValueError("n must be >= 1")
-        blocks = tuple(tuple(sorted(blk)) for blk in blocks)
-        _check_cover(n, blocks)
-        w = [0] * n
-        for k, blk in enumerate(blocks):
-            for x in blk:
-                w[x - 1] = k + 1
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "word", tuple(w))
+        object.__setattr__(self, "word", _cover_word(n, blocks))
+
+    @classmethod
+    def _raw(cls, n, word):
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "word", word)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.n == other.n and self.word == other.word)
+
+    def __hash__(self):
+        return hash((self.n, self.word))
+
+    def __len__(self):
+        """Number of blocks."""
+        return max(self.word)
+
+    def __str__(self):
+        return format_blocks(self.blocks)
+
+    @property
+    def blocks(self):
+        return _word_blocks(self.word)
+
+    def block_of(self, i):
+        """1-based index of the block containing i."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"{i} not in ground set")
+        return self.word[i - 1]
+
+    def is_noncrossing(self):
+        return _word_noncrossing(self.word)
+
+    def is_interval(self):
+        return _word_interval(self.word)
+
+
+class SetPartition(_Partition):
+    """Partition of {1,...,n}; its word is the restricted growth string,
+    so blocks are numbered by their minimum element."""
+
+    __slots__ = ()
+
+    def __init__(self, n, blocks):
+        super().__init__(n, blocks)
+        object.__setattr__(self, "word", K.rgs_word(self.word))
+
+    def __repr__(self):
+        return f"SetPartition({self.n}, {str(self)!r})"
+
+    def refines(self, other):
+        """True iff every block of self lies inside a block of other."""
+        if self.n != other.n:
+            raise ValueError("mismatched ground sets")
+        return K.relative_word(self.word, other.word) is not None
+
+    def meet(self, other):
+        """Common refinement (lattice meet)."""
+        if self.n != other.n:
+            raise ValueError("mismatched ground sets")
+        return SetPartition._raw(self.n,
+                                 K.rgs_word(tuple(zip(self.word, other.word))))
+
+
+class OrderedSetPartition(_Partition):
+    """Sequence of disjoint nonempty blocks covering {1,...,n}, stored
+    through its word."""
+
+    __slots__ = ()
 
     @classmethod
     def from_word(cls, word):
@@ -149,50 +152,12 @@ class OrderedSetPartition:
             raise ValueError(f"word values must cover 1..{p}: {word}")
         return cls._raw(len(word), word)
 
-    @classmethod
-    def _raw(cls, n, word):
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "word", word)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedSetPartition is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, OrderedSetPartition)
-                and self.n == other.n and self.word == other.word)
-
-    def __hash__(self):
-        return hash((self.n, self.word))
-
-    def __len__(self):
-        """Number of blocks."""
-        return max(self.word)
-
     def __repr__(self):
         return f"OrderedSetPartition.parse({str(self)!r})"
 
-    def __str__(self):
-        return format_blocks(self.blocks)
-
-    @property
-    def blocks(self):
-        p = max(self.word)
-        out = [[] for _ in range(p)]
-        for pos, b in enumerate(self.word):
-            out[b - 1].append(pos + 1)
-        return tuple(tuple(blk) for blk in out)
-
-    def block_of(self, i):
-        """pi(i): 1-based index of the block containing i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"{i} not in ground set")
-        return self.word[i - 1]
-
     def underlying(self):
         """Forget the block order."""
-        return SetPartition(self.n, self.blocks)
+        return SetPartition._raw(self.n, K.rgs_word(self.word))
 
     def to_word(self):
         return self.word
@@ -227,12 +192,6 @@ class OrderedSetPartition:
         for new, old in enumerate(h):
             inv[old] = new + 1
         return OrderedSetPartition._raw(self.n, tuple(inv[b] for b in self.word))
-
-    def is_noncrossing(self):
-        return _word_noncrossing(self.word)
-
-    def is_interval(self):
-        return _word_interval(self.word)
 
     def is_monotone(self):
         return _word_monotone(self.word)
@@ -393,33 +352,44 @@ def inner_block_indices(pi):
     return inner
 
 
-def is_class(pi, cls) -> bool:
-    """Class membership for an ordered set partition."""
-    w = pi.word
-    if cls == ALL:
-        return True
-    if cls == ONC or cls == NC:
-        return _word_noncrossing(w)
-    if cls == OI or cls == IP:
-        return _word_interval(w)
-    if cls == MONOTONE:
-        return _word_monotone(w)
-    if cls == PAIR:
-        return _word_pair(w)
-    if cls == PAIR_NC:
-        return _word_pair(w) and _word_noncrossing(w)
-    if cls == PAIR_IP:
-        return _word_pair(w) and _word_interval(w)
-    if cls == PAIR_MONOTONE:
-        return _word_pair(w) and _word_monotone(w)
-    raise ValueError(f"unknown class {cls!r}")
-
-
 def _word_pair(w):
     counts = {}
     for b in w:
         counts[b] = counts.get(b, 0) + 1
     return all(c == 2 for c in counts.values())
+
+
+def _pair_and(test):
+    return lambda w: _word_pair(w) and test(w)
+
+
+# membership test on words per class; None admits every word
+_CLASS_TESTS = {
+    ALL: None,
+    SP: None,
+    NC: _word_noncrossing,
+    IP: _word_interval,
+    ONC: _word_noncrossing,
+    OI: _word_interval,
+    MONOTONE: _word_monotone,
+    PAIR: _word_pair,
+    PAIR_NC: _pair_and(_word_noncrossing),
+    PAIR_IP: _pair_and(_word_interval),
+    PAIR_MONOTONE: _pair_and(_word_monotone),
+}
+
+
+def _class_test(cls):
+    try:
+        return _CLASS_TESTS[cls]
+    except KeyError:
+        raise ValueError(f"unknown class {cls!r}") from None
+
+
+def is_class(pi, cls) -> bool:
+    """Class membership of a set or ordered set partition."""
+    test = _class_test(cls)
+    return test is None or test(pi.word)
 
 
 # ---------------------------------------------------------------------------
@@ -474,35 +444,16 @@ def enumerate_partitions(n, cls=ALL):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if cls not in CLASSES:
-        raise ValueError(f"unknown class {cls!r}")
+    test = _class_test(cls)
     if cls in (SP, NC, IP):
-        for w in _iter_set_partitions(n):
-            if cls == NC and not _word_noncrossing(w):
-                continue
-            if cls == IP and not _word_interval(w):
-                continue
-            blocks = {}
-            for pos, b in enumerate(w):
-                blocks.setdefault(b, []).append(pos + 1)
-            yield SetPartition(n, blocks.values())
-        return
-    if cls in (PAIR, PAIR_NC, PAIR_IP, PAIR_MONOTONE):
-        pred = {PAIR: lambda w: True,
-                PAIR_NC: _word_noncrossing,
-                PAIR_IP: _word_interval,
-                PAIR_MONOTONE: _word_monotone}[cls]
-        for w in _iter_pair_words(n):
-            if pred(w):
-                yield OrderedSetPartition._raw(n, w)
-        return
-    pred = {ALL: lambda w: True,
-            ONC: _word_noncrossing,
-            OI: _word_interval,
-            MONOTONE: _word_monotone}[cls]
-    for w in K.iter_osp_words(n):
-        if pred(w):
-            yield OrderedSetPartition._raw(n, w)
+        words, make = _iter_set_partitions(n), SetPartition._raw
+    elif cls in (PAIR, PAIR_NC, PAIR_IP, PAIR_MONOTONE):
+        words, make = _iter_pair_words(n), OrderedSetPartition._raw
+    else:
+        words, make = K.iter_osp_words(n), OrderedSetPartition._raw
+    for w in words:
+        if test is None or test(w):
+            yield make(n, w)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +499,7 @@ class OrderedPseudoPartition:
 
     def __init__(self, n, blocks):
         blocks = tuple(tuple(sorted(blk)) for blk in blocks)
-        _check_cover(n, blocks, allow_empty=True)
+        _cover_word(n, blocks, allow_empty=True)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
 
@@ -597,11 +548,5 @@ def iter_pseudo_partitions(n, parts):
 @lru_cache(maxsize=None)
 def noncrossing_set_partitions(n):
     """Materialized NC_n as tuples of blocks (used by the free engine)."""
-    out = []
-    for w in _iter_set_partitions(n):
-        if _word_noncrossing(w):
-            blocks = {}
-            for pos, b in enumerate(w):
-                blocks.setdefault(b, []).append(pos + 1)
-            out.append(tuple(tuple(blk) for blk in blocks.values()))
-    return tuple(out)
+    return tuple(_word_blocks(w) for w in _iter_set_partitions(n)
+                 if _word_noncrossing(w))

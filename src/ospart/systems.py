@@ -123,6 +123,9 @@ class Engine:
     def cumulant_indexed(self, pi, labels, indices):
         """K_pi with entries X_k^(i_k): Mobius sum of quasi-met moments."""
         indices = tuple(indices)
+        labels = tuple(labels)
+        if len(indices) != pi.n or len(labels) != pi.n:
+            raise ValueError("need one index and one label per element")
         eta_w = K.kernel_word(indices)
         at = self.atoms(labels)
         return Poly.sum([self._phi_word(K.quasi_meet(w, eta_w), at)
@@ -141,6 +144,8 @@ class Engine:
     def multiplicative_cumulant(self, pi, labels):
         """K_(pi): product of one-block cumulants over the blocks of pi."""
         labels = tuple(labels)
+        if len(labels) != pi.n:
+            raise ValueError("need one variable label per element")
         total = ONE
         for blk in pi.blocks:
             total = total * self.cumulant_n([labels[x - 1] for x in blk])
@@ -148,19 +153,17 @@ class Engine:
 
     # -- dilation (dot operation) -------------------------------------------
 
-    def _phi_dilated(self, sigma_word, at, params, assignment):
+    def _phi_dilated(self, sigma_word, at, params):
         """phi_sigma with block-wise dot dilation.
 
-        params[j-1] is the scale attached to pi-block j; assignment maps
-        sigma-block index (1-based) to pi-block index.  Plain dilation is
-        the identity assignment.
+        params[j-1] is the scale attached to sigma-block j.
         """
         out = {}
         for w in K.ideal_words(sigma_word):
             t = K.interval_type_words(w, sigma_word)
             f = ONE
-            for i, k in enumerate(t):
-                f = f * generalized_binomial(params[assignment[i + 1] - 1], k)
+            for param, k in zip(params, t):
+                f = f * generalized_binomial(param, k)
             add_into(out, (self._phi_word(w, at) * f).terms.items())
         return Poly(out)
 
@@ -172,9 +175,7 @@ class Engine:
         labels = tuple(labels)
         at = atoms or self.atoms(labels)
         scale = _as_scale(scale)
-        p = len(pi)
-        ident = list(range(p + 1))
-        return self._phi_dilated(pi.word, at, [scale] * p, ident)
+        return self._phi_dilated(pi.word, at, [scale] * len(pi))
 
     def dilate_blockwise(self, pi, labels, scales, atoms=None):
         """phi_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n) with one scale per block."""
@@ -183,18 +184,24 @@ class Engine:
         scales = [_as_scale(s) for s in scales]
         if len(scales) < len(pi):
             raise ValueError("need one scale per block")
-        ident = list(range(len(pi) + 1))
-        return self._phi_dilated(pi.word, at, scales, ident)
+        return self._phi_dilated(pi.word, at, scales)
 
     def cumulant_dilated(self, pi, labels, scales):
         """K_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n)."""
         labels = tuple(labels)
-        at = self.atoms(labels)
+        if len(labels) != pi.n:
+            raise ValueError("need one variable label per element")
         scales = [_as_scale(s) for s in scales]
-        return Poly.sum([self._phi_dilated(w, at, scales,
-                                           K.block_map(w, pi.word))
-                         * K.mu_tilde_words(w, pi.word)
-                         for w in K.ideal_words(pi.word)])
+        if len(scales) < len(pi):
+            raise ValueError("need one scale per block")
+        at = self.atoms(labels)
+        terms = []
+        for w in K.ideal_words(pi.word):
+            # sigma-block i dilates by the scale of the pi-block holding it
+            params = [scales[b - 1] for b in K.block_map(w, pi.word)[1:]]
+            terms.append(self._phi_dilated(w, at, params)
+                         * K.mu_tilde_words(w, pi.word))
+        return Poly.sum(terms)
 
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
@@ -224,8 +231,7 @@ class Engine:
         params = [_as_scale(x) for x in params]
         if len(params) != p:
             raise ValueError("need one parameter per block")
-        ident = list(range(p + 1))
-        return self._phi_dilated(pi.word, at, params, ident)
+        return self._phi_dilated(pi.word, at, params)
 
     def partial_cumulant(self, pi, labels, j):
         """d/dt_j at t_j = 0 of phi^t_pi; a polynomial in the other t's."""
@@ -269,8 +275,7 @@ class Engine:
                 newblocks.extend(blocks[j:])
                 params.extend(ts[j:])
                 pi2 = OrderedSetPartition(pi.n, newblocks)
-                phi2 = self._phi_dilated(pi2.word, at, params,
-                                         list(range(len(newblocks) + 1)))
+                phi2 = self._phi_dilated(pi2.word, at, params)
                 add_into(rhs[form], phi2.diff(s_sym).substitute(
                     lambda sym: 0 if sym == s_sym else None).terms.items())
         return lhs - Poly(rhs[0]), lhs - Poly(rhs[1])

@@ -86,6 +86,12 @@ def test_beta_vec_and_gamma():
                         == I.beta_vec(st, sg, pi))
 
 
+def test_gamma_vec_checks_ground_sets():
+    # a 2-element sigma under a 3-element pi is not a chain
+    with pytest.raises(ValueError):
+        I.gamma_vec([2, 3], o("12"), o("11"), o("111"))
+
+
 def test_gamma_quasi_multiplicative_object():
     gam = I.QuasiMultiplicativeFunction(lambda j, k: I.generalized_binomial(j + 1, k))
     pi = top(3)

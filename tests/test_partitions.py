@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,56 @@ def test_block_lookup_total():
     assert [pi.block_of(i) for i in range(1, 6)] == [3, 1, 2, 1, 2]
     with pytest.raises(ValueError):
         pi.block_of(6)
+
+
+def _set_partitions_by_blocks(n):
+    """SP_n built block by block: element n joins a block or opens one."""
+    if n == 0:
+        return [[]]
+    out = []
+    for blocks in _set_partitions_by_blocks(n - 1):
+        for k in range(len(blocks)):
+            out.append(blocks[:k] + [blocks[k] | {n}] + blocks[k + 1:])
+        out.append(blocks + [{n}])
+    return out
+
+
+def _canonical_blocks(blocks):
+    return tuple(sorted(tuple(sorted(blk)) for blk in blocks))
+
+
+def test_set_partition_matches_block_definitions():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        parts = {}
+        for blocks in _set_partitions_by_blocks(n):
+            canon = _canonical_blocks(blocks)
+            shuffled = [rng.sample(sorted(blk), len(blk)) for blk in blocks]
+            rng.shuffle(shuffled)
+            sp = P.SetPartition(n, shuffled)
+            assert sp == P.SetPartition(n, canon)
+            assert hash(sp) == hash(P.SetPartition(n, canon))
+            assert sp.blocks == canon
+            text = "|".join(",".join(map(str, blk)) for blk in canon)
+            assert str(sp) == text
+            assert repr(sp) == f"SetPartition({n}, {text!r})"
+            assert len(sp) == len(canon)
+            for x in range(1, n + 1):
+                assert canon[sp.block_of(x) - 1].count(x) == 1
+            parts[canon] = sp
+        assert set(parts.values()) == set(P.enumerate_partitions(n, P.SP))
+        for ca, a in parts.items():
+            for cb, b in parts.items():
+                refines = all(any(set(x) <= set(y) for y in cb) for x in ca)
+                assert a.refines(b) == refines == P.leq(a, b)
+                cells = [set(x) & set(y) for x in ca for y in cb]
+                assert a.meet(b) == P.SetPartition(n, [c for c in cells if c])
+                assert a.meet(b).blocks == _canonical_blocks(c for c in cells
+                                                             if c)
+                assert (a == b) == (ca == cb)
+                if ca == cb:
+                    assert hash(a) == hash(b)
+    assert P.SetPartition(2, [[1, 2]]) != P.OrderedSetPartition(2, [[1, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +298,19 @@ def _quasi_meet_blocks(pi, sigma):
         if set(big) & set(blk)])
 
 
+def _relative_word_blocks(a, b):
+    """The b-block holding each a-block, in a's block order; None when
+    some a-block lies in no single b-block."""
+    out = []
+    for blk in a.blocks:
+        hosts = [j for j, big in enumerate(b.blocks, start=1)
+                 if set(blk) <= set(big)]
+        if not hosts:
+            return None
+        out.append(hosts[0])
+    return tuple(out)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_op_triples())
 def test_word_kernels_match_block_definitions(triple):
@@ -264,6 +328,14 @@ def test_word_kernels_match_block_definitions(triple):
         assert K.quasi_meet(a.word, b.word) == _quasi_meet_blocks(a, b).word
     for w in (pi.word, rho.word, sigma.word):
         assert K.kernel_word(w) == w
+    for a, b in ((sigma, pi), (pi, sigma), (pi, rho), (rho, pi), (sigma, rho)):
+        assert K.relative_word(a.word, b.word) == _relative_word_blocks(a, b)
+    # a word cut short lives on another ground set: nothing relates them
+    for u, v in ((sigma.word[:-1], pi.word), (pi.word, sigma.word[:-1])):
+        assert K.relative_word(u, v) is None
+        assert not K.leq_words(u, v)
+        with pytest.raises(ValueError):
+            K.interval_type_words(u, v)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -275,6 +347,12 @@ def test_kernel_word_matches_block_definition(seq):
     assert K.kernel_word(tuple(seq)) == kern.word
     canonical = P.OrderedSetPartition(len(seq), sorted(kern.blocks))
     assert K.rgs_word(tuple(seq)) == canonical.word
+
+
+def test_segments():
+    assert K.segments((3, 1, 4, 1, 5), (2, 0, 3)) == [(3, 1), (), (4, 1, 5)]
+    with pytest.raises(ValueError):
+        K.segments((1, 2, 3), (1, 1))
 
 
 def test_osp_words_guard():
@@ -341,6 +419,16 @@ def test_is_class_examples():
     assert not P.is_class(o("1,3|2"), P.OI)
     with pytest.raises(ValueError):
         P.is_class(o("12"), "nope")
+
+
+def test_enumerated_members_pass_is_class():
+    for cls in P.CLASSES:
+        for n in range(1, 6):
+            for pi in P.enumerate_partitions(n, cls):
+                assert P.is_class(pi, cls), (cls, pi)
+    assert P.is_class(o("21"), P.SP)
+    assert P.is_class(P.SetPartition(4, [[1, 4], [2, 3]]), P.NC)
+    assert not P.is_class(P.SetPartition(4, [[1, 3], [2, 4]]), P.NC)
 
 
 def test_outintmax_intmax_examples():

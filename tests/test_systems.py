@@ -82,6 +82,20 @@ def test_phi_pi_indexed():
         S.MONOTONE.phi_pi_indexed(top(2), XY, (1, 2, 3))
 
 
+def test_cumulants_check_lengths():
+    pi = P.OrderedSetPartition.parse("123")
+    with pytest.raises(ValueError):
+        S.FREE.cumulant_indexed(pi, "abc", (1, 2))
+    with pytest.raises(ValueError):
+        S.FREE.cumulant_indexed(pi, "ab", (1, 2, 3))
+    with pytest.raises(ValueError):
+        S.TENSOR.multiplicative_cumulant(o("1,2|3"), XY)
+    with pytest.raises(ValueError):
+        S.TENSOR.cumulant_dilated(o("1,2|3"), XYZ, ["N"])
+    assert (S.TENSOR.cumulant_dilated(o("1,2|3"), XYZ, ["N", "M"])
+            == S.TENSOR.cumulant_dilated(o("1,2|3"), XYZ, ["N", "M", "L"]))
+
+
 def test_spreadability_of_phi_word():
     # the partitioned moment only depends on the kernel of the index tuple
     for eng in S.ENGINES.values():

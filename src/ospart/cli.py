@@ -20,6 +20,7 @@ from . import systems
 ENUMERATE_CAP = 9
 CBH_CAP = 7
 CUMULANTS_CAP = 5
+CLT_CAP = 8
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -224,6 +225,8 @@ def _series_map(series):
 def cmd_clt(args):
     if args.n < 1:
         raise UsageError("n must be >= 1")
+    if args.n > CLT_CAP and not args.force:
+        raise CapError(f"clt cap is n = {CLT_CAP}; pass --force to override")
     eng = systems.engine(args.system)
     value = eng.clt_moment(args.n)
     return {
@@ -284,6 +287,7 @@ def build_parser():
     t = sub.add_parser("clt", parents=[common], help="central limit moments")
     t.add_argument("--system", required=True, choices=sorted(systems.ENGINES))
     t.add_argument("-n", type=int, required=True)
+    t.add_argument("--force", action="store_true")
     t.set_defaults(fn=cmd_clt)
     return p
 

@@ -44,12 +44,18 @@ def relative_word(tau, eta):
     Defined when the underlying partition of tau refines that of eta;
     raises ValueError otherwise.
     """
-    if tau.n != eta.n:
-        raise ValueError("mismatched ground sets")
-    rw = K.relative_word(tau.word, eta.word)
+    rw = _checked_relative_word(tau, eta)
     if rw is None:
         raise ValueError("tau does not refine eta")
     return rw
+
+
+def _checked_relative_word(tau, eta):
+    """K.relative_word of two partitions of one ground set (ValueError if
+    the ground sets differ); None when tau does not refine eta."""
+    if tau.n != eta.n:
+        raise ValueError("mismatched ground sets")
+    return K.relative_word(tau.word, eta.word)
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,7 @@ def weisner(tau, eta) -> Fraction:
     Closed form via the ascent count of the relative word; zero when tau
     does not refine eta.
     """
-    if tau.n != eta.n:
-        raise ValueError("mismatched ground sets")
-    rw = K.relative_word(tau.word, eta.word)
+    rw = _checked_relative_word(tau, eta)
     return Fraction(0) if rw is None else weisner_from_word(rw)
 
 
@@ -155,7 +159,7 @@ def weisner_from_word(rw) -> Fraction:
 
 def weisner_via_integral(tau, eta) -> Fraction:
     """Same value through the exact Beta integral; cross-check route."""
-    rw = K.relative_word(tau.word, eta.word)
+    rw = _checked_relative_word(tau, eta)
     if rw is None:
         return Fraction(0)
     asc = stats(rw)[2]
@@ -168,9 +172,7 @@ def goldberg(tau, eta) -> Fraction:
     (1/prod q_j!) integral of x^des (1+x)^asc prod P_{q_j}(x) over [-1,0],
     with q_j the level-run lengths of the relative word.
     """
-    if tau.n != eta.n:
-        raise ValueError("mismatched ground sets")
-    rw = K.relative_word(tau.word, eta.word)
+    rw = _checked_relative_word(tau, eta)
     return Fraction(0) if rw is None else goldberg_from_word(rw)
 
 

@@ -5,7 +5,6 @@ kernels of index tuples, interval structure and the text formats
 ("2,4|3,5|1" for blocks, "31212" for words).
 """
 
-from functools import lru_cache
 from itertools import permutations
 
 from . import _kernels as K
@@ -411,8 +410,9 @@ def _iter_set_partitions(n):
     yield from rec(0, 0)
 
 
-def _iter_pair_words(n):
-    """Pair ordered set partitions: perfect matchings times block orders."""
+def iter_pair_set_words(n):
+    """Pair set partitions (perfect matchings) of [n] as restricted growth
+    strings; the pair of each block is picked with the smallest free point."""
     if n % 2:
         return
 
@@ -428,12 +428,21 @@ def _iter_pair_words(n):
                 yield (pair,) + m
 
     for m in matchings(tuple(range(1, n + 1))):
-        for order in permutations(range(len(m))):
-            w = [0] * n
-            for newidx, blkidx in enumerate(order):
-                for x in m[blkidx]:
-                    w[x - 1] = newidx + 1
-            yield tuple(w)
+        w = [0] * n
+        for b, pair in enumerate(m, 1):
+            for x in pair:
+                w[x - 1] = b
+        yield tuple(w)
+
+
+def _iter_pair_words(n):
+    """Pair ordered set partitions: perfect matchings times block orders."""
+    for u in iter_pair_set_words(n):
+        for order in permutations(range(n // 2)):
+            rank = [0] * len(order)
+            for newidx, blkidx in enumerate(order, 1):
+                rank[blkidx] = newidx
+            yield tuple(rank[b - 1] for b in u)
 
 
 def enumerate_partitions(n, cls=ALL):
@@ -457,7 +466,7 @@ def enumerate_partitions(n, cls=ALL):
 
 
 # ---------------------------------------------------------------------------
-# maximal interval / noncrossing partitions of a subset
+# maximal interval partitions of a subset, on the line and on the cycle
 # ---------------------------------------------------------------------------
 
 def outintmax(subset, n):
@@ -543,10 +552,3 @@ def iter_pseudo_partitions(n, parts):
             yield from rec(k + 1)
 
     yield from rec(0)
-
-
-@lru_cache(maxsize=None)
-def noncrossing_set_partitions(n):
-    """Materialized NC_n as tuples of blocks (used by the free engine)."""
-    return tuple(_word_blocks(w) for w in _iter_set_partitions(n)
-                 if _word_noncrossing(w))

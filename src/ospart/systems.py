@@ -14,15 +14,25 @@ On top of phi_pi sit the moment<->cumulant transforms, the dot-operation
 dilation, partial cumulants with their evolution equations, mixed-cumulant
 expansions through Weisner/Goldberg coefficients, independence and
 exchangeability checks, and central-limit moments.
+
+Tensor, free and Boolean independence are exchangeable: their phi_pi
+depends only on the underlying set partition of pi, never on the order of
+its blocks (Lehner, Math. Z. 248, 2004).  Monotone and c-monotone
+independence are only spreadable, which is why every engine works on
+ordered set partitions.  Engines marked `exchangeable` sum central-limit
+moments over set partitions; every other method, exchangeability_check
+included, evaluates on ordered ones.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import _kernels as K
 from .coefficients import goldberg3, weisner3
 from .incidence import generalized_binomial
-from .partitions import OrderedSetPartition, noncrossing_set_partitions
+from .partitions import (PAIR, OrderedSetPartition, enumerate_partitions,
+                         iter_pair_set_words)
 from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, add_into,
                        free_cumulant_symbol, moment_symbol, psi_moment_symbol,
                        scalar_symbol, time_symbol)
@@ -65,6 +75,15 @@ def _positions_by_block(word):
     return out
 
 
+def _per_element(pi, values, what="variable label"):
+    """values as a tuple; ValueError unless it holds one entry per element."""
+    values = tuple(values)
+    if len(values) != pi.n:
+        raise ValueError(f"need one {what} per element: got {len(values)} "
+                         f"for n = {pi.n}")
+    return values
+
+
 def _interval_runs(positions):
     runs = [[positions[0]]]
     for x in positions[1:]:
@@ -79,6 +98,8 @@ class Engine:
     """Shared machinery; subclasses provide _phi_word."""
 
     name = "abstract"
+    # phi_pi depends only on the underlying set partition of pi
+    exchangeable = False
 
     def atoms(self, labels):
         return Atoms(labels)
@@ -90,17 +111,13 @@ class Engine:
 
     def phi_pi(self, pi, labels, atoms=None):
         """phi_pi(X_1,...,X_n) as a polynomial in primitive symbols."""
-        labels = tuple(labels)
-        if len(labels) != pi.n:
-            raise ValueError("need one variable label per element")
+        labels = _per_element(pi, labels)
         return self._phi_word(pi.word, atoms or self.atoms(labels))
 
     def phi_pi_indexed(self, pi, labels, indices):
         """phi_pi of upper-indexed copies: evaluates at pi quasi-meet kernel."""
-        indices = tuple(indices)
-        labels = tuple(labels)
-        if len(indices) != pi.n or len(labels) != pi.n:
-            raise ValueError("need one index and one label per element")
+        indices = _per_element(pi, indices, "index")
+        labels = _per_element(pi, labels)
         w = K.quasi_meet(pi.word, K.kernel_word(indices))
         return self._phi_word(w, self.atoms(labels))
 
@@ -108,9 +125,7 @@ class Engine:
 
     def cumulant(self, pi, labels, atoms=None):
         """K_pi = sum over sigma <= pi of phi_sigma mu~(sigma,pi)."""
-        labels = tuple(labels)
-        if len(labels) != pi.n:
-            raise ValueError("need one variable label per element")
+        labels = _per_element(pi, labels)
         at = atoms or self.atoms(labels)
         return Poly.sum([self._phi_word(w, at) * K.mu_tilde_words(w, pi.word)
                          for w in K.ideal_words(pi.word)])
@@ -122,10 +137,8 @@ class Engine:
 
     def cumulant_indexed(self, pi, labels, indices):
         """K_pi with entries X_k^(i_k): Mobius sum of quasi-met moments."""
-        indices = tuple(indices)
-        labels = tuple(labels)
-        if len(indices) != pi.n or len(labels) != pi.n:
-            raise ValueError("need one index and one label per element")
+        indices = _per_element(pi, indices, "index")
+        labels = _per_element(pi, labels)
         eta_w = K.kernel_word(indices)
         at = self.atoms(labels)
         return Poly.sum([self._phi_word(K.quasi_meet(w, eta_w), at)
@@ -143,9 +156,7 @@ class Engine:
 
     def multiplicative_cumulant(self, pi, labels):
         """K_(pi): product of one-block cumulants over the blocks of pi."""
-        labels = tuple(labels)
-        if len(labels) != pi.n:
-            raise ValueError("need one variable label per element")
+        labels = _per_element(pi, labels)
         total = ONE
         for blk in pi.blocks:
             total = total * self.cumulant_n([labels[x - 1] for x in blk])
@@ -172,14 +183,14 @@ class Engine:
 
         Accepts an int/Fraction, a Poly, or a string naming a scalar symbol.
         """
-        labels = tuple(labels)
+        labels = _per_element(pi, labels)
         at = atoms or self.atoms(labels)
         scale = _as_scale(scale)
         return self._phi_dilated(pi.word, at, [scale] * len(pi))
 
     def dilate_blockwise(self, pi, labels, scales, atoms=None):
         """phi_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n) with one scale per block."""
-        labels = tuple(labels)
+        labels = _per_element(pi, labels)
         at = atoms or self.atoms(labels)
         scales = [_as_scale(s) for s in scales]
         if len(scales) < len(pi):
@@ -188,9 +199,7 @@ class Engine:
 
     def cumulant_dilated(self, pi, labels, scales):
         """K_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n)."""
-        labels = tuple(labels)
-        if len(labels) != pi.n:
-            raise ValueError("need one variable label per element")
+        labels = _per_element(pi, labels)
         scales = [_as_scale(s) for s in scales]
         if len(scales) < len(pi):
             raise ValueError("need one scale per block")
@@ -205,7 +214,7 @@ class Engine:
 
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
-        labels = tuple(labels)
+        labels = _per_element(pi, labels)
         at = self.atoms(labels)
         inner = _as_scale(inner)
         outer = _as_scale(outer)
@@ -223,7 +232,7 @@ class Engine:
 
     def phi_t(self, pi, labels, params=None, atoms=None):
         """phi^t_pi: dilation with a formal parameter per block."""
-        labels = tuple(labels)
+        labels = _per_element(pi, labels)
         at = atoms or self.atoms(labels)
         p = len(pi)
         if params is None:
@@ -283,16 +292,27 @@ class Engine:
     # -- central limit ------------------------------------------------------
 
     def clt_moment(self, n) -> Fraction:
-        """Limit moment of the normalized sum with phi(X)=0, phi(X^2)=1."""
+        """Limit moment of the normalized sum with phi(X)=0, phi(X^2)=1.
+
+        The sum of 1/|pi|! phi_pi over the ordered pair partitions pi of
+        [n].  When the engine is exchangeable, the |pi|! block orders of a
+        pair set partition share one phi_pi and cancel the 1/|pi|!, so the
+        sum runs over the pair set partitions with weight 1: 105 words
+        instead of 2,520 at n = 8.
+        """
         if n % 2:
             return Fraction(0)
         at = self.atoms(("X",) * n)
+        if self.exchangeable:
+            words, weight = iter_pair_set_words(n), Fraction(1)
+        else:
+            words = (pi.word for pi in enumerate_partitions(n, PAIR))
+            weight = Fraction(1, factorial(n // 2))
         total = Fraction(0)
-        from .partitions import PAIR, enumerate_partitions
-        for pi in enumerate_partitions(n, PAIR):
-            val = self._phi_word(pi.word, at).substitute(_clt_subst)
-            total += Fraction(1, factorial(len(pi))) * val.constant_value()
-        return total
+        for w in words:
+            val = self._phi_word(w, at).substitute(_clt_subst)
+            total += val.constant_value()
+        return total * weight
 
     # -- structural checks ----------------------------------------------
 
@@ -397,6 +417,7 @@ class _CopyAtoms:
 
 class TensorEngine(Engine):
     name = "tensor"
+    exchangeable = True
 
     def _phi_word(self, word, atoms):
         total = ONE
@@ -407,6 +428,7 @@ class TensorEngine(Engine):
 
 class BooleanEngine(Engine):
     name = "boolean"
+    exchangeable = True
 
     def _phi_word(self, word, atoms):
         # maximal interval partition dominated by the underlying partition
@@ -444,24 +466,35 @@ class MonotoneEngine(Engine):
 
 class FreeEngine(Engine):
     name = "free"
+    exchangeable = True
 
     def _phi_word(self, word, atoms):
-        # sum of free-cumulant products over noncrossing refinements
+        # sum of free-cumulant products over the noncrossing refinements of
+        # the word's partition (Kreweras, 1972).  Scanning left to right, a
+        # position opens a block or joins an open block of the same value;
+        # joining closes every block opened after it, which is exactly what
+        # keeps the partition noncrossing.
         n = len(word)
+        blocks = []
         out = {}
-        for blocks in noncrossing_set_partitions(n):
-            ok = True
-            for blk in blocks:
-                b0 = word[blk[0] - 1]
-                if any(word[x - 1] != b0 for x in blk[1:]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            term = ONE
-            for blk in blocks:
-                term = term * atoms.free_cumulant(tuple(x - 1 for x in blk))
-            add_into(out, term.terms.items())
+
+        def scan(i, open_blocks):
+            if i == n:
+                term = ONE
+                for blk in blocks:
+                    term = term * atoms.free_cumulant(tuple(blk))
+                add_into(out, term.terms.items())
+                return
+            for depth, blk in enumerate(open_blocks):
+                if word[blk[0]] == word[i]:
+                    blk.append(i)
+                    scan(i + 1, open_blocks[:depth + 1])
+                    blk.pop()
+            blocks.append([i])
+            scan(i + 1, open_blocks + [blocks[-1]])
+            blocks.pop()
+
+        scan(0, [])
         return Poly(out)
 
 
@@ -536,13 +569,18 @@ def moments_from_cumulants(table, pi):
 
 def monotone_mc_defect(n, labels=None):
     """phi(X_1...X_n) minus the monotone-partition cumulant sum (must be 0)."""
-    from .partitions import MONOTONE as MONO_CLASS, enumerate_partitions
+    from .partitions import MONOTONE as MONO_CLASS
     labels = tuple(labels) if labels is not None else _default_labels(n)
     lhs = MONOTONE.phi_pi(OrderedSetPartition.one_block(n), labels)
-    rhs = Poly.sum([MONOTONE.multiplicative_cumulant(pi, labels)
-                    * Fraction(1, factorial(len(pi)))
-                    for pi in enumerate_partitions(n, MONO_CLASS)])
-    return lhs - rhs
+    # one cumulant per block label tuple, each still its mu~ sum over the ideal
+    block_cumulant = lru_cache(maxsize=None)(MONOTONE.cumulant_n)
+    terms = []
+    for pi in enumerate_partitions(n, MONO_CLASS):
+        term = Poly.const(Fraction(1, factorial(len(pi))))
+        for blk in pi.blocks:
+            term = term * block_cumulant(tuple(labels[x - 1] for x in blk))
+        terms.append(term)
+    return lhs - Poly.sum(terms)
 
 
 def mixed_cumulant_moment(pi, eta, eng, labels):

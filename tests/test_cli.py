@@ -132,6 +132,17 @@ def test_clt():
     assert run_json("clt", "--system", "tensor", "-n", "7")["value"] == "0"
 
 
+def test_clt_cap():
+    for system in ("free", "monotone"):
+        code, out = run("clt", "--system", system, "-n", "10")
+        assert code == cli.EXIT_CAP and out == ""
+    # odd moments vanish at once, so --force is checked without a long sum
+    assert run_json("clt", "--system", "free", "-n", "9",
+                    "--force")["value"] == "0"
+    code, _ = run("clt", "--system", "free", "-n", "0")
+    assert code == cli.EXIT_USAGE
+
+
 def test_determinism():
     args = ("cbh", "--letters", "ab", "--degree", "4", "--route", "all")
     assert run(*args) == run(*args)

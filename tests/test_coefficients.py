@@ -136,6 +136,14 @@ def test_weisner_integral_route():
                 assert C.weisner(tau, eta) == C.weisner_via_integral(tau, eta)
 
 
+def test_closed_forms_check_ground_sets():
+    for fn in (C.weisner, C.weisner_via_integral, C.goldberg,
+               C.relative_word):
+        for tau, eta in ((o("12"), o("111")), (o("111"), o("12"))):
+            with pytest.raises(ValueError):
+                fn(tau, eta)
+
+
 def test_weisner_matches_oracle_n3():
     for n in (1, 2, 3):
         wt = C.weisner_oracle_table(n)

@@ -1,12 +1,15 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from ospart import _kernels as K
 from ospart import partitions as P
 from ospart import systems as S
-from ospart.symbolic import (Poly, free_cumulant_symbol, moment_symbol,
-                             psi_moment_symbol, scalar_symbol, PSI_MOMENT)
+from ospart.symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly,
+                             free_cumulant_symbol, moment_symbol,
+                             psi_moment_symbol, scalar_symbol)
 
 o = P.osp
 XY = ("X", "Y")
@@ -23,6 +26,13 @@ def c(*ls):
 
 def pm(*ls):
     return Poly.sym(psi_moment_symbol(ls))
+
+
+def c_product(blocks, labels):
+    out = Poly.const(1)
+    for blk in blocks:
+        out = out * c(*(labels[x - 1] for x in blk))
+    return out
 
 
 def top(n):
@@ -94,6 +104,22 @@ def test_cumulants_check_lengths():
         S.TENSOR.cumulant_dilated(o("1,2|3"), XYZ, ["N"])
     assert (S.TENSOR.cumulant_dilated(o("1,2|3"), XYZ, ["N", "M"])
             == S.TENSOR.cumulant_dilated(o("1,2|3"), XYZ, ["N", "M", "L"]))
+
+
+def test_dilations_check_lengths():
+    pi = o("12")
+    calls = (lambda eng, ls: eng.phi_pi(pi, ls),
+             lambda eng, ls: eng.dilate(pi, ls, 2),
+             lambda eng, ls: eng.dilate_blockwise(pi, ls, ["N", "M"]),
+             lambda eng, ls: eng.phi_t(pi, ls),
+             lambda eng, ls: eng.partial_cumulant(pi, ls, 1),
+             lambda eng, ls: eng.dilate_iterated(pi, ls, "N", "M"))
+    for eng in S.ENGINES.values():
+        for call in calls:
+            call(eng, "ab")
+            for bad in ("a", "abc", ""):
+                with pytest.raises(ValueError):
+                    call(eng, bad)
 
 
 def test_spreadability_of_phi_word():
@@ -294,6 +320,22 @@ def test_clt_moments():
     assert S.CMONOTONE.clt_moment(4) == F(3, 2)
 
 
+def test_clt_moment_matches_ordered_sum():
+    # the oracle: 1/|pi|! phi_pi summed over every ordered pair partition
+    def centered_unit(sym):
+        kind, payload = sym
+        assert kind in (MOMENT, FREE_CUMULANT, PSI_MOMENT)
+        return {1: 0, 2: 1}[len(payload)]
+
+    for eng in S.ENGINES.values():
+        for n in (2, 4, 6):
+            total = F(0)
+            for pi in P.enumerate_partitions(n, P.PAIR):
+                val = eng.phi_pi(pi, ("X",) * n).substitute(centered_unit)
+                total += F(1, math.factorial(len(pi))) * val.constant_value()
+            assert eng.clt_moment(n) == total, (eng.name, n)
+
+
 def test_arcsine_via_mc_formula():
     # centered single variable with unit variance: m4 = 3/2 via pair sums
     from math import factorial
@@ -466,6 +508,40 @@ def test_exchangeability():
     assert wit, "monotone cumulants must fail block exchangeability"
     assert any(pi.word in ((1, 2, 1), (2, 1, 2)) for pi, _ in wit)
     assert S.CMONOTONE.exchangeability_check(3)
+
+
+def test_exchangeable_marking():
+    # an exchangeable engine's phi_pi depends only on the underlying set
+    # partition, i.e. on the restricted growth string of the word
+    def forgets_block_order(eng):
+        return all(
+            eng.phi_pi(pi, "VWXYZ"[:n]) == eng.phi_pi(
+                P.OrderedSetPartition._raw(n, K.rgs_word(pi.word)),
+                "VWXYZ"[:n])
+            for n in range(1, 6) for pi in P.enumerate_partitions(n))
+
+    for eng in S.ENGINES.values():
+        assert forgets_block_order(eng) == eng.exchangeable, eng.name
+    assert not S.MONOTONE.exchangeable and not S.CMONOTONE.exchangeable
+
+
+def test_free_phi_matches_nc_filter():
+    # the definition: free-cumulant products over every noncrossing
+    # partition of [n] whose blocks each lie inside one block of the word.
+    # The filter sees only which positions share a value, so the expected
+    # value is computed once per restricted growth string.
+    for n in range(1, 7):
+        labels = "UVWXYZ"[:n]
+        ncs = [sp.blocks for sp in P.enumerate_partitions(n, P.NC)]
+        expected = {}
+        for pi in P.enumerate_partitions(n):
+            w = K.rgs_word(pi.word)
+            if w not in expected:
+                expected[w] = Poly.sum([
+                    c_product(blocks, labels) for blocks in ncs
+                    if all(len({w[x - 1] for x in blk}) == 1
+                           for blk in blocks)])
+            assert S.FREE.phi_pi(pi, labels) == expected[w], pi
 
 
 def test_engine_lookup():

@@ -89,6 +89,8 @@ def rgs_word(u) -> tuple:
 
 def quasi_meet(u, v) -> tuple:
     """Quasi-meet word: concatenation of v's restrictions to u's blocks."""
+    if len(u) != len(v):
+        raise ValueError("words of different lengths")
     pairs = sorted(set(zip(u, v)))
     rank = {pr: i + 1 for i, pr in enumerate(pairs)}
     return tuple(rank[pr] for pr in zip(u, v))
@@ -198,30 +200,31 @@ def ideal_words(v) -> tuple:
     return tuple(out)
 
 
-def interval_words(u, v) -> list:
-    """All rho with u <= rho <= v (composition choices per pi-block run)."""
+def _typed_interval(u, v):
+    """Yield (rho, type(u, rho), type(rho, v)) for every u <= rho <= v.
+
+    The u-blocks inside each v-block form a run of consecutive indices, and
+    each rho cuts every run by a composition: the compositions, concatenated,
+    are type(u, rho), and their part counts are type(rho, v).  Order: the
+    product of the per-run composition lists, each in `compositions` order.
+    """
     vb = block_map(u, v)
     if vb is None:
         raise ValueError("incomparable words")
-    pu, pv = max(u), max(v)
-    runs = [[] for _ in range(pv + 1)]
-    for i in range(1, pu + 1):
-        runs[vb[i]].append(i)
-    per_block = [compositions(len(runs[j])) for j in range(1, pv + 1)]
-    out = []
-    for combo in product(*per_block):
-        lab = [0] * (pu + 1)
-        nxt = 1
-        for j, comp in enumerate(combo):
-            r = runs[j + 1]
-            idx = 0
-            for part in comp:
-                for _ in range(part):
-                    lab[r[idx]] = nxt
-                    idx += 1
-                nxt += 1
-        out.append(tuple(lab[c] for c in u))
-    return out
+    runs = [0] * (max(v) + 1)
+    for b in vb[1:]:
+        runs[b] += 1
+    for combo in product(*(compositions(k) for k in runs[1:])):
+        t1 = sum(combo, ())
+        lab = [0]
+        for label, part in enumerate(t1, 1):
+            lab += [label] * part
+        yield tuple(map(lab.__getitem__, u)), t1, tuple(map(len, combo))
+
+
+def interval_words(u, v) -> list:
+    """All rho with u <= rho <= v (composition choices per pi-block run)."""
+    return [r for r, _, _ in _typed_interval(u, v)]
 
 
 def _prod(xs):
@@ -231,30 +234,55 @@ def _prod(xs):
     return r
 
 
+def _mu_tilde_type(t) -> Fraction:
+    return Fraction((-1) ** (sum(t) - len(t)), _prod(t))
+
+
+def _zeta_tilde_type(t) -> Fraction:
+    return Fraction(1, _prod(factorial(k) for k in t))
+
+
 @lru_cache(maxsize=None)
 def mu_tilde_words(u, v) -> Fraction:
-    t = interval_type_words(u, v)
-    return Fraction((-1) ** (sum(t) - len(t)), _prod(t))
+    return _mu_tilde_type(interval_type_words(u, v))
 
 
 @lru_cache(maxsize=None)
 def zeta_tilde_words(u, v) -> Fraction:
-    t = interval_type_words(u, v)
-    return Fraction(1, _prod(factorial(k) for k in t))
+    return _zeta_tilde_type(interval_type_words(u, v))
+
+
+@lru_cache(maxsize=None)
+def _mu_zeta_scaled(t1, t2) -> tuple:
+    """(mu~ zeta~, zeta~ mu~) on a pair of interval types (u, rho), (rho, v),
+    times (m!)**2 for m = sum(t1) = max(u): integers, since prod(t1) and
+    prod(t2!) both divide m! (and so do prod(t1!) and prod(t2))."""
+    scale = factorial(sum(t1)) ** 2
+    mz = scale * _mu_tilde_type(t1) * _zeta_tilde_type(t2)
+    zm = scale * _zeta_tilde_type(t1) * _mu_tilde_type(t2)
+    return mz.numerator, zm.numerator
+
+
+@lru_cache(maxsize=None)
+def _beta_type(x: int, t) -> int:
+    """beta_x on an interval of type t: the product of binom(x, k)."""
+    return _prod(comb(x, k) for k in t)
 
 
 def mu_zeta_identity(n: int) -> bool:
-    """Check mu~ * zeta~ = zeta~ * mu~ = delta on every comparable pair."""
-    one = Fraction(1)
-    zero = Fraction(0)
+    """Check mu~ * zeta~ = zeta~ * mu~ = delta on every comparable pair.
+
+    Both sums are taken times (max(u)!)**2, in exact integers.
+    """
     for v in osp_words(n):
         for u in ideal_words(v):
-            s_mz = zero
-            s_zm = zero
-            for r in interval_words(u, v):
-                s_mz += mu_tilde_words(u, r) * zeta_tilde_words(r, v)
-                s_zm += zeta_tilde_words(u, r) * mu_tilde_words(r, v)
-            expect = one if u == v else zero
+            s_mz = 0
+            s_zm = 0
+            for _, t1, t2 in _typed_interval(u, v):
+                mz, zm = _mu_zeta_scaled(t1, t2)
+                s_mz += mz
+                s_zm += zm
+            expect = factorial(max(u)) ** 2 if u == v else 0
             if s_mz != expect or s_zm != expect:
                 return False
     return True
@@ -262,16 +290,11 @@ def mu_zeta_identity(n: int) -> bool:
 
 def beta_semigroup_identity(n: int, s: int, t: int) -> bool:
     """Check beta_s * beta_t = beta_{st} on every comparable pair."""
-
-    def beta_int(x, u, v):
-        return _prod(comb(x, k) for k in interval_type_words(u, v))
-
     for v in osp_words(n):
         for u in ideal_words(v):
-            total = sum(
-                beta_int(s, u, r) * beta_int(t, r, v) for r in interval_words(u, v)
-            )
-            if total != beta_int(s * t, u, v):
+            total = sum(_beta_type(s, t1) * _beta_type(t, t2)
+                        for _, t1, t2 in _typed_interval(u, v))
+            if total != _beta_type(s * t, interval_type_words(u, v)):
                 return False
     return True
 

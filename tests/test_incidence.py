@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 
+from ospart import _kernels as K
 from ospart import incidence as I
 from ospart import partitions as P
+from ospart._kernels import _pure
 from ospart.symbolic import Poly, scalar_symbol
 
 o = P.osp
@@ -237,3 +239,79 @@ def test_adaptedness_on_random_pairs():
                 assert by_type[key] == v, key
             else:
                 by_type[key] = v
+
+
+# ---------------------------------------------------------------------------
+# the typed interval stream behind the mu~*zeta~ and beta scans
+# ---------------------------------------------------------------------------
+
+def _comparable_pairs(n_max):
+    for n in range(1, n_max + 1):
+        for v in K.osp_words(n):
+            for u in K.ideal_words(v):
+                yield n, u, v
+
+
+def test_typed_interval_matches_definitions():
+    for n, u, v in _comparable_pairs(5):
+        rows = list(_pure._typed_interval(u, v))
+        rhos = [r for r, _, _ in rows]
+        assert rhos == K.interval_words(u, v)
+        assert len(set(rhos)) == len(rhos)
+        assert set(rhos) == {r for r in K.osp_words(n)
+                             if K.leq_words(u, r) and K.leq_words(r, v)}
+        for r, t1, t2 in rows:
+            assert t1 == K.interval_type_words(u, r)
+            assert t2 == K.interval_type_words(r, v)
+
+
+def _drop_one(gen):
+    def patched(u, v):
+        rows = list(gen(u, v))
+        return iter(rows[:-1])
+    return patched
+
+
+def _perturb_one(gen):
+    def patched(u, v):
+        rows = list(gen(u, v))
+        r, t1, t2 = rows[0]
+        rows[0] = (r, (t1[0] + 1,) + t1[1:], t2)
+        return iter(rows)
+    return patched
+
+
+@pytest.mark.parametrize("mutate", [_drop_one, _perturb_one])
+def test_identity_scans_catch_a_broken_stream(monkeypatch, mutate):
+    assert K.mu_zeta_identity(3) and K.beta_semigroup_identity(3, 2, 3)
+    monkeypatch.setattr(_pure, "_typed_interval", mutate(_pure._typed_interval))
+    assert not K.mu_zeta_identity(3)
+    assert not K.beta_semigroup_identity(3, 2, 3)
+
+
+def test_scaled_mu_zeta_values_match_word_values():
+    seen = set()
+    for _, u, v in _comparable_pairs(4):
+        for r, t1, t2 in _pure._typed_interval(u, v):
+            if (t1, t2) in seen:
+                continue
+            seen.add((t1, t2))
+            scale = factorial(max(u)) ** 2
+            mz = scale * K.mu_tilde_words(u, r) * K.zeta_tilde_words(r, v)
+            zm = scale * K.zeta_tilde_words(u, r) * K.mu_tilde_words(r, v)
+            assert mz.denominator == 1 and zm.denominator == 1
+            assert _pure._mu_zeta_scaled(t1, t2) == (mz, zm)
+            for x in (0, 1, 2, 5):
+                assert _pure._beta_type(x, t1) == I.beta(x, o(u), o(r))
+    # every (t1, t2) with t2 a composition of len(t1) is reached
+    assert len(seen) == sum(len(K.compositions(len(t1)))
+                            for m in range(1, 5) for t1 in K.compositions(m))
+
+
+def test_identity_scans_leave_word_caches_alone():
+    before = (K.mu_tilde_words.cache_info().currsize,
+              K.zeta_tilde_words.cache_info().currsize)
+    assert K.mu_zeta_identity(4)
+    assert K.beta_semigroup_identity(4, 2, 3)
+    assert (K.mu_tilde_words.cache_info().currsize,
+            K.zeta_tilde_words.cache_info().currsize) == before

@@ -189,6 +189,12 @@ def test_quasi_meet_examples():
     assert P.quasi_meet(o("121"), o("211")) == o("231")
 
 
+def test_quasi_meet_kernel_checks_lengths():
+    for u, v in (((1, 2), (1,)), ((1,), (1, 2)), ((1, 1, 2), (2, 1))):
+        with pytest.raises(ValueError):
+            K.quasi_meet(u, v)
+
+
 def test_quasi_meet_laws(full_mode):
     n = 4 if full_mode else 3
     elems = all_osp(n)

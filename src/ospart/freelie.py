@@ -14,7 +14,7 @@ from itertools import permutations
 from math import factorial
 
 from . import _kernels as K
-from .coefficients import goldberg_from_word, weisner_from_word
+from .coefficients import goldberg_from_word
 from .partitions import iter_pseudo_partitions
 from .symbolic import SparseSum, add_into
 
@@ -44,13 +44,8 @@ class NCPoly(SparseSum):
             return NotImplemented
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                nc = out.get(w, 0) + c1 * c2
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
+            add_into(out, [(w1 + w2, c1 * c2)
+                           for w2, c2 in other.terms.items()])
         return NCPoly(out)
 
     def __rmul__(self, other):
@@ -92,17 +87,42 @@ class NCPoly(SparseSum):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _projector_terms(n: int):
-    """Position rearrangements with coefficients: the degree-n projector.
+def _descent_weights(n: int, d: int):
+    """Coefficients of C(t + n - 1 - d, n) in t, lowest degree first.
 
-    Summing (-1)^(p-1)/p over the ordered set partitions with p blocks
-    whose block-concatenated position order is the permutation sigma
-    leaves Solomon's first Eulerian idempotent: sigma alone, with
-    coefficient (-1)^d / (n C(n-1, d)), where d is its number of descents,
-    which is the Weisner closed form of sigma read as a word.
+    The Eulerian idempotents of degree n sum to
+    sum_k t^k e_n^(k) = sum_sigma C(t + n - 1 - des sigma, n) sigma
+    (Garsia 1990; Reutenauer, Free Lie Algebras, ch. 3), so entry k is
+    the coefficient of a permutation with d descents in e_n^(k).
     """
-    return tuple((order, weisner_from_word(order))
-                 for order in permutations(range(n)))
+    poly = [Fraction(1, factorial(n))]
+    for j in range(n):
+        # times (t + n - 1 - d - j)
+        shift = n - 1 - d - j
+        nxt = [c * shift for c in poly] + [Fraction(0)]
+        for i, c in enumerate(poly):
+            nxt[i + 1] += c
+        poly = nxt
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def _projector_terms(n: int, k: int = 1):
+    """Position rearrangements with coefficients: the k-th Eulerian piece
+    of degree n (k = 1: the projector); orders weighing 0 are left out.
+
+    A permutation sigma with d descents weighs [t^k] C(t + n - 1 - d, n).
+    At k = 1 that is Solomon's (-1)^d / (n C(n-1, d)): the sum of
+    (-1)^(p-1)/p over the ordered set partitions, p blocks each, whose
+    block-concatenated position order is sigma.
+    """
+    out = []
+    for order in permutations(range(n)):
+        d = sum(x > y for x, y in zip(order, order[1:]))
+        coeff = _descent_weights(n, d)[k]
+        if coeff:
+            out.append((order, coeff))
+    return tuple(out)
 
 
 def _block_order(word):
@@ -115,9 +135,7 @@ def pi_projector(letters) -> NCPoly:
     letters = tuple(letters)
     if not letters:
         raise ValueError("the projector is not defined on the empty word")
-    terms = _projector_terms(len(letters))
-    return NCPoly(add_into({}, ((tuple(letters[i] for i in order), coeff)
-                                for order, coeff in terms)))
+    return pi_k(letters, 1)
 
 
 def pi_on_poly(p: NCPoly) -> NCPoly:
@@ -131,19 +149,34 @@ def nct_cumulant(elements):
 
     Works for any type with *, Fraction scalar multiplication and a
     classmethod sum(list) (NCPoly, RationalMatrix); the order of the
-    factors inside a block follows the positions.
+    factors inside a block follows the positions.  The n! products of
+    the projector are walked depth first, so each prefix product is
+    formed once; the descent count rides down the walk, and the last
+    factor comes scaled by the coefficient of its descent count, once
+    per (element, count).
     """
     elements = tuple(elements)
     n = len(elements)
     if n == 0:
         raise ValueError("need at least one element")
-    terms = []
-    for order, coeff in _projector_terms(n):
-        term = elements[order[0]]
-        for i in order[1:]:
-            term = term * elements[i]
-        terms.append(term * coeff)
-    return type(elements[0]).sum(terms)
+    scaled = {}
+    leaves = []
+
+    def walk(prefix, prev, d, rest):
+        if len(rest) == 1:
+            i = rest[0]
+            d += prev > i
+            tail = scaled.get((i, d))
+            if tail is None:
+                tail = scaled[i, d] = elements[i] * _descent_weights(n, d)[1]
+            leaves.append(tail if prefix is None else prefix * tail)
+            return
+        for pos, i in enumerate(rest):
+            walk(elements[i] if prefix is None else prefix * elements[i],
+                 i, d + (prev > i), rest[:pos] + rest[pos + 1:])
+
+    walk(None, -1, 0, tuple(range(n)))
+    return type(elements[0]).sum(leaves)
 
 
 def shuffle_moment(letters, indices) -> NCPoly:
@@ -206,21 +239,14 @@ def pi_convolution_oracle(letters) -> NCPoly:
 
 
 def pi_k(letters, k: int) -> NCPoly:
-    """Degree-k piece of the dilated word: (1/k!) sum of K_pi over |pi|=k."""
+    """Degree-k piece of the dilated word: (1/k!) sum of K_pi over |pi|=k,
+    the k-th Eulerian idempotent, summed over the descent table."""
     letters = tuple(letters)
-    n = len(letters)
-    if not 1 <= k <= n:
+    if not 1 <= k <= len(letters):
         raise ValueError("k out of range")
-    out = {}
-    for w in K.osp_words(n):
-        if max(w) != k:
-            continue
-        term = NCPoly.one()
-        for b in range(1, k + 1):
-            blk = tuple(letters[i] for i, x in enumerate(w) if x == b)
-            term = term * pi_projector(blk)
-        add_into(out, term.terms.items())
-    return NCPoly(out).scale(Fraction(1, factorial(k)))
+    return NCPoly(add_into({}, [(tuple(map(letters.__getitem__, order)), coeff)
+                                for order, coeff
+                                in _projector_terms(len(letters), k)]))
 
 
 def dilation_coefficients(letters):
@@ -236,17 +262,8 @@ def dilation_coefficients(letters):
     for w in K.ideal_words(one):
         s = max(w)
         word_poly = phi_word_partition(letters, w)
-        # binom(N, s) as a polynomial in N
-        binom = [Fraction(0)] * (s + 1)
-        binom[0] = Fraction(1, factorial(s))
-        deg = 0
-        for i in range(s):
-            nxt = [Fraction(0)] * (s + 1)
-            for d in range(deg + 1):
-                nxt[d + 1] += binom[d]
-                nxt[d] -= binom[d] * i
-            binom = nxt
-            deg += 1
+        # binom(N, s) as a polynomial in N: C(N + s - 1 - d, s) at d = s - 1
+        binom = _descent_weights(s, s - 1)
         for d in range(1, s + 1):
             if binom[d]:
                 add_into(coeffs[d], word_poly.scale(binom[d]).terms.items())
@@ -299,11 +316,17 @@ class TruncatedNCSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedNCSeries(self.poly.scale(other), self.order)
         other = self._coerce(other)
+        by_length = {}
+        for w2, c2 in other.poly.terms.items():
+            by_length.setdefault(len(w2), []).append((w2, c2))
+        by_length = sorted(by_length.items())
         out = {}
         for w1, c1 in self.poly.terms.items():
-            add_into(out, [(w1 + w2, c1 * c2)
-                           for w2, c2 in other.poly.terms.items()
-                           if len(w1) + len(w2) <= self.order])
+            room = self.order - len(w1)
+            for length, group in by_length:
+                if length > room:
+                    break
+                add_into(out, [(w1 + w2, c1 * c2) for w2, c2 in group])
         return TruncatedNCSeries(NCPoly(out), self.order)
 
     def _coerce(self, other):

@@ -49,14 +49,12 @@ def bracket_factorial(sigma, pi) -> int:
 
 def zeta_tilde(sigma, pi) -> Fraction:
     """Factorial zeta function 1/[sigma:pi]!."""
-    return Fraction(1, bracket_factorial(sigma, pi))
+    return K._zeta_tilde_type(_pair_type(sigma, pi))
 
 
 def mu_tilde(sigma, pi) -> Fraction:
     """Factorial Moebius function (-1)^(|sigma|-|pi|)/[sigma:pi]."""
-    t = _pair_type(sigma, pi)
-    sign = -1 if (sum(t) - len(t)) % 2 else 1
-    return Fraction(sign, bracket(sigma, pi))
+    return K._mu_tilde_type(_pair_type(sigma, pi))
 
 
 def mobius_sp(sigma, pi) -> int:

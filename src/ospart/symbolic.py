@@ -70,13 +70,23 @@ def symbol_str(sym) -> str:
 
 def add_into(out, items):
     """Add (key, coefficient) pairs into the dict out in place, dropping
-    every key whose coefficient cancels to zero; returns out."""
+    every key whose coefficient cancels to zero; returns out.
+
+    A new key is stored as it comes (when nonzero), without the exact
+    add 0 + c, which costs as much as a Fraction product.
+    """
+    get = out.get
     for k, c in items:
-        nc = out.get(k, 0) + c
-        if nc:
-            out[k] = nc
+        old = get(k)
+        if old is None:
+            if c:
+                out[k] = c
         else:
-            out.pop(k, None)
+            nc = old + c
+            if nc:
+                out[k] = nc
+            else:
+                del out[k]
     return out
 
 
@@ -166,13 +176,8 @@ class Poly(SparseSum):
             return NotImplemented
         out = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                nc = out.get(m, 0) + c1 * c2
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
+            add_into(out, [(_mono_mul(m1, m2), c1 * c2)
+                           for m2, c2 in other.terms.items()])
         return Poly(out)
 
     __rmul__ = __mul__

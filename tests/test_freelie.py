@@ -2,6 +2,7 @@ import functools
 import itertools
 import operator
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from ospart import _kernels as K
 from ospart import freelie as FL
-from ospart.symbolic import Poly, scalar_symbol
+from ospart.coefficients import weisner_from_word
+from ospart.symbolic import Poly, add_into, scalar_symbol
 
 
 def words_over(alphabet, length):
@@ -65,6 +67,38 @@ def test_sum_equals_left_fold(data):
         assert type(total) is cls and all(total.terms.values())
         assert [x.terms for x in xs] == before
     assert Poly.sum([]) == 0 and not FL.NCPoly.sum(iter(()))
+
+
+def test_add_into_never_stores_a_zero():
+    assert add_into({}, [(("a",), F(0))]) == {}
+    assert add_into({}, [((), 0)]) == {}
+    out = add_into({}, [(("a",), F(1, 2)), (("b",), F(1))])
+    assert add_into(out, [(("a",), F(-1, 2))]) is out and out == {("b",): 1}
+    assert add_into(out, [(("b",), F(-1)), (("b",), F(0))]) == {}
+
+
+def _small_ncpolys(alphabet="ab", max_length=3):
+    words = st.lists(st.sampled_from(alphabet), max_size=max_length).map(tuple)
+    coeffs = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(-3)])
+    return st.dictionaries(words, coeffs, max_size=5).map(FL.NCPoly)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_small_ncpolys(), _small_ncpolys(), st.integers(0, 6))
+def test_products_never_hold_a_zero(x, y, order):
+    prod = x * y
+    assert all(prod.terms.values())
+    expect = {}
+    for (w1, c1), (w2, c2) in itertools.product(x.terms.items(),
+                                                y.terms.items()):
+        expect[w1 + w2] = expect.get(w1 + w2, 0) + c1 * c2
+    assert prod.terms == {w: c for w, c in expect.items() if c}
+    # (x + y)(x - y) = x^2 - xy + yx - y^2 makes cancellations likely
+    for a, b in ((x, y), (x + y, x - y)):
+        series = (FL.TruncatedNCSeries(a, order)
+                  * FL.TruncatedNCSeries(b, order))
+        assert all(series.poly.terms.values())
+        assert series == FL.TruncatedNCSeries(a * b, order)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +190,41 @@ def test_pi_k_identities():
         assert total == FL.NCPoly.word(letters), letters
         with pytest.raises(ValueError):
             FL.pi_k(letters, n + 1)
+
+
+def _pi_k_oracle(letters):
+    """{k: pi_k} by the definition: (1/k!) sum over the ordered set
+    partitions pi with k blocks of the product, block by block, of the
+    projectors of the letters in each block."""
+    letters = tuple(letters)
+    pieces = {}
+    for w in K.osp_words(len(letters)):
+        term = FL.NCPoly.one()
+        for b in range(1, max(w) + 1):
+            blk = tuple(letters[i] for i, x in enumerate(w) if x == b)
+            term = term * FL.pi_projector(blk)
+        pieces.setdefault(max(w), []).append(term)
+    return {k: FL.NCPoly.sum(terms).scale(F(1, factorial(k)))
+            for k, terms in pieces.items()}
+
+
+def test_pi_k_table_matches_block_products():
+    for letters in ("a", "ab", "abc", "abcd", "abcde", "abcdef",
+                    "aa", "aba", "abab", "aabca", "abacba"):
+        oracle = _pi_k_oracle(letters)
+        assert sorted(oracle) == list(range(1, len(letters) + 1))
+        for k, expect in oracle.items():
+            assert FL.pi_k(letters, k) == expect, (letters, k)
+
+
+def test_projector_table_is_solomon_closed_form():
+    for n in range(1, 8):
+        table = dict(FL._projector_terms(n))
+        assert len(table) == factorial(n)
+        for order in itertools.permutations(range(n)):
+            d = sum(x > y for x, y in zip(order, order[1:]))
+            assert table[order] == weisner_from_word(order), order
+            assert table[order] == F((-1) ** d, n * comb(n - 1, d)), order
 
 
 def test_pi_n_is_symmetrization():
@@ -260,6 +329,13 @@ def test_cbh_routes_agree_small():
     assert t == FL.cbh_goldberg("abc", 3)
 
 
+def test_cbh_direct_equals_goldberg_degree_10():
+    # Goldberg, Duke Math. J. 23 (1956): the closed-form coefficients
+    # reproduce the series arithmetic for two letters to degree 10
+    assert (FL.cbh_direct("ab", 10, cap=None)
+            == FL.cbh_goldberg("ab", 10, cap=None))
+
+
 def test_cbh_spot_coefficients():
     d = FL.cbh_direct("ab", 4)
     assert d.coefficient("a") == 1 and d.coefficient("b") == 1
@@ -346,6 +422,43 @@ def test_nct_cumulant_on_letters_is_projector():
     for letters in ("abc", "abcd", "abcde"):
         elems = [FL.NCPoly.word((x,)) for x in letters]
         assert FL.nct_cumulant(elems) == FL.pi_projector(letters), letters
+
+
+def _projector_fold(elements):
+    """Left fold over the projector table: every product from scratch."""
+    total = None
+    for order, coeff in FL._projector_terms(len(elements)):
+        term = functools.reduce(operator.mul, [elements[i] for i in order])
+        term = term * coeff
+        total = term if total is None else total + term
+    return total
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_nct_cumulant_matches_projector_fold(data):
+    # a shared alphabet of two or three letters makes products collide
+    # and cancel across the permutations
+    alphabet = data.draw(st.sampled_from(["ab", "abc"]))
+    n = data.draw(st.integers(1, 5))
+    elements = data.draw(st.lists(_small_ncpolys(alphabet, 2),
+                                  min_size=n, max_size=n))
+    got = FL.nct_cumulant(elements)
+    assert got == _projector_fold(elements)
+    assert all(got.terms.values())
+
+
+def test_nct_cumulant_single_element_and_matrices():
+    x = FL.NCPoly({("a",): F(2), ("a", "b"): F(-1, 3)})
+    assert FL.nct_cumulant([x]) == x
+    m = FL.RationalMatrix([[1, F(1, 2)], [3, -1]])
+    assert FL.nct_cumulant([m]) == m
+    elems = [FL.RationalMatrix([[1, 2], [0, -1]]),
+             FL.RationalMatrix([[0, 1], [F(1, 2), 3]]),
+             FL.RationalMatrix([[2, 0], [1, 1]]),
+             FL.RationalMatrix([[F(-1, 3), 1], [1, 0]])]
+    got = FL.nct_cumulant(elems)
+    assert got == _projector_fold(elems) and not got.is_zero()
 
 
 def test_nct_cumulant_matrices_match_osp_fold():

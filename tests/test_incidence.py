@@ -64,6 +64,18 @@ def test_mu_tilde_factorization():
                 * I.zeta_tilde(sg, pi))
 
 
+def test_zeta_mu_match_word_kernels():
+    # one copy of the closed forms: the partition-level values equal the
+    # word-pair kernels on every comparable pair of OP_n
+    for n in range(1, 5):
+        for pi in P.enumerate_partitions(n):
+            for sg in P.ideal_elements(pi):
+                assert I.zeta_tilde(sg, pi) == K.zeta_tilde_words(
+                    sg.word, pi.word), (sg, pi)
+                assert I.mu_tilde(sg, pi) == K.mu_tilde_words(
+                    sg.word, pi.word), (sg, pi)
+
+
 def test_beta_examples():
     t = Poly.sym(scalar_symbol("t"))
     for n in (1, 2, 3, 4):

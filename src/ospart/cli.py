@@ -94,14 +94,14 @@ def cmd_enumerate(args):
         if cls == parts.ALL:
             count = parts.fubini(args.n)
         else:
-            count = sum(1 for _ in parts.enumerate_partitions(args.n, cls))
+            count = sum(1 for _ in parts._class_words(args.n, cls))
         return {
             "json": {"command": "enumerate", "n": args.n, "class": args.klass,
                      "count": count},
             "csv": [("n", "class", "count"), (args.n, args.klass, count)],
             "text": [str(count)],
         }
-    items = [str(x) for x in parts.enumerate_partitions(args.n, cls)]
+    items = list(parts.enumerate_block_strings(args.n, cls))
     return {
         "json": {"command": "enumerate", "n": args.n, "class": args.klass,
                  "count": len(items), "items": items},
@@ -307,7 +307,15 @@ def main(argv=None) -> int:
     except CapError as exc:
         print(f"ospart: {exc}", file=sys.stderr)
         return EXIT_CAP
-    _emit(doc, fmt, sys.stdout)
+    try:
+        _emit(doc, fmt, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`ospart ... | head`); send what is
+        # still buffered to devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 

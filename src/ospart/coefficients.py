@@ -7,7 +7,7 @@ the kernel backend.  Integrals over [-1,0] are evaluated exactly via the
 Beta-function monomial rule, never numerically.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -58,11 +58,10 @@ def _checked_relative_word(tau, eta):
     return K.relative_word(tau.word, eta.word)
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
-    kind: str
-    runs: tuple          # tuple of subwords
-    lengths: tuple
+class RunDecomposition(namedtuple("RunDecomposition", "kind runs lengths")):
+    """kind, runs (a tuple of subwords) and their lengths."""
+
+    __slots__ = ()
 
     @property
     def count(self):
@@ -300,12 +299,11 @@ def sigma_max_pla(tau, eta) -> OrderedSetPartition:
 # vanishing criteria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VanishingReport:
-    value: Fraction
-    zero_criterion_applies: bool      # des = asc with an even block count
-    prime_criterion_applies: bool     # block count is prime
-    consistent: bool
+# value: Fraction; zero_criterion_applies: des = asc with an even block
+# count; prime_criterion_applies: the block count is prime; consistent: bool
+VanishingReport = namedtuple(
+    "VanishingReport",
+    "value zero_criterion_applies prime_criterion_applies consistent")
 
 
 def _is_prime(m):

@@ -54,6 +54,21 @@ def _word_blocks(word):
     return tuple(tuple(blk) for blk in out)
 
 
+# text of the positions 1, 2, ...; longer words format their own
+_POS_TEXT = tuple(str(k) for k in range(1, 33))
+
+
+def _block_text(word):
+    """Block syntax of a word ("1,3|2" for (1, 2, 1)), built from the word
+    without the block tuples."""
+    pos = (_POS_TEXT if len(word) <= len(_POS_TEXT)
+           else tuple(str(k) for k in range(1, len(word) + 1)))
+    out = [[] for _ in range(max(word))]
+    for text, b in zip(pos, word):
+        out[b - 1].append(text)
+    return "|".join(map(",".join, out))
+
+
 class _Partition:
     """A partition of {1,...,n} stored as its word: position k carries
     the 1-based index of the block containing k+1."""
@@ -88,7 +103,7 @@ class _Partition:
         return max(self.word)
 
     def __str__(self):
-        return format_blocks(self.blocks)
+        return _block_text(self.word)
 
     @property
     def blocks(self):
@@ -289,19 +304,33 @@ def ideal_elements(pi):
 # class predicates on words
 # ---------------------------------------------------------------------------
 
+def _nesting_parents(w):
+    """List indexed by block: the innermost block whose span holds it (0 at
+    top level), from one left-to-right scan of w; None when w is crossing.
+
+    The stack holds the open blocks (seen, with a later position still to
+    come), innermost on top.  A block seen again must be on top, or it
+    crosses the blocks above it; a new block is nested in the top one.
+    """
+    last = [0] * (max(w) + 1)
+    for pos, b in enumerate(w):
+        last[b] = pos
+    parent = [-1] * len(last)
+    stack = []
+    for pos, b in enumerate(w):
+        if parent[b] < 0:
+            parent[b] = stack[-1] if stack else 0
+            if last[b] != pos:
+                stack.append(b)
+        elif stack[-1] != b:
+            return None
+        elif last[b] == pos:
+            stack.pop()
+    return parent
+
+
 def _word_noncrossing(w):
-    n = len(w)
-    for i in range(n):
-        for k in range(i + 1, n):
-            if w[i] != w[k]:
-                continue
-            for j in range(i + 1, k):
-                if w[j] == w[i]:
-                    continue
-                # i < j < k with i ~ k; any later partner of j crosses
-                if any(w[l] == w[j] for l in range(k + 1, n)):
-                    return False
-    return True
+    return _nesting_parents(w) is not None
 
 
 def _word_interval(w):
@@ -314,20 +343,14 @@ def _word_interval(w):
 
 
 def _word_monotone(w):
-    if not _word_noncrossing(w):
-        return False
-    # nesting pairs: outer block value must precede (be smaller than) inner
-    pos = {}
-    for k, b in enumerate(w):
-        pos.setdefault(b, []).append(k)
-    for outer, po in pos.items():
-        for inner, pi_ in pos.items():
-            if outer == inner:
-                continue
-            if any(a < pi_[0] for a in po) and any(a > pi_[-1] for a in po):
-                if outer > inner:
-                    return False
-    return True
+    """Noncrossing, and every block comes before the blocks nested in it.
+
+    Checking the innermost outer block suffices: the stack of open blocks
+    stays increasing while each new block exceeds its top.
+    """
+    parent = _nesting_parents(w)
+    return parent is not None and all(
+        parent[b] < b for b in range(1, len(parent)))
 
 
 def inner_block_indices(pi):
@@ -335,20 +358,10 @@ def inner_block_indices(pi):
 
     A block is inner when it sits strictly inside another block's span.
     """
-    if not pi.is_noncrossing():
+    parent = _nesting_parents(pi.word)
+    if parent is None:
         raise ValueError("inner/outer split needs a noncrossing partition")
-    pos = {}
-    for k, b in enumerate(pi.word):
-        pos.setdefault(b, []).append(k)
-    inner = set()
-    for b, pb in pos.items():
-        for b2, pb2 in pos.items():
-            if b2 == b:
-                continue
-            if any(a < pb[0] for a in pb2) and any(a > pb[-1] for a in pb2):
-                inner.add(b)
-                break
-    return inner
+    return {b for b in range(1, len(parent)) if parent[b]}
 
 
 def _word_pair(w):
@@ -445,24 +458,40 @@ def _iter_pair_words(n):
             yield tuple(rank[b - 1] for b in u)
 
 
+_SET_CLASSES = (SP, NC, IP)
+_PAIR_CLASSES = (PAIR, PAIR_NC, PAIR_IP, PAIR_MONOTONE)
+
+
+def _class_words(n, cls):
+    """The words of a class in enumeration order: restricted growth strings
+    for SP/NC/IP, pair words for PAIR*, OP words otherwise."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    test = _class_test(cls)
+    if cls in _SET_CLASSES:
+        words = _iter_set_partitions(n)
+    elif cls in _PAIR_CLASSES:
+        words = _iter_pair_words(n)
+    else:
+        words = K.iter_osp_words(n)
+    return words if test is None else filter(test, words)
+
+
 def enumerate_partitions(n, cls=ALL):
     """Stream every member of the class exactly once, deterministic order.
 
     ALL/ONC/OI/MONOTONE yield OrderedSetPartition, SP/NC/IP yield
     SetPartition, PAIR* yield OrderedSetPartition with all blocks of size 2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    test = _class_test(cls)
-    if cls in (SP, NC, IP):
-        words, make = _iter_set_partitions(n), SetPartition._raw
-    elif cls in (PAIR, PAIR_NC, PAIR_IP, PAIR_MONOTONE):
-        words, make = _iter_pair_words(n), OrderedSetPartition._raw
-    else:
-        words, make = K.iter_osp_words(n), OrderedSetPartition._raw
-    for w in words:
-        if test is None or test(w):
-            yield make(n, w)
+    make = (SetPartition if cls in _SET_CLASSES else OrderedSetPartition)._raw
+    for w in _class_words(n, cls):
+        yield make(n, w)
+
+
+def enumerate_block_strings(n, cls=ALL):
+    """Stream the block syntax of every member of the class, in the order
+    of enumerate_partitions and equal to str() of its items."""
+    yield from map(_block_text, _class_words(n, cls))
 
 
 # ---------------------------------------------------------------------------

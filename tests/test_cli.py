@@ -1,12 +1,21 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ospart
 from ospart import cli
+from ospart import partitions as P
 from ospart.partitions import OrderedSetPartition
+
+# a fresh interpreter that imports these ospart sources
+_ENV = dict(os.environ, PYTHONPATH=str(Path(ospart.__file__).parents[1]))
 
 
 def run(*argv):
@@ -30,6 +39,15 @@ def test_enumerate_count_only():
     assert doc["count"] == 3
     doc = run_json("enumerate", "-n", "6", "--class", "all", "--count-only")
     assert doc["count"] == 4683
+
+
+def test_enumerate_count_only_equals_listing_length():
+    for name, cls in cli._CLASS_CHOICES.items():
+        for n in range(1, 8):
+            doc = run_json("enumerate", "-n", str(n), "--class", name,
+                           "--count-only")
+            assert doc["count"] == sum(
+                1 for _ in P.enumerate_block_strings(n, cls)), (name, n)
 
 
 def test_enumerate_listing_roundtrips():
@@ -161,3 +179,29 @@ def test_format_env(monkeypatch):
     monkeypatch.setenv("OSPART_FORMAT", "text")
     code, out = run("clt", "--system", "boolean", "-n", "4")
     assert code == 0 and out == "1\n"
+
+
+def test_closed_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ospart.cli", "enumerate", "-n", "7",
+         "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV)
+    # the listing is far larger than a pipe buffer, so the CLI is still
+    # writing when the reader goes away after the first line
+    assert proc.stdout.readline() == b"1,2,3,4,5,6,7\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_OK
+    assert err == b""
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    layers = ("_kernels", "partitions", "incidence", "coefficients",
+              "symbolic", "systems", "freelie")
+    probe = "import sys, ospart.cli; print(*sys.modules, sep='\\n')"
+    loaded = set(subprocess.run(
+        [sys.executable, "-c", probe], env=_ENV, check=True,
+        capture_output=True, text=True, timeout=60).stdout.split())
+    assert {"ospart." + name for name in layers} <= loaded
+    assert "dataclasses" not in loaded

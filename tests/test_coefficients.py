@@ -40,6 +40,23 @@ def test_runs_examples():
     assert C.runs((1, 2, 5), C.ASCENDING).count == 1
 
 
+def test_records_keep_fields_and_are_immutable():
+    rd = C.runs((1, 2, 2, 1), C.ASCENDING)
+    assert (rd.kind, rd.runs, rd.lengths, rd.count) == (
+        C.ASCENDING, ((1, 2), (2,), (1,)), (2, 1, 1), 3)
+    rep = C.vanishing_checks(o("3|4|2|1"), o("1,2,3|4"))
+    assert (rep.value, rep.zero_criterion_applies,
+            rep.prime_criterion_applies, rep.consistent) == (0, True, False,
+                                                             True)
+    for record, field in ((rd, "kind"), (rd, "count"), (rep, "value"),
+                          (rep, "consistent")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert rd == C.runs((1, 2, 2, 1), C.ASCENDING)
+    assert rep == C.vanishing_checks(o("3|4|2|1"), o("1,2,3|4"))
+    assert hash(rep) == hash(C.vanishing_checks(o("3|4|2|1"), o("1,2,3|4")))
+
+
 def test_run_counts_match_stats():
     import random
     rng = random.Random(4)

@@ -465,6 +465,89 @@ def test_inner_blocks():
     assert P.inner_block_indices(o("1,2|3")) == set()
 
 
+# pairwise definitions of the nesting classes, the oracles of the stack scan
+
+def _noncrossing_pairwise(w):
+    n = len(w)
+    for i in range(n):
+        for k in range(i + 1, n):
+            if w[i] != w[k]:
+                continue
+            for j in range(i + 1, k):
+                if w[j] == w[i]:
+                    continue
+                # i < j < k with i ~ k; any later partner of j crosses
+                if any(w[l] == w[j] for l in range(k + 1, n)):
+                    return False
+    return True
+
+
+def _positions(w):
+    pos = {}
+    for k, b in enumerate(w):
+        pos.setdefault(b, []).append(k)
+    return pos
+
+
+def _monotone_pairwise(w):
+    if not _noncrossing_pairwise(w):
+        return False
+    # nesting pairs: outer block value must precede (be smaller than) inner
+    pos = _positions(w)
+    for outer, po in pos.items():
+        for inner, pi_ in pos.items():
+            if outer == inner:
+                continue
+            if any(a < pi_[0] for a in po) and any(a > pi_[-1] for a in po):
+                if outer > inner:
+                    return False
+    return True
+
+
+def _inner_pairwise(w):
+    pos = _positions(w)
+    inner = set()
+    for b, pb in pos.items():
+        for b2, pb2 in pos.items():
+            if b2 == b:
+                continue
+            if any(a < pb[0] for a in pb2) and any(a > pb[-1] for a in pb2):
+                inner.add(b)
+                break
+    return inner
+
+
+def test_nesting_scan_matches_pairwise_definitions():
+    words = [w for n in range(1, 8) for w in K.iter_osp_words(n)]
+    words += list(P._iter_set_partitions(8)) + list(P._iter_pair_words(8))
+    for w in words:
+        nc = _noncrossing_pairwise(w)
+        assert P._word_noncrossing(w) == nc, w
+        assert P._word_monotone(w) == _monotone_pairwise(w), w
+    for n in range(1, 7):
+        for w in K.iter_osp_words(n):
+            if _noncrossing_pairwise(w):
+                assert (P.inner_block_indices(P.OrderedSetPartition._raw(n, w))
+                        == _inner_pairwise(w)), w
+    with pytest.raises(ValueError):
+        P.inner_block_indices(o("1,3|2,4"))
+
+
+def test_block_strings_equal_formatted_blocks():
+    for cls in P.CLASSES:
+        top = 8 if cls in P._SET_CLASSES + P._PAIR_CLASSES else 7
+        for n in range(1, top + 1):
+            assert (list(P.enumerate_block_strings(n, cls))
+                    == [P.format_blocks(x.blocks)
+                        for x in P.enumerate_partitions(n, cls)]), (cls, n)
+    for n in range(1, 7):
+        for pi in P.enumerate_partitions(n):
+            assert str(pi) == P.format_blocks(pi.blocks)
+    # longer than the table of position texts
+    long = P.OrderedSetPartition.from_word([1, 2] * 20)
+    assert str(long) == P.format_blocks(long.blocks)
+
+
 # ---------------------------------------------------------------------------
 # shift invariance of quasi-meet with kernels
 # ---------------------------------------------------------------------------

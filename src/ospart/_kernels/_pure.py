@@ -180,24 +180,35 @@ def compositions(k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def ideal_words(v) -> tuple:
-    """All sigma <= v, as concatenations of OP's of v's blocks."""
+def typed_ideal(v) -> tuple:
+    """(words, types): every sigma <= v and type(sigma, v), as two parallel
+    tuples.
+
+    Each sigma concatenates one OP word per v-block, and the block counts
+    of those words are its type.  Equal types are one shared tuple.
+    """
     n = len(v)
-    pv = max(v)
-    positions = [[] for _ in range(pv + 1)]
-    for k, b in enumerate(v):
-        positions[b].append(k)
-    choices = [osp_words(len(positions[j])) for j in range(1, pv + 1)]
-    out = []
-    for combo in product(*choices):
+    positions = [[k for k, b in enumerate(v) if b == j]
+                 for j in range(1, max(v) + 1)]
+    words = []
+    types = []
+    shared = {}
+    for combo in product(*(osp_words(len(ps)) for ps in positions)):
         w = [0] * n
         off = 0
-        for j, lw in enumerate(combo):
-            for idx, pos in enumerate(positions[j + 1]):
-                w[pos] = off + lw[idx]
+        for ps, lw in zip(positions, combo):
+            for pos, x in zip(ps, lw):
+                w[pos] = off + x
             off += max(lw)
-        out.append(tuple(w))
-    return tuple(out)
+        words.append(tuple(w))
+        t = tuple(map(max, combo))
+        types.append(shared.setdefault(t, t))
+    return tuple(words), tuple(types)
+
+
+def ideal_words(v) -> tuple:
+    """All sigma <= v, as concatenations of OP's of v's blocks."""
+    return typed_ideal(v)[0]
 
 
 def _typed_interval(u, v):
@@ -234,22 +245,25 @@ def _prod(xs):
     return r
 
 
-def _mu_tilde_type(t) -> Fraction:
+@lru_cache(maxsize=None)
+def mu_tilde_type(t) -> Fraction:
+    """Factorial Moebius function on an interval of type t:
+    (-1)^(sum(t) - len(t)) / prod(t)."""
     return Fraction((-1) ** (sum(t) - len(t)), _prod(t))
 
 
-def _zeta_tilde_type(t) -> Fraction:
+@lru_cache(maxsize=None)
+def zeta_tilde_type(t) -> Fraction:
+    """Factorial zeta function on an interval of type t: 1 / prod(t_j!)."""
     return Fraction(1, _prod(factorial(k) for k in t))
 
 
-@lru_cache(maxsize=None)
 def mu_tilde_words(u, v) -> Fraction:
-    return _mu_tilde_type(interval_type_words(u, v))
+    return mu_tilde_type(interval_type_words(u, v))
 
 
-@lru_cache(maxsize=None)
 def zeta_tilde_words(u, v) -> Fraction:
-    return _zeta_tilde_type(interval_type_words(u, v))
+    return zeta_tilde_type(interval_type_words(u, v))
 
 
 @lru_cache(maxsize=None)
@@ -258,8 +272,8 @@ def _mu_zeta_scaled(t1, t2) -> tuple:
     times (m!)**2 for m = sum(t1) = max(u): integers, since prod(t1) and
     prod(t2!) both divide m! (and so do prod(t1!) and prod(t2))."""
     scale = factorial(sum(t1)) ** 2
-    mz = scale * _mu_tilde_type(t1) * _zeta_tilde_type(t2)
-    zm = scale * _zeta_tilde_type(t1) * _mu_tilde_type(t2)
+    mz = scale * mu_tilde_type(t1) * zeta_tilde_type(t2)
+    zm = scale * zeta_tilde_type(t1) * mu_tilde_type(t2)
     return mz.numerator, zm.numerator
 
 
@@ -291,10 +305,10 @@ def mu_zeta_identity(n: int) -> bool:
 def beta_semigroup_identity(n: int, s: int, t: int) -> bool:
     """Check beta_s * beta_t = beta_{st} on every comparable pair."""
     for v in osp_words(n):
-        for u in ideal_words(v):
+        for u, tv in zip(*typed_ideal(v)):
             total = sum(_beta_type(s, t1) * _beta_type(t, t2)
                         for _, t1, t2 in _typed_interval(u, v))
-            if total != _beta_type(s * t, interval_type_words(u, v)):
+            if total != _beta_type(s * t, tv):
                 return False
     return True
 
@@ -324,10 +338,10 @@ def goldberg_oracle_table(n: int) -> dict:
     """Brute-force g(tau,eta) = sum_{sigma>=tau} zeta~(tau,sigma) w(sigma,eta)."""
     words = osp_words(n)
     wtab = weisner_oracle_table(n)
-    zpairs = {
-        sig: tuple((tau, zeta_tilde_words(tau, sig)) for tau in ideal_words(sig))
-        for sig in words
-    }
+    zpairs = {}
+    for sig in words:
+        taus, types = typed_ideal(sig)
+        zpairs[sig] = tuple(zip(taus, map(zeta_tilde_type, types)))
     table = {}
     for eta in words:
         acc = {}

@@ -158,14 +158,13 @@ def cmd_cumulants(args):
         symbols = eng.name
     else:
         # the universal reconstruction phi = sum zeta~ K over formal K's
-        from . import _kernels as kern
         from .symbolic import Poly, scalar_symbol
-        for pi in parts.enumerate_partitions(args.n):
-            total = Poly.sum([
-                Poly.sym(scalar_symbol("K[" + "".join(map(str, w)) + "]"))
-                * kern.zeta_tilde_words(w, pi.word)
-                for w in kern.ideal_words(pi.word)])
-            table[str(pi)] = total.render_map()
+        pis = list(parts.enumerate_partitions(args.n))
+        formal = {pi.word: Poly.sym(scalar_symbol(
+            "K[" + "".join(map(str, pi.word)) + "]")) for pi in pis}
+        for pi in pis:
+            table[str(pi)] = systems.moments_from_cumulants(
+                formal, pi).render_map()
         head = "phi"
         symbols = "formal"
     doc = {"command": "cumulants", "system": args.system, "n": args.n,

@@ -200,10 +200,14 @@ def _over_blocks(fn, tau, eta, pi) -> Fraction:
     if not (tau.n == eta.n == pi.n):
         raise ValueError("mismatched ground sets")
     rw = K.relative_word(tau.word, eta.word)
-    if rw is None or not K.leq_words(tau.word, pi.word):
+    if rw is None:
+        return Fraction(0)
+    try:
+        t = K.interval_type_words(tau.word, pi.word)
+    except ValueError:  # tau is not below pi
         return Fraction(0)
     total = Fraction(1)
-    for piece in K.segments(rw, K.interval_type_words(tau.word, pi.word)):
+    for piece in K.segments(rw, t):
         total *= fn(piece)
     return total
 
@@ -300,7 +304,8 @@ def sigma_max_pla(tau, eta) -> OrderedSetPartition:
 # ---------------------------------------------------------------------------
 
 # value: Fraction; zero_criterion_applies: des = asc with an even block
-# count; prime_criterion_applies: the block count is prime; consistent: bool
+# count; prime_criterion_applies: the block count is prime and eta has more
+# than one block; consistent: bool
 VanishingReport = namedtuple(
     "VanishingReport",
     "value zero_criterion_applies prime_criterion_applies consistent")
@@ -323,7 +328,8 @@ def vanishing_checks(tau, eta) -> VanishingReport:
     des, _, asc = stats(rw)
     val = goldberg(tau, eta)
     zero_crit = des == asc and len(tau) % 2 == 0
-    prime_crit = _is_prime(len(tau))
+    # at eta = 1^, g(tau, eta) = delta(tau, eta): the prime criterion fails
+    prime_crit = _is_prime(len(tau)) and len(eta) > 1
     ok = True
     if zero_crit and val != 0:
         ok = False

@@ -10,6 +10,7 @@ polynomials from ospart.symbolic in particular).
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import factorial
 
 from . import _kernels as K
@@ -31,40 +32,6 @@ def _pair_type(sigma, pi):
     return interval_type(sigma, pi)
 
 
-def bracket(sigma, pi) -> int:
-    """[sigma:pi] = product over pi-blocks of the restriction block counts."""
-    r = 1
-    for k in _pair_type(sigma, pi):
-        r *= k
-    return r
-
-
-def bracket_factorial(sigma, pi) -> int:
-    """[sigma:pi]! = product of factorials of the restriction block counts."""
-    r = 1
-    for k in _pair_type(sigma, pi):
-        r *= factorial(k)
-    return r
-
-
-def zeta_tilde(sigma, pi) -> Fraction:
-    """Factorial zeta function 1/[sigma:pi]!."""
-    return K._zeta_tilde_type(_pair_type(sigma, pi))
-
-
-def mu_tilde(sigma, pi) -> Fraction:
-    """Factorial Moebius function (-1)^(|sigma|-|pi|)/[sigma:pi]."""
-    return K._mu_tilde_type(_pair_type(sigma, pi))
-
-
-def mobius_sp(sigma, pi) -> int:
-    """Moebius function of the set-partition lattice on a comparable pair."""
-    r = 1
-    for k in _pair_type(sigma, pi):
-        r *= (-1) ** (k - 1) * factorial(k - 1)
-    return r
-
-
 def generalized_binomial(t, k: int):
     """binom(t, k) = t(t-1)...(t-k+1)/k! for numbers or ring elements."""
     if k < 0:
@@ -77,12 +44,17 @@ def generalized_binomial(t, k: int):
     return num * Fraction(1, factorial(k))
 
 
+def binomial_product(params, t):
+    """prod binom(params_j, t_j) over an interval type t, one per part."""
+    r = 1
+    for x, k in zip(params, t):
+        r = r * generalized_binomial(x, k)
+    return r
+
+
 def beta(t, sigma, pi):
     """beta_t(sigma,pi) = prod binom(t, k_i) over the interval type."""
-    r = 1
-    for k in _pair_type(sigma, pi):
-        r = r * generalized_binomial(t, k)
-    return r
+    return binomial_product(repeat(t), _pair_type(sigma, pi))
 
 
 def beta_vec(ts, sigma, pi):
@@ -90,10 +62,7 @@ def beta_vec(ts, sigma, pi):
     t_ = _pair_type(sigma, pi)
     if len(ts) < len(t_):
         raise ValueError("need one parameter per block of pi")
-    r = 1
-    for tj, k in zip(ts, t_):
-        r = r * generalized_binomial(tj, k)
-    return r
+    return binomial_product(ts, t_)
 
 
 def _psi_compositions(sigma, rho, pi):
@@ -107,14 +76,12 @@ def _psi_compositions(sigma, rho, pi):
 
 def gamma_vec(ts, sigma, rho, pi):
     """gamma with one parameter per pi-block, factorizing over rho's groups."""
-    comps = _psi_compositions(sigma, rho, pi)
-    if len(ts) < len(comps):
+    t2 = interval_type(rho, pi)
+    if len(ts) < len(t2):
         raise ValueError("need one parameter per block of pi")
-    r = 1
-    for tj, comp in zip(ts, comps):
-        for g in comp:
-            r = r * generalized_binomial(tj, g)
-    return r
+    # rho-block i lies in pi-block j: it takes parameter ts[j - 1]
+    params = [x for x, k in zip(ts, t2) for _ in range(k)]
+    return binomial_product(params, interval_type(sigma, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +139,15 @@ class QuasiMultiplicativeFunction:
         return r
 
 
-zeta_tilde_fn = MultiplicativeFunction(lambda n: Fraction(1, factorial(n)))
-mu_tilde_fn = MultiplicativeFunction(lambda n: Fraction((-1) ** (n - 1), n))
+zeta_tilde_fn = MultiplicativeFunction(lambda k: K.zeta_tilde_type((k,)))
+mu_tilde_fn = MultiplicativeFunction(lambda k: K.mu_tilde_type((k,)))
+zeta_tilde = zeta_tilde_fn  # 1/[sigma:pi]!
+mu_tilde = mu_tilde_fn  # (-1)^(|sigma|-|pi|)/[sigma:pi]
+# [sigma:pi], [sigma:pi]! and the set-partition Moebius function
+bracket = MultiplicativeFunction(lambda k: k)
+bracket_factorial = MultiplicativeFunction(factorial)
+mobius_sp = MultiplicativeFunction(
+    lambda k: (-1) ** (k - 1) * factorial(k - 1))
 
 
 def delta(sigma, pi):
@@ -183,13 +157,7 @@ def delta(sigma, pi):
 
 def convolve(f, g, sigma, pi):
     """(f*g)(sigma,pi) = sum over rho in [sigma,pi] of f(sigma,rho) g(rho,pi)."""
-    if sigma.n != pi.n:
-        raise ValueError("mismatched ground sets")
-    total = 0
-    for w in K.interval_words(sigma.word, pi.word):
-        rho = OrderedSetPartition._raw(sigma.n, w)
-        total = total + f(sigma, rho) * g(rho, pi)
-    return total
+    return convolve_tri(lambda s, r, p: f(s, r), g, sigma, pi)
 
 
 def convolve_tri(f, g, sigma, pi):

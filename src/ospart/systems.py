@@ -26,11 +26,12 @@ included, evaluates on ordered ones.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
 
 from . import _kernels as K
 from .coefficients import goldberg3, weisner3
-from .incidence import generalized_binomial
+from .incidence import binomial_product
 from .partitions import (PAIR, OrderedSetPartition, enumerate_partitions,
                          iter_pair_set_words)
 from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, add_into,
@@ -127,8 +128,8 @@ class Engine:
         """K_pi = sum over sigma <= pi of phi_sigma mu~(sigma,pi)."""
         labels = _per_element(pi, labels)
         at = atoms or self.atoms(labels)
-        return Poly.sum([self._phi_word(w, at) * K.mu_tilde_words(w, pi.word)
-                         for w in K.ideal_words(pi.word)])
+        return _ideal_sum(pi.word, lambda w, t: self._phi_word(w, at)
+                          * K.mu_tilde_type(t))
 
     def cumulant_n(self, labels, atoms=None):
         """K_n, the cumulant of the one-block partition."""
@@ -141,17 +142,15 @@ class Engine:
         labels = _per_element(pi, labels)
         eta_w = K.kernel_word(indices)
         at = self.atoms(labels)
-        return Poly.sum([self._phi_word(K.quasi_meet(w, eta_w), at)
-                         * K.mu_tilde_words(w, pi.word)
-                         for w in K.ideal_words(pi.word)])
+        return _ideal_sum(pi.word, lambda w, t: self._phi_word(
+            K.quasi_meet(w, eta_w), at) * K.mu_tilde_type(t))
 
     def cumulant_table(self, n, labels=None):
         """{word: K_pi} over all of OP_n."""
         labels = tuple(labels) if labels is not None else _default_labels(n)
         at = self.atoms(labels)
         phis = {w: self._phi_word(w, at) for w in K.osp_words(n)}
-        return {v: Poly.sum([phis[w] * K.mu_tilde_words(w, v)
-                             for w in K.ideal_words(v)])
+        return {v: _ideal_sum(v, lambda w, t: phis[w] * K.mu_tilde_type(t))
                 for v in K.osp_words(n)}
 
     def multiplicative_cumulant(self, pi, labels):
@@ -169,14 +168,8 @@ class Engine:
 
         params[j-1] is the scale attached to sigma-block j.
         """
-        out = {}
-        for w in K.ideal_words(sigma_word):
-            t = K.interval_type_words(w, sigma_word)
-            f = ONE
-            for param, k in zip(params, t):
-                f = f * generalized_binomial(param, k)
-            add_into(out, (self._phi_word(w, at) * f).terms.items())
-        return Poly(out)
+        return _ideal_sum(sigma_word, lambda w, t: self._phi_word(w, at)
+                          * binomial_product(params, t))
 
     def dilate(self, pi, labels, scale, atoms=None):
         """phi_pi(N.X_1,...,N.X_n); polynomial in a symbolic scale.
@@ -204,13 +197,12 @@ class Engine:
         if len(scales) < len(pi):
             raise ValueError("need one scale per block")
         at = self.atoms(labels)
-        terms = []
-        for w in K.ideal_words(pi.word):
-            # sigma-block i dilates by the scale of the pi-block holding it
-            params = [scales[b - 1] for b in K.block_map(w, pi.word)[1:]]
-            terms.append(self._phi_dilated(w, at, params)
-                         * K.mu_tilde_words(w, pi.word))
-        return Poly.sum(terms)
+
+        def term(w, t):
+            # the t_j sigma-blocks in pi-block j dilate by its scale
+            params = [x for x, k in zip(scales, t) for _ in range(k)]
+            return self._phi_dilated(w, at, params) * K.mu_tilde_type(t)
+        return _ideal_sum(pi.word, term)
 
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
@@ -218,15 +210,8 @@ class Engine:
         at = self.atoms(labels)
         inner = _as_scale(inner)
         outer = _as_scale(outer)
-        out = {}
-        for w in K.ideal_words(pi.word):
-            sigma = OrderedSetPartition._raw(pi.n, w)
-            f = ONE
-            for k in K.interval_type_words(w, pi.word):
-                f = f * generalized_binomial(outer, k)
-            add_into(out, (self.dilate(sigma, labels, inner, atoms=at)
-                           * f).terms.items())
-        return Poly(out)
+        return _ideal_sum(pi.word, lambda w, t: self._phi_dilated(
+            w, at, [inner] * max(w)) * binomial_product(repeat(outer), t))
 
     # -- time evolution -----------------------------------------------------
 
@@ -558,13 +543,16 @@ def engine(name: str) -> Engine:
 # module-level operations
 # ---------------------------------------------------------------------------
 
+def _ideal_sum(v, term):
+    """Sum of term(sigma, type(sigma, v)) over every sigma <= v."""
+    return Poly.sum(list(map(term, *K.typed_ideal(v))))
+
+
 def moments_from_cumulants(table, pi):
     """phi_pi = sum over sigma <= pi of K_sigma zeta~(sigma,pi)."""
-    ideal = K.ideal_words(pi.word)
-    if any(w not in table for w in ideal):
+    if any(w not in table for w in K.ideal_words(pi.word)):
         raise ValueError("cumulant table does not cover the ideal")
-    return Poly.sum([table[w] * K.zeta_tilde_words(w, pi.word)
-                     for w in ideal])
+    return _ideal_sum(pi.word, lambda w, t: table[w] * K.zeta_tilde_type(t))
 
 
 def monotone_mc_defect(n, labels=None):
@@ -588,7 +576,7 @@ def mixed_cumulant_moment(pi, eta, eng, labels):
     labels = tuple(labels)
     at = eng.atoms(labels)
     out = {}
-    for w in K.osp_words(pi.n):
+    for w in K.ideal_words(pi.word):
         coeff = weisner3(OrderedSetPartition._raw(pi.n, w), eta, pi)
         if coeff:
             add_into(out, (eng._phi_word(w, at) * coeff).terms.items())
@@ -600,7 +588,7 @@ def mixed_cumulant_cumulant(pi, eta, eng, labels):
     labels = tuple(labels)
     table = eng.cumulant_table(pi.n, labels)
     out = {}
-    for w in K.osp_words(pi.n):
+    for w in K.ideal_words(pi.word):
         coeff = goldberg3(OrderedSetPartition._raw(pi.n, w), eta, pi)
         if coeff:
             add_into(out, (table[w] * coeff).terms.items())

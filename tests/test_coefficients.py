@@ -320,3 +320,20 @@ def test_vanishing_prime_fails_only_at_top_eta():
         for tau in P.enumerate_partitions(n):
             expect = 1 if tau == top else 0
             assert C.goldberg(tau, top) == expect
+
+
+def test_vanishing_checks_consistent_on_every_refinement():
+    # the prime criterion needs eta below the top, so no report on valid
+    # input is inconsistent
+    for n in range(1, 6):
+        top = P.OrderedSetPartition.one_block(n)
+        for eta in P.enumerate_partitions(n):
+            for tau in P.enumerate_partitions(n):
+                try:
+                    C.relative_word(tau, eta)
+                except ValueError:
+                    continue
+                rep = C.vanishing_checks(tau, eta)
+                assert rep.consistent, (tau, eta)
+                if eta == top:
+                    assert not rep.prime_criterion_applies

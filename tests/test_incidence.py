@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import comb, factorial
@@ -320,10 +321,46 @@ def test_scaled_mu_zeta_values_match_word_values():
                             for m in range(1, 5) for t1 in K.compositions(m))
 
 
-def test_identity_scans_leave_word_caches_alone():
-    before = (K.mu_tilde_words.cache_info().currsize,
-              K.zeta_tilde_words.cache_info().currsize)
-    assert K.mu_zeta_identity(4)
-    assert K.beta_semigroup_identity(4, 2, 3)
-    assert (K.mu_tilde_words.cache_info().currsize,
-            K.zeta_tilde_words.cache_info().currsize) == before
+def test_identity_scans_keep_type_caches_small():
+    # mu~ and zeta~ are cached by interval type, never by word pair: the
+    # scans fill at most one entry per composition of m <= 5
+    for fn in (K.mu_tilde_type, K.zeta_tilde_type, _pure._mu_zeta_scaled):
+        fn.cache_clear()
+    assert K.mu_zeta_identity(5)
+    assert K.beta_semigroup_identity(5, 2, 3)
+    bound = sum(len(K.compositions(m)) for m in range(1, 6))
+    assert bound == 31
+    for fn in (K.mu_tilde_type, K.zeta_tilde_type):
+        assert 0 < fn.cache_info().currsize <= bound
+
+
+# ---------------------------------------------------------------------------
+# the typed ideal stream behind the engines
+# ---------------------------------------------------------------------------
+
+def _ups(w):
+    """Every v >= w by definition: v = f(w) for a weakly increasing map f
+    from w's blocks onto 1..q, one for each set of cuts between them."""
+    p = max(w)
+    for q in range(1, p + 1):
+        for cuts in itertools.combinations(range(1, p), q - 1):
+            f = [0] + [1 + sum(c < a for c in cuts) for a in range(1, p + 1)]
+            yield tuple(f[a] for a in w)
+
+
+def test_typed_ideal_matches_definitions():
+    for n in range(1, 7):
+        words = K.osp_words(n)
+        pairs = set()
+        for v in words:
+            ideal, types = K.typed_ideal(v)
+            assert K.ideal_words(v) == ideal
+            assert len(set(ideal)) == len(ideal) == len(types)
+            if n <= 5:
+                assert set(ideal) == {w for w in words if K.leq_words(w, v)}
+            for w, t in zip(ideal, types):
+                assert t == K.interval_type_words(w, v)
+                pairs.add((w, v))
+        # the filter above is 22 M order tests at n = 6; instead compare
+        # every comparable pair with the pairs built from the order itself
+        assert pairs == {(w, v) for w in words for v in _ups(w)}

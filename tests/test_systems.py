@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 from fractions import Fraction as F
@@ -548,3 +550,34 @@ def test_engine_lookup():
     assert S.engine("monotone") is S.MONOTONE
     with pytest.raises(ValueError):
         S.engine("v-monotone")
+
+
+def test_engines_read_types_from_the_ideal_stream(monkeypatch):
+    from ospart import cli
+    pi = o("1,3|2,4")
+    labels = ("X", "Y", "X", "Z")
+
+    def values():
+        out = {name: eng.cumulant_table(4) for name, eng in S.ENGINES.items()}
+        out["cumulant_dilated"] = S.CMONOTONE.cumulant_dilated(
+            pi, labels, ["N", "M"])
+        out["dilate_iterated"] = S.MONOTONE.dilate_iterated(pi, labels,
+                                                            "N", "M")
+        out["moments_from_cumulants"] = S.moments_from_cumulants(
+            out["free"], pi)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(["cumulants", "--system", "tensor", "-n", "4",
+                             "--direction", "c2m"]) == 0
+        out["c2m"] = buf.getvalue()
+        return out
+
+    expect = values()
+
+    def word_pair_kernel(*args):
+        raise AssertionError("an engine re-derived an interval type")
+
+    for name in ("mu_tilde_words", "zeta_tilde_words", "interval_type_words",
+                 "block_map"):
+        monkeypatch.setattr(K, name, word_pair_kernel)
+    assert values() == expect

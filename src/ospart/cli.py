@@ -20,7 +20,7 @@ from . import systems
 ENUMERATE_CAP = 9
 CBH_CAP = 7
 CUMULANTS_CAP = 5
-CLT_CAP = 8
+CLT_CAP = 10
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -16,17 +16,18 @@ from math import factorial
 from . import _kernels as K
 from .coefficients import goldberg_from_word
 from .partitions import iter_pseudo_partitions
-from .symbolic import SparseSum, add_into
+from .symbolic import SparseSum, add_into, exact
 
 
 class NCPoly(SparseSum):
-    """Finitely supported map from words (tuples of letters) to Fraction."""
+    """Finitely supported map from words (tuples of letters) to exact
+    coefficients, int or Fraction, as in SparseSum."""
 
     __slots__ = ()
 
     @classmethod
     def word(cls, letters, coeff=1):
-        c = Fraction(coeff)
+        c = exact(coeff)
         return cls({tuple(letters): c}) if c else cls()
 
     @classmethod
@@ -35,7 +36,7 @@ class NCPoly(SparseSum):
 
     @classmethod
     def one(cls):
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -339,10 +340,10 @@ class TruncatedNCSeries:
         raise TypeError(other)
 
     def constant_term(self) -> Fraction:
-        return self.poly.terms.get((), Fraction(0))
+        return Fraction(self.poly.terms.get((), 0))
 
     def coefficient(self, word) -> Fraction:
-        return self.poly.terms.get(tuple(word), Fraction(0))
+        return Fraction(self.poly.terms.get(tuple(word), 0))
 
     def degree_part(self, d) -> NCPoly:
         return self.poly.degree_part(d)

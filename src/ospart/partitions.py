@@ -448,7 +448,7 @@ def iter_pair_set_words(n):
         yield tuple(w)
 
 
-def _iter_pair_words(n):
+def iter_pair_words(n):
     """Pair ordered set partitions: perfect matchings times block orders."""
     for u in iter_pair_set_words(n):
         for order in permutations(range(n // 2)):
@@ -471,7 +471,7 @@ def _class_words(n, cls):
     if cls in _SET_CLASSES:
         words = _iter_set_partitions(n)
     elif cls in _PAIR_CLASSES:
-        words = _iter_pair_words(n)
+        words = iter_pair_words(n)
     else:
         words = K.iter_osp_words(n)
     return words if test is None else filter(test, words)

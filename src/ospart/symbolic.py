@@ -11,10 +11,13 @@ identities compare directly.  Symbols are tagged tuples:
 
 A polynomial is a SparseSum (the exact sparse sum shared with
 freelie.NCPoly) whose keys are monomials: sorted tuples of (symbol,
-exponent) pairs.
+exponent) pairs.  A coefficient is an int when it is integral and a
+Fraction otherwise; the two compare and hash alike, so the choice never
+shows in a value, only in the cost of the arithmetic.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 MOMENT = "m"
 FREE_CUMULANT = "c"
@@ -43,6 +46,7 @@ def scalar_symbol(name: str):
     return (VAR, name)
 
 
+@lru_cache(maxsize=None)
 def _symbol_key(sym):
     kind, payload = sym
     if isinstance(payload, tuple):
@@ -68,6 +72,14 @@ def symbol_str(sym) -> str:
     return f"{name}[{joined}]"
 
 
+def exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def add_into(out, items):
     """Add (key, coefficient) pairs into the dict out in place, dropping
     every key whose coefficient cancels to zero; returns out.
@@ -91,10 +103,13 @@ def add_into(out, items):
 
 
 class SparseSum:
-    """Exact sparse sum: a finitely supported map key -> nonzero Fraction.
+    """Exact sparse sum: a finitely supported map key -> nonzero
+    coefficient, an int or a Fraction, exact.
 
     The key () is the unit (the empty monomial or the empty word), so an
-    int or Fraction c stands for {(): c}.  Subclasses supply the product.
+    int or Fraction c stands for {(): c}.  `const` and `scale` store an
+    integral value as an int, so sums of integer terms stay in int
+    arithmetic.  Subclasses supply the product.
     """
 
     __slots__ = ("terms",)
@@ -104,7 +119,7 @@ class SparseSum:
 
     @classmethod
     def const(cls, c):
-        c = Fraction(c)
+        c = exact(c)
         return cls({(): c}) if c else cls()
 
     @classmethod
@@ -131,7 +146,7 @@ class SparseSum:
         return other is not None and self.terms == other.terms
 
     def __hash__(self):
-        # a constant hashes as its Fraction, since it equals that number
+        # a constant hashes as its number, since it equals that number
         if self.terms.keys() <= {()}:
             return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
@@ -154,20 +169,21 @@ class SparseSum:
         return -self + other
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return type(self)()
         return type(self)({k: cc * c for k, cc in self.terms.items()})
 
 
 class Poly(SparseSum):
-    """Immutable-by-convention sparse polynomial with Fraction coefficients."""
+    """Immutable-by-convention sparse polynomial with exact coefficients:
+    int or Fraction, as in SparseSum."""
 
     __slots__ = ()
 
     @classmethod
     def sym(cls, symbol):
-        return cls({((symbol, 1),): Fraction(1)})
+        return cls({((symbol, 1),): 1})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -232,7 +248,7 @@ class Poly(SparseSum):
             return Fraction(0)
         if set(self.terms) != {()}:
             raise ValueError(f"not a constant: {self}")
-        return self.terms[()]
+        return Fraction(self.terms[()])
 
     def __str__(self):
         if not self.terms:

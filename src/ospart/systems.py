@@ -32,8 +32,8 @@ from math import factorial
 from . import _kernels as K
 from .coefficients import goldberg3, weisner3
 from .incidence import binomial_product
-from .partitions import (PAIR, OrderedSetPartition, enumerate_partitions,
-                         iter_pair_set_words)
+from .partitions import (OrderedSetPartition, enumerate_partitions,
+                         iter_pair_set_words, iter_pair_words)
 from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, add_into,
                        free_cumulant_symbol, moment_symbol, psi_moment_symbol,
                        scalar_symbol, time_symbol)
@@ -47,8 +47,12 @@ class Atoms:
 
     Engines only ever ask for the value attached to an ascending tuple of
     0-based positions of the current word; the default provider emits the
-    corresponding symbol of the requested family.
+    corresponding symbol of the requested family.  `one` and `sum` name the
+    ring the engine evaluates into: here Poly.
     """
+
+    one = ONE
+    sum = staticmethod(Poly.sum)
 
     def __init__(self, labels, moment_kind=MOMENT):
         self.labels = tuple(labels)
@@ -128,8 +132,8 @@ class Engine:
         """K_pi = sum over sigma <= pi of phi_sigma mu~(sigma,pi)."""
         labels = _per_element(pi, labels)
         at = atoms or self.atoms(labels)
-        return _ideal_sum(pi.word, lambda w, t: self._phi_word(w, at)
-                          * K.mu_tilde_type(t))
+        return _ideal_sum(pi.word, lambda w, t: self._phi_word(w, at),
+                          K.mu_tilde_type)
 
     def cumulant_n(self, labels, atoms=None):
         """K_n, the cumulant of the one-block partition."""
@@ -143,14 +147,14 @@ class Engine:
         eta_w = K.kernel_word(indices)
         at = self.atoms(labels)
         return _ideal_sum(pi.word, lambda w, t: self._phi_word(
-            K.quasi_meet(w, eta_w), at) * K.mu_tilde_type(t))
+            K.quasi_meet(w, eta_w), at), K.mu_tilde_type)
 
     def cumulant_table(self, n, labels=None):
         """{word: K_pi} over all of OP_n."""
         labels = tuple(labels) if labels is not None else _default_labels(n)
         at = self.atoms(labels)
         phis = {w: self._phi_word(w, at) for w in K.osp_words(n)}
-        return {v: _ideal_sum(v, lambda w, t: phis[w] * K.mu_tilde_type(t))
+        return {v: _ideal_sum(v, lambda w, t: phis[w], K.mu_tilde_type)
                 for v in K.osp_words(n)}
 
     def multiplicative_cumulant(self, pi, labels):
@@ -168,8 +172,8 @@ class Engine:
 
         params[j-1] is the scale attached to sigma-block j.
         """
-        return _ideal_sum(sigma_word, lambda w, t: self._phi_word(w, at)
-                          * binomial_product(params, t))
+        return _ideal_sum(sigma_word, lambda w, t: self._phi_word(w, at),
+                          lambda t: binomial_product(params, t))
 
     def dilate(self, pi, labels, scale, atoms=None):
         """phi_pi(N.X_1,...,N.X_n); polynomial in a symbolic scale.
@@ -198,11 +202,11 @@ class Engine:
             raise ValueError("need one scale per block")
         at = self.atoms(labels)
 
-        def term(w, t):
+        def value(w, t):
             # the t_j sigma-blocks in pi-block j dilate by its scale
             params = [x for x, k in zip(scales, t) for _ in range(k)]
-            return self._phi_dilated(w, at, params) * K.mu_tilde_type(t)
-        return _ideal_sum(pi.word, term)
+            return self._phi_dilated(w, at, params)
+        return _ideal_sum(pi.word, value, K.mu_tilde_type)
 
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
@@ -211,7 +215,8 @@ class Engine:
         inner = _as_scale(inner)
         outer = _as_scale(outer)
         return _ideal_sum(pi.word, lambda w, t: self._phi_dilated(
-            w, at, [inner] * max(w)) * binomial_product(repeat(outer), t))
+            w, at, [inner] * max(w)),
+            lambda t: binomial_product(repeat(outer), t))
 
     # -- time evolution -----------------------------------------------------
 
@@ -283,21 +288,17 @@ class Engine:
         [n].  When the engine is exchangeable, the |pi|! block orders of a
         pair set partition share one phi_pi and cancel the 1/|pi|!, so the
         sum runs over the pair set partitions with weight 1: 105 words
-        instead of 2,520 at n = 8.
+        instead of 2,520 at n = 8.  Each phi_pi is evaluated on CLT_ATOMS,
+        straight into the integers: no symbol is formed or substituted.
         """
         if n % 2:
             return Fraction(0)
-        at = self.atoms(("X",) * n)
         if self.exchangeable:
-            words, weight = iter_pair_set_words(n), Fraction(1)
+            words, weight = iter_pair_set_words(n), 1
         else:
-            words = (pi.word for pi in enumerate_partitions(n, PAIR))
-            weight = Fraction(1, factorial(n // 2))
-        total = Fraction(0)
-        for w in words:
-            val = self._phi_word(w, at).substitute(_clt_subst)
-            total += val.constant_value()
-        return total * weight
+            words, weight = iter_pair_words(n), factorial(n // 2)
+        return Fraction(sum(self._phi_word(w, CLT_ATOMS) for w in words),
+                        weight)
 
     # -- structural checks ----------------------------------------------
 
@@ -352,18 +353,31 @@ def _as_scale(x):
     return Fraction(x)
 
 
-def _clt_subst(sym):
-    kind, payload = sym
-    if kind in (MOMENT, FREE_CUMULANT, PSI_MOMENT):
-        if len(payload) == 1:
+class _CLTAtoms:
+    """Centered atoms of unit variance, as plain integers.
+
+    Every family gives 0 on one position and 1 on two, the same for all
+    labels; a pair partition never asks for a longer atom.
+    """
+
+    one = 1
+    sum = staticmethod(sum)
+
+    @staticmethod
+    def moment(pos):
+        if len(pos) == 1:
             return 0
-        if len(payload) == 2:
+        if len(pos) == 2:
             return 1
         raise ValueError("pair partitions cannot produce longer atoms")
-    return None
+
+    psi_moment = free_cumulant = moment
 
 
-class _CopyAtoms:
+CLT_ATOMS = _CLTAtoms()
+
+
+class _CopyAtoms(Atoms):
     """Primitive expectations of tagged copies, expanded inside the engine.
 
     A joint moment of a sub-tuple is the engine's own evaluation of the
@@ -372,8 +386,8 @@ class _CopyAtoms:
     """
 
     def __init__(self, engine, labels, tags):
+        super().__init__(labels)
         self.engine = engine
-        self.labels = tuple(labels)
         self.tags = tuple(tags)
 
     def _sub(self, pos):
@@ -405,7 +419,7 @@ class TensorEngine(Engine):
     exchangeable = True
 
     def _phi_word(self, word, atoms):
-        total = ONE
+        total = atoms.one
         for positions in _positions_by_block(word).values():
             total = total * atoms.moment(tuple(positions))
         return total
@@ -417,7 +431,7 @@ class BooleanEngine(Engine):
 
     def _phi_word(self, word, atoms):
         # maximal interval partition dominated by the underlying partition
-        total = ONE
+        total = atoms.one
         for positions in _positions_by_block(word).values():
             for run in _interval_runs(positions):
                 total = total * atoms.moment(tuple(run))
@@ -428,24 +442,20 @@ class MonotoneEngine(Engine):
     name = "monotone"
 
     def _phi_word(self, word, atoms):
-        # peel maximal-value contiguous runs; each is a strict local maximum
-        items = list(enumerate(word))
-        total = ONE
-        while items:
-            top = max(v for _, v in items)
-            rest = []
-            run = []
-            for pos, v in items:
-                if v == top:
-                    run.append(pos)
-                else:
-                    if run:
-                        total = total * atoms.moment(tuple(run))
-                        run = []
-                    rest.append((pos, v))
-            if run:
-                total = total * atoms.moment(tuple(run))
-            items = rest
+        # one moment per run: the positions of a block that no smaller value
+        # separates (peeling the maximal-value runs yields the same runs).
+        # The open runs form a stack, values increasing upwards.
+        total = atoms.one
+        stack = []
+        for pos, v in enumerate(word):
+            while stack and stack[-1][0] > v:
+                total = total * atoms.moment(tuple(stack.pop()[1]))
+            if stack and stack[-1][0] == v:
+                stack[-1][1].append(pos)
+            else:
+                stack.append((v, [pos]))
+        for _, run in stack:
+            total = total * atoms.moment(tuple(run))
         return total
 
 
@@ -461,14 +471,14 @@ class FreeEngine(Engine):
         # keeps the partition noncrossing.
         n = len(word)
         blocks = []
-        out = {}
+        terms = []
 
         def scan(i, open_blocks):
             if i == n:
-                term = ONE
+                term = atoms.one
                 for blk in blocks:
                     term = term * atoms.free_cumulant(tuple(blk))
-                add_into(out, term.terms.items())
+                terms.append(term)
                 return
             for depth, blk in enumerate(open_blocks):
                 if word[blk[0]] == word[i]:
@@ -480,7 +490,7 @@ class FreeEngine(Engine):
             blocks.pop()
 
         scan(0, [])
-        return Poly(out)
+        return atoms.sum(terms)
 
 
 class CMonotoneEngine(Engine):
@@ -494,31 +504,46 @@ class CMonotoneEngine(Engine):
             else:
                 syls.append((v, [pos]))
         syls = tuple((v, tuple(ps)) for v, ps in syls)
-        return self._eval(syls, atoms)
+        return self._eval(syls, atoms, {})
 
-    def _eval(self, syls, atoms):
+    def _eval(self, syls, atoms, memo):
+        """phi of a syllable sequence; memo maps each sequence met during
+        one _phi_word call to its value, since the rule-V branches share
+        their sub-sequences."""
+        val = memo.get(syls)
+        if val is None:
+            val = memo[syls] = self._compute(syls, atoms, memo)
+        return val
+
+    def _compute(self, syls, atoms, memo):
+        # a zero factor skips the evaluation it would multiply
         if len(syls) == 1:
             return atoms.moment(syls[0][1])
         if syls[0][0] > syls[1][0]:
-            return atoms.moment(syls[0][1]) * self._eval(syls[1:], atoms)
+            head = atoms.moment(syls[0][1])
+            return head * self._eval(syls[1:], atoms, memo) if head else head
         if syls[-1][0] > syls[-2][0]:
-            return self._eval(syls[:-1], atoms) * atoms.moment(syls[-1][1])
+            tail = atoms.moment(syls[-1][1])
+            return self._eval(syls[:-1], atoms, memo) * tail if tail else tail
         for j in range(1, len(syls) - 1):
             if syls[j - 1][0] < syls[j][0] > syls[j + 1][0]:
-                left, mid, right = syls[:j], syls[j], syls[j + 1:]
-                phi_l = self._eval(left, atoms)
-                phi_r = self._eval(right, atoms)
-                direct = phi_l * (atoms.moment(mid[1])
-                                  - atoms.psi_moment(mid[1])) * phi_r
-                if left[-1][0] == right[0][0]:
-                    merged = left[:-1] + (
-                        (left[-1][0],
-                         tuple(sorted(left[-1][1] + right[0][1]))),
-                    ) + right[1:]
-                else:
-                    merged = left + right
-                return direct + atoms.psi_moment(mid[1]) * self._eval(merged,
-                                                                      atoms)
+                left, mid, right = syls[:j], syls[j][1], syls[j + 1:]
+                psi = atoms.psi_moment(mid)
+                gap = atoms.moment(mid) - psi
+                terms = []
+                if gap:
+                    terms.append(self._eval(left, atoms, memo) * gap
+                                 * self._eval(right, atoms, memo))
+                if psi:
+                    if left[-1][0] == right[0][0]:
+                        merged = left[:-1] + (
+                            (left[-1][0],
+                             tuple(sorted(left[-1][1] + right[0][1]))),
+                        ) + right[1:]
+                    else:
+                        merged = left + right
+                    terms.append(psi * self._eval(merged, atoms, memo))
+                return atoms.sum(terms)
         raise AssertionError("no local maximum in a non-monotone word")
 
 
@@ -543,16 +568,31 @@ def engine(name: str) -> Engine:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def _ideal_sum(v, term):
-    """Sum of term(sigma, type(sigma, v)) over every sigma <= v."""
-    return Poly.sum(list(map(term, *K.typed_ideal(v))))
+def _ideal_sum(v, value, weight):
+    """Sum of value(sigma, t) * weight(t) over every sigma <= v, with
+    t = type(sigma, v).
+
+    mu~, zeta~ and the dilation binomials depend on sigma only through t,
+    so the values are added into one exact sum per type, and each class
+    sum is scaled by weight(t) once: one Fraction (or Poly) product per
+    type instead of one per sigma.  A class whose weight is zero is
+    skipped without evaluating its values.
+    """
+    classes = {}
+    for w, t in zip(*K.typed_ideal(v)):
+        entry = classes.get(t)
+        if entry is None:
+            entry = classes[t] = (weight(t), {})
+        if entry[0]:
+            add_into(entry[1], value(w, t).terms.items())
+    return Poly.sum(Poly(terms) * wt for wt, terms in classes.values())
 
 
 def moments_from_cumulants(table, pi):
     """phi_pi = sum over sigma <= pi of K_sigma zeta~(sigma,pi)."""
     if any(w not in table for w in K.ideal_words(pi.word)):
         raise ValueError("cumulant table does not cover the ideal")
-    return _ideal_sum(pi.word, lambda w, t: table[w] * K.zeta_tilde_type(t))
+    return _ideal_sum(pi.word, lambda w, t: table[w], K.zeta_tilde_type)
 
 
 def monotone_mc_defect(n, labels=None):

@@ -151,11 +151,12 @@ def test_clt():
 
 
 def test_clt_cap():
+    # cap + 2, the first even n above the cap
     for system in ("free", "monotone"):
-        code, out = run("clt", "--system", system, "-n", "10")
+        code, out = run("clt", "--system", system, "-n", "12")
         assert code == cli.EXIT_CAP and out == ""
     # odd moments vanish at once, so --force is checked without a long sum
-    assert run_json("clt", "--system", "free", "-n", "9",
+    assert run_json("clt", "--system", "free", "-n", "11",
                     "--force")["value"] == "0"
     code, _ = run("clt", "--system", "free", "-n", "0")
     assert code == cli.EXIT_USAGE

@@ -519,7 +519,7 @@ def _inner_pairwise(w):
 
 def test_nesting_scan_matches_pairwise_definitions():
     words = [w for n in range(1, 8) for w in K.iter_osp_words(n)]
-    words += list(P._iter_set_partitions(8)) + list(P._iter_pair_words(8))
+    words += list(P._iter_set_partitions(8)) + list(P.iter_pair_words(8))
     for w in words:
         nc = _noncrossing_pairwise(w)
         assert P._word_noncrossing(w) == nc, w

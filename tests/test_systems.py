@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import math
@@ -50,6 +51,34 @@ def test_monotone_factorizations():
     assert S.MONOTONE.phi_pi(o("212"), XYZ) == m("X") * m("Y") * m("Z")
     assert S.MONOTONE.phi_pi(top(2), XY) == m("X", "Y")
     assert S.MONOTONE.phi_pi(o("12"), XY) == m("X") * m("Y")
+
+
+def test_monotone_runs_match_peeling():
+    # the definition: peel the runs of the largest remaining value, each a
+    # strict local maximum, one moment per run
+    def peeled(word, labels):
+        items = list(enumerate(word))
+        total = Poly.const(1)
+        while items:
+            top_value = max(v for _, v in items)
+            rest, run = [], []
+            for pos, v in items + [(None, None)]:
+                if v == top_value:
+                    run.append(pos)
+                    continue
+                if run:
+                    total = total * m(*(labels[i] for i in run))
+                    run = []
+                if pos is not None:
+                    rest.append((pos, v))
+            items = rest
+        return total
+
+    for n in range(1, 6):
+        labels = tuple(f"X{i}" for i in range(n))
+        for w in K.osp_words(n):
+            assert S.MONOTONE.phi_pi(P.OrderedSetPartition._raw(n, w),
+                                     labels) == peeled(w, labels), w
 
 
 def test_boolean_factorizations():
@@ -323,19 +352,32 @@ def test_clt_moments():
 
 
 def test_clt_moment_matches_ordered_sum():
-    # the oracle: 1/|pi|! phi_pi summed over every ordered pair partition
+    # the oracle is the Poly route: 1/|pi|! phi_pi over symbolic atoms,
+    # substituted 0 on one position and 1 on two, summed over every
+    # ordered pair partition; each numeric phi_pi must match its term
     def centered_unit(sym):
         kind, payload = sym
         assert kind in (MOMENT, FREE_CUMULANT, PSI_MOMENT)
         return {1: 0, 2: 1}[len(payload)]
 
     for eng in S.ENGINES.values():
-        for n in (2, 4, 6):
+        for n in (2, 4, 6, 8):
             total = F(0)
             for pi in P.enumerate_partitions(n, P.PAIR):
                 val = eng.phi_pi(pi, ("X",) * n).substitute(centered_unit)
+                assert eng._phi_word(pi.word, S.CLT_ATOMS) == (
+                    val.constant_value()), (eng.name, pi)
                 total += F(1, math.factorial(len(pi))) * val.constant_value()
-            assert eng.clt_moment(n) == total, (eng.name, n)
+            got = eng.clt_moment(n)
+            assert got == total and type(got) is F, (eng.name, n)
+
+
+def test_clt_atoms_refuse_longer_atoms():
+    at = S.CLT_ATOMS
+    for family in (at.moment, at.psi_moment, at.free_cumulant):
+        assert (family((3,)), family((0, 5))) == (0, 1)
+        with pytest.raises(ValueError):
+            family((0, 1, 2))
 
 
 def test_arcsine_via_mc_formula():
@@ -544,6 +586,175 @@ def test_free_phi_matches_nc_filter():
                     if all(len({w[x - 1] for x in blk}) == 1
                            for blk in blocks)])
             assert S.FREE.phi_pi(pi, labels) == expected[w], pi
+
+
+# ---------------------------------------------------------------------------
+# the c-monotone memo
+# ---------------------------------------------------------------------------
+
+def _syllables(word):
+    syls = []
+    for pos, v in enumerate(word):
+        if syls and syls[-1][0] == v:
+            syls[-1][1].append(pos)
+        else:
+            syls.append((v, [pos]))
+    return tuple((v, tuple(ps)) for v, ps in syls)
+
+
+def _cmonotone_unmemoized(syls, at, calls):
+    """The rule-V recursion without a memo; calls records every sequence."""
+    calls.append(syls)
+    if len(syls) == 1:
+        return at.moment(syls[0][1])
+    if syls[0][0] > syls[1][0]:
+        return at.moment(syls[0][1]) * _cmonotone_unmemoized(syls[1:], at,
+                                                             calls)
+    if syls[-1][0] > syls[-2][0]:
+        return (_cmonotone_unmemoized(syls[:-1], at, calls)
+                * at.moment(syls[-1][1]))
+    j = next(j for j in range(1, len(syls) - 1)
+             if syls[j - 1][0] < syls[j][0] > syls[j + 1][0])
+    left, mid, right = syls[:j], syls[j][1], syls[j + 1:]
+    direct = (_cmonotone_unmemoized(left, at, calls)
+              * (at.moment(mid) - at.psi_moment(mid))
+              * _cmonotone_unmemoized(right, at, calls))
+    if left[-1][0] == right[0][0]:
+        joined = (left[-1][0], tuple(sorted(left[-1][1] + right[0][1])))
+        merged = left[:-1] + (joined,) + right[1:]
+    else:
+        merged = left + right
+    return direct + at.psi_moment(mid) * _cmonotone_unmemoized(merged, at,
+                                                              calls)
+
+
+def test_cmonotone_memo_computes_each_sequence_once(monkeypatch):
+    computed = []
+    compute = S.CMonotoneEngine._compute
+
+    def counting(self, syls, atoms, memo):
+        computed[-1].append(syls)
+        return compute(self, syls, atoms, memo)
+
+    monkeypatch.setattr(S.CMonotoneEngine, "_compute", counting)
+    labels = ("X", "Y", "Z", "X", "W")
+    at = S.Atoms(labels)
+    memo_total = plain_total = 0
+    for w in K.osp_words(5):
+        computed.append([])
+        got = S.CMONOTONE.phi_pi(P.OrderedSetPartition._raw(5, w), labels)
+        assert len(computed[-1]) == len(set(computed[-1])), w
+        plain = []
+        assert got == _cmonotone_unmemoized(_syllables(w), at, plain), w
+        memo_total += len(computed[-1])
+        plain_total += len(plain)
+    assert memo_total < plain_total
+    computed.append([])
+    assert S.CMONOTONE.clt_moment(8) == F(35, 8)
+
+
+# ---------------------------------------------------------------------------
+# type-grouped ideal sums against the per-sigma definition
+# ---------------------------------------------------------------------------
+
+def _mu(t):
+    return F((-1) ** (sum(t) - len(t)), math.prod(t))
+
+
+def _zeta(t):
+    return F(1, math.prod(math.factorial(k) for k in t))
+
+
+def _binomials(params, t):
+    out = Poly.const(1)
+    for x, k in zip(params, t):
+        for i in range(k):
+            out = out * (x - i)
+        out = out * F(1, math.factorial(k))
+    return out
+
+
+def _per_sigma(pi, value, weight):
+    """sum of value(sigma) * weight(type(sigma, pi)) over sigma <= pi, the
+    ideal found by filtering all of OP_n."""
+    return Poly.sum([value(sigma) * weight(P.interval_type(sigma, pi))
+                     for sigma in P.enumerate_partitions(pi.n)
+                     if P.leq(sigma, pi)])
+
+
+def test_ideal_sums_match_per_sigma_definition():
+    from ospart.symbolic import time_symbol
+    N, M = Poly.sym(scalar_symbol("N")), Poly.sym(scalar_symbol("M"))
+    cases = list(P.enumerate_partitions(3)) + [
+        o(s) for s in ("1,3|2,4", "2|1,3,4", "4|1,2|3", "1,2,3,4")]
+    for pi in cases:
+        n, p = pi.n, len(pi)
+        labels = ("X", "Y", "X", "Z")[:n]
+        indices = (1, 2, 1, 1)[:n]
+        scales = (N, 2, M)[:p]
+        times = [Poly.sym(time_symbol(j)) for j in range(1, p + 1)]
+        for eng in S.ENGINES.values():
+            def phi(sigma):
+                return eng.phi_pi(sigma, labels)
+
+            def dilated(sigma, params):
+                return _per_sigma(sigma, phi,
+                                  lambda t: _binomials(params, t))
+
+            def blockwise(t):
+                return [x for x, k in zip(scales, t) for _ in range(k)]
+
+            where = (eng.name, pi)
+            assert eng.cumulant(pi, labels) == _per_sigma(pi, phi, _mu), where
+            assert eng.cumulant_indexed(pi, labels, indices) == _per_sigma(
+                pi, lambda s: eng.phi_pi_indexed(s, labels, indices),
+                _mu), where
+            assert eng.dilate(pi, labels, "N") == dilated(pi, [N] * p), where
+            # binom(1, k) = 0 for k >= 2: whole type classes drop out
+            assert eng.dilate(pi, labels, 1) == dilated(pi, [1] * p), where
+            assert eng.phi_t(pi, labels) == dilated(pi, times), where
+            assert eng.cumulant_dilated(pi, labels, scales) == Poly.sum([
+                dilated(s, blockwise(P.interval_type(s, pi)))
+                * _mu(P.interval_type(s, pi))
+                for s in P.enumerate_partitions(n) if P.leq(s, pi)]), where
+            assert eng.dilate_iterated(pi, labels, "N", "M") == Poly.sum([
+                dilated(s, [N] * len(s))
+                * _binomials([M] * p, P.interval_type(s, pi))
+                for s in P.enumerate_partitions(n) if P.leq(s, pi)]), where
+            table = eng.cumulant_table(n, labels)
+            assert S.moments_from_cumulants(table, pi) == _per_sigma(
+                pi, lambda s: table[s.word], _zeta), where
+
+
+# ---------------------------------------------------------------------------
+# exact coefficients: int when integral, Fraction otherwise
+# ---------------------------------------------------------------------------
+
+def test_coefficients_are_int_when_integral():
+    from ospart import freelie as FL
+    assert type(Poly.const(F(6, 3)).terms[()]) is int
+    assert Poly.const(F(6, 3)).terms[()] == 2
+    assert type(Poly.const(F(1, 2)).terms[()]) is F
+    assert set(map(type, (m("X") * F(4, 2)).terms.values())) == {int}
+    assert set(map(type, m("X").terms.values())) == {int}
+    for const in (Poly.const(3), Poly.const(F(3)), Poly()):
+        assert type(const.constant_value()) is F
+    mono = next(iter(m("X", "Y").terms))
+    for key in (mono, ()):
+        as_int, as_frac = Poly({key: 3}), Poly({key: F(3)})
+        assert as_int == as_frac
+        assert hash(as_int) == hash(as_frac)
+        assert str(as_int) == str(as_frac)
+        assert as_int.render_map() == as_frac.render_map()
+    assert hash(Poly.const(3)) == hash(3) == hash(F(3))
+    # the series, word by word, as computed over Fractions throughout
+    series = FL.cbh_goldberg("ab", 6)
+    terms = sorted(("".join(w), str(c)) for w, c in series.poly.terms.items())
+    assert len(terms) == 72
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == (
+        "3be8165ca4b2f358409f5140b0d798f338be606f10c0bd04d7010ce9d63dd1b6")
+    assert series.poly == FL.cbh_direct("ab", 6).poly
+    assert type(series.coefficient("ab")) is F
 
 
 def test_engine_lookup():

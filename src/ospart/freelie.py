@@ -517,7 +517,7 @@ def dynkin(p: NCPoly) -> NCPoly:
     """
     if () in p.terms:
         raise ValueError("the Dynkin map is not defined on the unit")
-    return NCPoly.sum([_dynkin_word(w).scale(c / len(w))
+    return NCPoly.sum([_dynkin_word(w).scale(Fraction(c, len(w)))
                        for w, c in p.terms.items()])
 
 

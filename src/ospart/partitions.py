@@ -371,11 +371,13 @@ def _word_pair(w):
     return all(c == 2 for c in counts.values())
 
 
-def _pair_and(test):
-    return lambda w: _word_pair(w) and test(w)
+_SET_CLASSES = (SP, NC, IP)
+_PAIR_CLASSES = (PAIR, PAIR_NC, PAIR_IP, PAIR_MONOTONE)
 
-
-# membership test on words per class; None admits every word
+# membership test per class on the words of its source in _class_words;
+# None admits every word.  The pair words are pair partitions already, so
+# a PAIR* class tests only the rest of its condition, and is_class adds
+# the pair test for other words.
 _CLASS_TESTS = {
     ALL: None,
     SP: None,
@@ -384,10 +386,10 @@ _CLASS_TESTS = {
     ONC: _word_noncrossing,
     OI: _word_interval,
     MONOTONE: _word_monotone,
-    PAIR: _word_pair,
-    PAIR_NC: _pair_and(_word_noncrossing),
-    PAIR_IP: _pair_and(_word_interval),
-    PAIR_MONOTONE: _pair_and(_word_monotone),
+    PAIR: None,
+    PAIR_NC: _word_noncrossing,
+    PAIR_IP: _word_interval,
+    PAIR_MONOTONE: _word_monotone,
 }
 
 
@@ -401,6 +403,8 @@ def _class_test(cls):
 def is_class(pi, cls) -> bool:
     """Class membership of a set or ordered set partition."""
     test = _class_test(cls)
+    if cls in _PAIR_CLASSES and not _word_pair(pi.word):
+        return False
     return test is None or test(pi.word)
 
 
@@ -449,17 +453,16 @@ def iter_pair_set_words(n):
 
 
 def iter_pair_words(n):
-    """Pair ordered set partitions: perfect matchings times block orders."""
+    """Pair ordered set partitions: perfect matchings times block orders.
+
+    The word source of the PAIR classes; every word it yields is a pair
+    partition, so no pair test is applied to it."""
     for u in iter_pair_set_words(n):
         for order in permutations(range(n // 2)):
             rank = [0] * len(order)
             for newidx, blkidx in enumerate(order, 1):
                 rank[blkidx] = newidx
             yield tuple(rank[b - 1] for b in u)
-
-
-_SET_CLASSES = (SP, NC, IP)
-_PAIR_CLASSES = (PAIR, PAIR_NC, PAIR_IP, PAIR_MONOTONE)
 
 
 def _class_words(n, cls):

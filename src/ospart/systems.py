@@ -48,7 +48,10 @@ class Atoms:
     Engines only ever ask for the value attached to an ascending tuple of
     0-based positions of the current word; the default provider emits the
     corresponding symbol of the requested family.  `one` and `sum` name the
-    ring the engine evaluates into: here Poly.
+    ring the engine evaluates into, here Poly: every engine method that
+    takes an atoms object starts its products from `one` and adds through
+    `sum`, so atoms of another ring (CLT_ATOMS: the integers) give values
+    in that ring.
     """
 
     one = ONE
@@ -133,7 +136,7 @@ class Engine:
         labels = _per_element(pi, labels)
         at = atoms or self.atoms(labels)
         return _ideal_sum(pi.word, lambda w, t: self._phi_word(w, at),
-                          K.mu_tilde_type)
+                          K.mu_tilde_type, at.sum)
 
     def cumulant_n(self, labels, atoms=None):
         """K_n, the cumulant of the one-block partition."""
@@ -147,14 +150,15 @@ class Engine:
         eta_w = K.kernel_word(indices)
         at = self.atoms(labels)
         return _ideal_sum(pi.word, lambda w, t: self._phi_word(
-            K.quasi_meet(w, eta_w), at), K.mu_tilde_type)
+            K.quasi_meet(w, eta_w), at), K.mu_tilde_type, at.sum)
 
     def cumulant_table(self, n, labels=None):
         """{word: K_pi} over all of OP_n."""
         labels = tuple(labels) if labels is not None else _default_labels(n)
         at = self.atoms(labels)
         phis = {w: self._phi_word(w, at) for w in K.osp_words(n)}
-        return {v: _ideal_sum(v, lambda w, t: phis[w], K.mu_tilde_type)
+        return {v: _ideal_sum(v, lambda w, t: phis[w], K.mu_tilde_type,
+                              at.sum)
                 for v in K.osp_words(n)}
 
     def multiplicative_cumulant(self, pi, labels):
@@ -173,7 +177,7 @@ class Engine:
         params[j-1] is the scale attached to sigma-block j.
         """
         return _ideal_sum(sigma_word, lambda w, t: self._phi_word(w, at),
-                          lambda t: binomial_product(params, t))
+                          lambda t: binomial_product(params, t), at.sum)
 
     def dilate(self, pi, labels, scale, atoms=None):
         """phi_pi(N.X_1,...,N.X_n); polynomial in a symbolic scale.
@@ -206,7 +210,7 @@ class Engine:
             # the t_j sigma-blocks in pi-block j dilate by its scale
             params = [x for x, k in zip(scales, t) for _ in range(k)]
             return self._phi_dilated(w, at, params)
-        return _ideal_sum(pi.word, value, K.mu_tilde_type)
+        return _ideal_sum(pi.word, value, K.mu_tilde_type, at.sum)
 
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
@@ -216,7 +220,7 @@ class Engine:
         outer = _as_scale(outer)
         return _ideal_sum(pi.word, lambda w, t: self._phi_dilated(
             w, at, [inner] * max(w)),
-            lambda t: binomial_product(repeat(outer), t))
+            lambda t: binomial_product(repeat(outer), t), at.sum)
 
     # -- time evolution -----------------------------------------------------
 
@@ -516,7 +520,9 @@ class CMonotoneEngine(Engine):
         return val
 
     def _compute(self, syls, atoms, memo):
-        # a zero factor skips the evaluation it would multiply
+        # a zero factor skips the evaluation it would multiply; on CLT_ATOMS
+        # every singleton moment and every moment - psi gap is 0, and the
+        # skips cut c-monotone clt_moment(10) about fourfold
         if len(syls) == 1:
             return atoms.moment(syls[0][1])
         if syls[0][0] > syls[1][0]:
@@ -568,24 +574,26 @@ def engine(name: str) -> Engine:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def _ideal_sum(v, value, weight):
+def _ideal_sum(v, value, weight, total=Poly.sum):
     """Sum of value(sigma, t) * weight(t) over every sigma <= v, with
-    t = type(sigma, v).
+    t = type(sigma, v), in the ring whose sum is total (an atoms object's
+    `sum`; Poly.sum by default).
 
     mu~, zeta~ and the dilation binomials depend on sigma only through t,
-    so the values are added into one exact sum per type, and each class
-    sum is scaled by weight(t) once: one Fraction (or Poly) product per
-    type instead of one per sigma.  A class whose weight is zero is
-    skipped without evaluating its values.
+    so the values of one type are summed first and each class sum is
+    scaled by weight(t) once: one Fraction (or Poly) product per type
+    instead of one per sigma.  A class whose weight is zero is skipped
+    without evaluating its values.
     """
     classes = {}
     for w, t in zip(*K.typed_ideal(v)):
         entry = classes.get(t)
         if entry is None:
-            entry = classes[t] = (weight(t), {})
+            entry = classes[t] = (weight(t), [])
         if entry[0]:
-            add_into(entry[1], value(w, t).terms.items())
-    return Poly.sum(Poly(terms) * wt for wt, terms in classes.values())
+            entry[1].append(value(w, t))
+    return total([total(values) * wt for wt, values in classes.values()
+                  if wt])
 
 
 def moments_from_cumulants(table, pi):

@@ -405,6 +405,22 @@ def test_dynkin_fixes_projector_image():
             assert FL.dynkin(pw) == pw, w
 
 
+def test_dynkin_divides_int_coefficients_exactly():
+    # words and their brackets carry int coefficients; dividing by the
+    # degree must stay in the rationals
+    assert FL.dynkin(FL.NCPoly.word("abc")).terms[tuple("abc")] == F(1, 3)
+    a, b, c, d = (FL.NCPoly.word(x) for x in "abcd")
+
+    def br(x, y):
+        return x * y - y * x
+
+    for lie in (br(a, br(b, c)), br(br(a, b), c), br(a, br(b, br(c, d))),
+                br(br(a, b), br(c, d)), br(br(br(a, b), c), d)):
+        got = FL.dynkin(lie)
+        assert got == lie, lie
+        assert {type(x) for x in got.terms.values()} <= {int, F}, lie
+
+
 # ---------------------------------------------------------------------------
 # generic cumulant over matrices
 # ---------------------------------------------------------------------------

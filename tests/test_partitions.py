@@ -437,6 +437,22 @@ def test_enumerated_members_pass_is_class():
     assert not P.is_class(P.SetPartition(4, [[1, 3], [2, 4]]), P.NC)
 
 
+def test_is_class_admits_exactly_the_enumerated_members():
+    # the pair classes enumerate pair words without a pair test, so
+    # is_class must still refuse every other word
+    for n in range(1, 6):
+        for cls in P.CLASSES:
+            members = {pi.word for pi in P.enumerate_partitions(n, cls)}
+            if cls in P._SET_CLASSES:
+                words = P._iter_set_partitions(n)
+            else:
+                words = K.iter_osp_words(n)
+            assert {w for w in words if P.is_class(
+                P.OrderedSetPartition._raw(n, w), cls)} == members, (cls, n)
+    assert not P.is_class(o("1,2,3|4"), P.PAIR)
+    assert not P.is_class(o("1|2,3|4"), P.PAIR_NC)
+
+
 def test_outintmax_intmax_examples():
     assert P.outintmax({1, 2, 4}, 5) == ((1, 2), (4,))
     assert P.intmax({1, 5}, 5) == ((1, 5),)

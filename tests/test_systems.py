@@ -351,25 +351,56 @@ def test_clt_moments():
     assert S.CMONOTONE.clt_moment(4) == F(3, 2)
 
 
+def _centered_unit(sym):
+    """The CLT atoms as a substitution: 0 on one position, 1 on two;
+    scalar and time symbols stay."""
+    kind, payload = sym
+    if kind not in (MOMENT, FREE_CUMULANT, PSI_MOMENT):
+        return None
+    return {1: 0, 2: 1}[len(payload)]
+
+
 def test_clt_moment_matches_ordered_sum():
     # the oracle is the Poly route: 1/|pi|! phi_pi over symbolic atoms,
     # substituted 0 on one position and 1 on two, summed over every
     # ordered pair partition; each numeric phi_pi must match its term
-    def centered_unit(sym):
-        kind, payload = sym
-        assert kind in (MOMENT, FREE_CUMULANT, PSI_MOMENT)
-        return {1: 0, 2: 1}[len(payload)]
-
     for eng in S.ENGINES.values():
         for n in (2, 4, 6, 8):
             total = F(0)
             for pi in P.enumerate_partitions(n, P.PAIR):
-                val = eng.phi_pi(pi, ("X",) * n).substitute(centered_unit)
+                val = eng.phi_pi(pi, ("X",) * n).substitute(_centered_unit)
                 assert eng._phi_word(pi.word, S.CLT_ATOMS) == (
                     val.constant_value()), (eng.name, pi)
                 total += F(1, math.factorial(len(pi))) * val.constant_value()
             got = eng.clt_moment(n)
             assert got == total and type(got) is F, (eng.name, n)
+
+
+def test_ideal_sums_stay_in_the_ring_of_the_atoms():
+    # CLT_ATOMS evaluate into the integers; an ideal sum over a pair
+    # partition adds and scales there and equals the Poly route with the
+    # atoms substituted afterwards
+    at = S.CLT_ATOMS
+    cases = [(n, w) for n in (2, 4) for w in P.iter_pair_words(n)]
+    cases += [(6, w) for w in itertools.islice(P.iter_pair_words(6), 0,
+                                               90, 7)]
+    for n, w in cases:
+        pi = P.OrderedSetPartition._raw(n, w)
+        labels = ("X",) * n
+        blockwise = [2, "N", 3][:len(pi)]
+        for eng in S.ENGINES.values():
+            # numeric scales give numbers, symbolic ones a Poly in them
+            for method, args, number in (
+                    (eng.cumulant, (), True), (eng.phi_pi, (), True),
+                    (eng.dilate, (3,), True), (eng.dilate, ("N",), False),
+                    (eng.dilate_blockwise, (blockwise,), None),
+                    (eng.phi_t, (), False)):
+                got = method(pi, labels, *args, atoms=at)
+                want = method(pi, labels, *args).substitute(_centered_unit)
+                where = (eng.name, w, method.__name__, args)
+                assert got == want, where
+                if number is not None:
+                    assert isinstance(got, (int, F)) == number, where
 
 
 def test_clt_atoms_refuse_longer_atoms():

@@ -4,12 +4,12 @@ The implementation lives in ``_pure``; this package only re-exports it, so
 that ``_pure`` keeps its own bindings for the loops inside the kernel layer.
 """
 
-from ._pure import (beta_semigroup_identity, block_map, compositions, fubini,
+from ._pure import (beta_semigroup_identity, compositions, fubini,
                     goldberg_oracle_table, ideal_words, interval_type_words,
                     interval_words, iter_osp_words, kernel_word, leq_words,
                     mu_tilde_type, mu_tilde_words, mu_zeta_identity,
-                    osp_words, quasi_meet, relative_word, rgs_word, segments,
-                    typed_ideal, weisner_oracle_table, zeta_tilde_type,
-                    zeta_tilde_words)
+                    order_type, osp_words, quasi_meet, relative_word,
+                    rgs_word, segments, typed_ideal, weisner_oracle_table,
+                    zeta_tilde_type, zeta_tilde_words)
 
 BACKEND = "pure"

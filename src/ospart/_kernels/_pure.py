@@ -9,8 +9,8 @@ coefficient tables) work on these plain tuples.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial
+from itertools import accumulate, product
+from math import comb, factorial, lcm, prod
 
 
 def fubini(n: int) -> int:
@@ -27,8 +27,7 @@ def fubini(n: int) -> int:
 def osp_words(n: int) -> tuple:
     """All ordered-set-partition words of [n], by block count then lex.
 
-    Materialized and cached; guarded because Fubini growth makes large n
-    a memory footgun (use iter_osp_words for streaming).
+    Materialized and cached, so capped at n = 7 (stream with iter_osp_words).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -37,30 +36,50 @@ def osp_words(n: int) -> tuple:
     return tuple(iter_osp_words(n))
 
 
+@lru_cache(maxsize=None)
+def _tails(p: int, size: int, gaps: tuple) -> tuple:
+    """Every word of the given size over 1..p that uses each block in gaps,
+    in lex order."""
+    need = set(gaps)
+    return tuple(s for s in product(range(1, p + 1), repeat=size)
+                 if need.issubset(s))
+
+
 def iter_osp_words(n: int):
-    """Yield every OP word of [n] exactly once (p ascending, then lex)."""
+    """Yield every OP word of [n] exactly once (p ascending, then lex).
+
+    For each p a successor rule walks the heads (all but the last three
+    letters) in lex order: it raises the rightmost letter that can rise and
+    still leave room for every block the head misses, then refills the
+    letters after it lex-first.  Each head is followed by its tails.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = [0] * n
-    seen = [False] * (n + 2)
-
-    def rec(k, missing, p):
-        if n - k < missing:
-            return
-        if k == n:
-            yield tuple(w)
-            return
-        for v in range(1, p + 1):
-            w[k] = v
-            if seen[v]:
-                yield from rec(k + 1, missing, p)
-            else:
-                seen[v] = True
-                yield from rec(k + 1, missing - 1, p)
-                seen[v] = False
-
+    size = min(n, 3)
+    m = n - size
     for p in range(1, n + 1):
-        yield from rec(0, p, p)
+        w = ([1] * (n - p + 1) + list(range(2, p + 1)))[:m]
+        cnt = [w.count(b) for b in range(p + 1)]
+        while True:
+            gaps = tuple(b for b in range(1, p + 1) if not cnt[b])
+            yield from map(tuple(w).__add__, _tails(p, size, gaps))
+            missing = len(gaps)
+            for i in range(m - 1, -1, -1):
+                cnt[w[i]] -= 1
+                missing += not cnt[w[i]]
+                room = n - 1 - i
+                y = next((b for b in range(w[i] + 1, p + 1)
+                          if missing - (not cnt[b]) <= room), 0)
+                if y:
+                    break
+            else:
+                break
+            w[i] = y
+            cnt[y] += 1
+            rest = [b for b in range(2, p + 1) if not cnt[b]]
+            w[i + 1:] = ([1] * (room - len(rest)) + rest)[:m - 1 - i]
+            for b in w[i + 1:]:
+                cnt[b] += 1
 
 
 def kernel_word(seq) -> tuple:
@@ -96,87 +115,77 @@ def quasi_meet(u, v) -> tuple:
     return tuple(rank[pr] for pr in zip(u, v))
 
 
-def _hosts(u, v):
-    """Padded list: entry a is the v-block holding u-block a (entry 0 is
-    padding), or None when the lengths differ or a u-block meets two
-    v-blocks."""
-    if len(u) != len(v):
-        return None
-    vb = [0] * (max(u) + 1)
-    for a, b in zip(u, v):
-        if vb[a] == 0:
-            vb[a] = b
-        elif vb[a] != b:
-            return None
-    return vb
-
-
 def relative_word(u, v):
     """The v-block holding each u-block, in u's block order.
 
     None when the lengths differ or some u-block meets two v-blocks, i.e.
     when the underlying partition of u does not refine that of v.
     """
-    vb = _hosts(u, v)
-    return None if vb is None else tuple(vb[1:])
-
-
-def block_map(u, v):
-    """For sigma=u <= pi=v, the map sigma-block index -> pi-block index.
-
-    Returns None when the words are incomparable (a sigma-block straddles
-    two pi-blocks, or the induced map is not weakly increasing).
-    Entry 0 is padding; entries 1..max(u) are meaningful.
-    """
-    vb = _hosts(u, v)
-    if vb is None:
+    if len(u) != len(v):
         return None
-    for i in range(1, len(vb) - 1):
-        if vb[i] > vb[i + 1]:
+    hosts = [0] * max(u)
+    for a, b in zip(u, v):
+        h = hosts[a - 1]
+        if h != b:
+            if h:
+                return None
+            hosts[a - 1] = b
+    return tuple(hosts)
+
+
+def order_type(u, v):
+    """type(u, v) = (k_1,...,k_q), the number of u-blocks in each v-block,
+    or None unless u <= v.
+
+    u <= v when every v-block is the union of a run of consecutive u-blocks:
+    the relative word climbs 1, 2, ..., q in steps of 0 or 1.
+    """
+    rw = relative_word(u, v)
+    if rw is None:
+        return None
+    t = []
+    for b in rw:
+        if b == len(t) + 1:
+            t.append(1)
+        elif b == len(t) > 0:
+            t[-1] += 1
+        else:
             return None
-    return vb
+    return tuple(t)
 
 
 def leq_words(u, v) -> bool:
-    """Order test sigma <= pi on words: every pi-block is a union of a
-    contiguous run of sigma-blocks."""
-    return block_map(u, v) is not None
+    """Order test sigma <= pi on words."""
+    return order_type(u, v) is not None
 
 
 def interval_type_words(u, v) -> tuple:
     """Composition (k_1,...,k_p): number of sigma-blocks in each pi-block."""
-    vb = block_map(u, v)
-    if vb is None:
+    t = order_type(u, v)
+    if t is None:
         raise ValueError("incomparable words")
-    counts = [0] * (max(v) + 1)
-    for i in range(1, max(u) + 1):
-        counts[vb[i]] += 1
-    if 0 in counts[1:]:
-        raise ValueError("incomparable words")
-    return tuple(counts[1:])
+    return t
 
 
 def segments(seq, lengths) -> list:
     """Cut a sequence into consecutive pieces of the given lengths."""
-    out = []
-    pos = 0
-    for ln in lengths:
-        out.append(seq[pos:pos + ln])
-        pos += ln
-    if pos != len(seq):
+    if sum(lengths) != len(seq):
         raise ValueError("lengths do not add up to the sequence length")
-    return out
+    return [seq[end - ln:end] for ln, end in zip(lengths, accumulate(lengths))]
 
 
 @lru_cache(maxsize=None)
 def compositions(k: int) -> tuple:
     if k == 0:
         return ((),)
-    out = []
-    for first in range(1, k + 1):
-        for rest in compositions(k - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(1, k + 1)
+                 for rest in compositions(k - first))
+
+
+@lru_cache(maxsize=None)
+def _lifted(k: int, off: int) -> tuple:
+    """(w + off, max(w)) for every OP word w of [k]."""
+    return tuple((tuple(x + off for x in w), max(w)) for w in osp_words(k))
 
 
 @lru_cache(maxsize=None)
@@ -184,26 +193,19 @@ def typed_ideal(v) -> tuple:
     """(words, types): every sigma <= v and type(sigma, v), as two parallel
     tuples.
 
-    Each sigma concatenates one OP word per v-block, and the block counts
-    of those words are its type.  Equal types are one shared tuple.
+    Each sigma concatenates one OP word per v-block, lifted past the blocks
+    of the words before it, and the block counts of those words are its
+    type.  Equal types are one shared tuple.
     """
-    n = len(v)
-    positions = [[k for k, b in enumerate(v) if b == j]
-                 for j in range(1, max(v) + 1)]
-    words = []
-    types = []
+    order = sorted(range(len(v)), key=v.__getitem__)
+    place = sorted(range(len(v)), key=order.__getitem__)
+    rows = [((), (), 0)]
+    for j in range(1, max(v) + 1):
+        rows = [(c + w, t + (p,), off + p) for c, t, off in rows
+                for w, p in _lifted(v.count(j), off)]
     shared = {}
-    for combo in product(*(osp_words(len(ps)) for ps in positions)):
-        w = [0] * n
-        off = 0
-        for ps, lw in zip(positions, combo):
-            for pos, x in zip(ps, lw):
-                w[pos] = off + x
-            off += max(lw)
-        words.append(tuple(w))
-        t = tuple(map(max, combo))
-        types.append(shared.setdefault(t, t))
-    return tuple(words), tuple(types)
+    return (tuple(tuple(map(c.__getitem__, place)) for c, _, _ in rows),
+            tuple(shared.setdefault(t, t) for _, t, _ in rows))
 
 
 def ideal_words(v) -> tuple:
@@ -211,51 +213,42 @@ def ideal_words(v) -> tuple:
     return typed_ideal(v)[0]
 
 
-def _typed_interval(u, v):
-    """Yield (rho, type(u, rho), type(rho, v)) for every u <= rho <= v.
+def _interval_types(t):
+    """Yield (type(u, rho), type(rho, v)) for every u <= rho <= v, from
+    t = type(u, v) alone.
 
-    The u-blocks inside each v-block form a run of consecutive indices, and
-    each rho cuts every run by a composition: the compositions, concatenated,
-    are type(u, rho), and their part counts are type(rho, v).  Order: the
-    product of the per-run composition lists, each in `compositions` order.
+    The u-blocks inside the j-th v-block form a run of t[j] consecutive
+    indices, and each rho cuts every run by a composition: the compositions,
+    concatenated, are type(u, rho), and their part counts are type(rho, v).
+    Order: the product of the per-run composition lists, each in
+    `compositions` order.
     """
-    vb = block_map(u, v)
-    if vb is None:
-        raise ValueError("incomparable words")
-    runs = [0] * (max(v) + 1)
-    for b in vb[1:]:
-        runs[b] += 1
-    for combo in product(*(compositions(k) for k in runs[1:])):
-        t1 = sum(combo, ())
-        lab = [0]
-        for label, part in enumerate(t1, 1):
-            lab += [label] * part
-        yield tuple(map(lab.__getitem__, u)), t1, tuple(map(len, combo))
+    for combo in product(*map(compositions, t)):
+        yield sum(combo, ()), tuple(map(len, combo))
 
 
 def interval_words(u, v) -> list:
-    """All rho with u <= rho <= v (composition choices per pi-block run)."""
-    return [r for r, _, _ in _typed_interval(u, v)]
-
-
-def _prod(xs):
-    r = 1
-    for x in xs:
-        r *= x
-    return r
+    """All rho with u <= rho <= v, in the order of `_interval_types`:
+    rho labels the u-blocks by the parts of type(u, rho)."""
+    out = []
+    for t1, _ in _interval_types(interval_type_words(u, v)):
+        lab = [0] + [label for label, part in enumerate(t1, 1)
+                     for _ in range(part)]
+        out.append(tuple(map(lab.__getitem__, u)))
+    return out
 
 
 @lru_cache(maxsize=None)
 def mu_tilde_type(t) -> Fraction:
     """Factorial Moebius function on an interval of type t:
     (-1)^(sum(t) - len(t)) / prod(t)."""
-    return Fraction((-1) ** (sum(t) - len(t)), _prod(t))
+    return Fraction((-1) ** (sum(t) - len(t)), prod(t))
 
 
 @lru_cache(maxsize=None)
 def zeta_tilde_type(t) -> Fraction:
     """Factorial zeta function on an interval of type t: 1 / prod(t_j!)."""
-    return Fraction(1, _prod(factorial(k) for k in t))
+    return Fraction(1, prod(factorial(k) for k in t))
 
 
 def mu_tilde_words(u, v) -> Fraction:
@@ -280,7 +273,7 @@ def _mu_zeta_scaled(t1, t2) -> tuple:
 @lru_cache(maxsize=None)
 def _beta_type(x: int, t) -> int:
     """beta_x on an interval of type t: the product of binom(x, k)."""
-    return _prod(comb(x, k) for k in t)
+    return prod(comb(x, k) for k in t)
 
 
 def mu_zeta_identity(n: int) -> bool:
@@ -289,10 +282,9 @@ def mu_zeta_identity(n: int) -> bool:
     Both sums are taken times (max(u)!)**2, in exact integers.
     """
     for v in osp_words(n):
-        for u in ideal_words(v):
-            s_mz = 0
-            s_zm = 0
-            for _, t1, t2 in _typed_interval(u, v):
+        for u, tv in zip(*typed_ideal(v)):
+            s_mz = s_zm = 0
+            for t1, t2 in _interval_types(tv):
                 mz, zm = _mu_zeta_scaled(t1, t2)
                 s_mz += mz
                 s_zm += zm
@@ -307,46 +299,53 @@ def beta_semigroup_identity(n: int, s: int, t: int) -> bool:
     for v in osp_words(n):
         for u, tv in zip(*typed_ideal(v)):
             total = sum(_beta_type(s, t1) * _beta_type(t, t2)
-                        for _, t1, t2 in _typed_interval(u, v))
+                        for t1, t2 in _interval_types(tv))
             if total != _beta_type(s * t, tv):
                 return False
     return True
 
 
-def weisner_oracle_table(n: int) -> dict:
-    """Brute-force w(tau,eta) for all pairs: table[eta][tau], zeros omitted.
-
-    For each eta a single sweep over OP_n buckets mu~(sigma,1^) by the
-    quasi-meet sigma curlywedge eta.
-    """
+def _weisner_scaled(n: int) -> tuple:
+    """(L, table): L = lcm(1..n) and the integers L * w(tau, eta) as
+    table[eta][tau], zeros omitted.  For each eta one sweep over OP_n buckets
+    L mu~(sigma, 1^) = (-1)^(p-1) L/p by sigma's quasi-meet with eta."""
     words = osp_words(n)
-    mu_top = {}
-    for w in words:
-        p = max(w)
-        mu_top[w] = Fraction((-1) ** (p - 1), p)
+    scale = lcm(*range(1, n + 1))
+    mu_top = [(-1) ** (max(w) - 1) * (scale // max(w)) for w in words]
     table = {}
     for eta in words:
         acc = {}
-        for sig in words:
+        for sig, m in zip(words, mu_top):
             tau = quasi_meet(sig, eta)
-            acc[tau] = acc.get(tau, 0) + mu_top[sig]
+            acc[tau] = acc.get(tau, 0) + m
         table[eta] = {k: val for k, val in acc.items() if val}
-    return table
+    return scale, table
+
+
+def weisner_oracle_table(n: int) -> dict:
+    """Brute-force w(tau,eta) for all pairs: table[eta][tau], zeros omitted."""
+    scale, table = _weisner_scaled(n)
+    return {eta: {tau: Fraction(x, scale) for tau, x in row.items()}
+            for eta, row in table.items()}
 
 
 def goldberg_oracle_table(n: int) -> dict:
-    """Brute-force g(tau,eta) = sum_{sigma>=tau} zeta~(tau,sigma) w(sigma,eta)."""
+    """Brute-force g(tau,eta) = sum_{sigma>=tau} zeta~(tau,sigma) w(sigma,eta),
+    summed as integers n! zeta~ times L w and divided once per entry."""
     words = osp_words(n)
-    wtab = weisner_oracle_table(n)
+    scale, wtab = _weisner_scaled(n)
+    nf = factorial(n)
     zpairs = {}
     for sig in words:
         taus, types = typed_ideal(sig)
-        zpairs[sig] = tuple(zip(taus, map(zeta_tilde_type, types)))
+        zpairs[sig] = tuple(zip(taus, [nf // zeta_tilde_type(t).denominator
+                                       for t in types]))
     table = {}
     for eta in words:
         acc = {}
         for sig, wval in wtab[eta].items():
             for tau, z in zpairs[sig]:
                 acc[tau] = acc.get(tau, 0) + z * wval
-        table[eta] = {k: val for k, val in acc.items() if val}
+        table[eta] = {k: Fraction(val, scale * nf)
+                      for k, val in acc.items() if val}
     return table

@@ -202,9 +202,8 @@ def _over_blocks(fn, tau, eta, pi) -> Fraction:
     rw = K.relative_word(tau.word, eta.word)
     if rw is None:
         return Fraction(0)
-    try:
-        t = K.interval_type_words(tau.word, pi.word)
-    except ValueError:  # tau is not below pi
+    t = K.order_type(tau.word, pi.word)
+    if t is None:  # tau is not below pi
         return Fraction(0)
     total = Fraction(1)
     for piece in K.segments(rw, t):

@@ -261,7 +261,7 @@ def leq(sigma, pi) -> bool:
         return sigma.refines(pi)
     if sigma.n != pi.n:
         raise ValueError("mismatched ground sets")
-    return K.leq_words(sigma.word, pi.word)
+    return K.order_type(sigma.word, pi.word) is not None
 
 
 def quasi_meet(pi, sigma):
@@ -278,18 +278,15 @@ def interval_type(sigma, pi):
     """Composition (k_1,...,k_p) counting sigma-blocks per pi-block."""
     if sigma.n != pi.n:
         raise ValueError("mismatched ground sets")
-    try:
-        return K.interval_type_words(sigma.word, pi.word)
-    except ValueError as exc:
-        raise ValueError("sigma is not below pi") from exc
+    t = K.order_type(sigma.word, pi.word)
+    if t is None:
+        raise ValueError("sigma is not below pi")
+    return t
 
 
 def interval_elements(sigma, pi):
     """Stream the interval [sigma, pi]; cardinality prod 2^(k_j - 1)."""
-    if sigma.n != pi.n:
-        raise ValueError("mismatched ground sets")
-    if not K.leq_words(sigma.word, pi.word):
-        raise ValueError("sigma is not below pi")
+    interval_type(sigma, pi)  # ValueError unless sigma <= pi
     for w in K.interval_words(sigma.word, pi.word):
         yield OrderedSetPartition._raw(sigma.n, w)
 

@@ -173,6 +173,24 @@ def test_weisner_matches_oracle_n3():
                 assert C.goldberg_oracle(tau, eta) == C.goldberg(tau, eta)
 
 
+def test_oracle_tables_match_per_pair_oracles():
+    # the tables sum scaled integers and divide once per entry; each entry
+    # must equal the definition-level sum for its pair, as a Fraction
+    for n in (1, 2, 3, 4):
+        elems = {pi.word: pi for pi in P.enumerate_partitions(n)}
+        wt = C.weisner_oracle_table(n)
+        gt = C.goldberg_oracle_table(n)
+        assert set(wt) == set(gt) == set(elems)
+        for table, oracle in ((wt, C.weisner_oracle), (gt, C.goldberg_oracle)):
+            for eta, row in table.items():
+                for tau, val in row.items():
+                    assert type(val) is F and val != 0
+                    assert val == oracle(elems[tau], elems[eta]), (tau, eta)
+                if n <= 3:  # and every omitted pair is a zero
+                    for tau in elems.keys() - row.keys():
+                        assert oracle(elems[tau], elems[eta]) == 0
+
+
 def test_oracle_bound_refusal():
     big_tau = P.OrderedSetPartition.singletons(7)
     big_eta = P.OrderedSetPartition.one_block(7)

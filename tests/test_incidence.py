@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -259,37 +259,39 @@ def test_adaptedness_on_random_pairs():
 # ---------------------------------------------------------------------------
 
 def _comparable_pairs(n_max):
+    """(n, u, v, type(u, v)) for every u <= v, from the typed ideal."""
     for n in range(1, n_max + 1):
         for v in K.osp_words(n):
-            for u in K.ideal_words(v):
-                yield n, u, v
+            for u, t in zip(*K.typed_ideal(v)):
+                yield n, u, v, t
 
 
 def test_typed_interval_matches_definitions():
-    for n, u, v in _comparable_pairs(5):
-        rows = list(_pure._typed_interval(u, v))
-        rhos = [r for r, _, _ in rows]
-        assert rhos == K.interval_words(u, v)
+    # the walk yields type(u, rho) and type(rho, v) from type(u, v) alone,
+    # row for row in the order of interval_words
+    for n, u, v, t in _comparable_pairs(5):
+        rows = list(_pure._interval_types(t))
+        rhos = K.interval_words(u, v)
+        assert len(rows) == len(rhos) == prod(2 ** (k - 1) for k in t)
         assert len(set(rhos)) == len(rhos)
         assert set(rhos) == {r for r in K.osp_words(n)
                              if K.leq_words(u, r) and K.leq_words(r, v)}
-        for r, t1, t2 in rows:
+        for r, (t1, t2) in zip(rhos, rows):
             assert t1 == K.interval_type_words(u, r)
             assert t2 == K.interval_type_words(r, v)
 
 
-def _drop_one(gen):
-    def patched(u, v):
-        rows = list(gen(u, v))
-        return iter(rows[:-1])
+def _drop_one(walk):
+    def patched(t):
+        return iter(list(walk(t))[:-1])
     return patched
 
 
-def _perturb_one(gen):
-    def patched(u, v):
-        rows = list(gen(u, v))
-        r, t1, t2 = rows[0]
-        rows[0] = (r, (t1[0] + 1,) + t1[1:], t2)
+def _perturb_one(walk):
+    def patched(t):
+        rows = list(walk(t))
+        t1, t2 = rows[0]
+        rows[0] = ((t1[0] + 1,) + t1[1:], t2)
         return iter(rows)
     return patched
 
@@ -297,15 +299,28 @@ def _perturb_one(gen):
 @pytest.mark.parametrize("mutate", [_drop_one, _perturb_one])
 def test_identity_scans_catch_a_broken_stream(monkeypatch, mutate):
     assert K.mu_zeta_identity(3) and K.beta_semigroup_identity(3, 2, 3)
-    monkeypatch.setattr(_pure, "_typed_interval", mutate(_pure._typed_interval))
+    monkeypatch.setattr(_pure, "_interval_types",
+                        mutate(_pure._interval_types))
     assert not K.mu_zeta_identity(3)
     assert not K.beta_semigroup_identity(3, 2, 3)
 
 
+def test_identity_scans_read_types_from_the_stream_only(monkeypatch):
+    def word_kernel(*args):
+        raise AssertionError("a scan built a rho word or re-derived a type")
+
+    for name in ("interval_words", "order_type"):
+        monkeypatch.setattr(K, name, word_kernel)
+        monkeypatch.setattr(_pure, name, word_kernel)
+    assert K.mu_zeta_identity(4)
+    assert K.beta_semigroup_identity(4, 2, 3)
+
+
 def test_scaled_mu_zeta_values_match_word_values():
     seen = set()
-    for _, u, v in _comparable_pairs(4):
-        for r, t1, t2 in _pure._typed_interval(u, v):
+    for _, u, v, t in _comparable_pairs(4):
+        for r, (t1, t2) in zip(K.interval_words(u, v),
+                               _pure._interval_types(t)):
             if (t1, t2) in seen:
                 continue
             seen.add((t1, t2))

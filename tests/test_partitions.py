@@ -366,6 +366,39 @@ def test_osp_words_guard():
         K.osp_words(8)
 
 
+def _iter_osp_words_recursive(n):
+    """Every OP word of [n], p ascending then lex, by a depth-n recursion."""
+    w = [0] * n
+    seen = [False] * (n + 2)
+
+    def rec(k, missing, p):
+        if n - k < missing:
+            return
+        if k == n:
+            yield tuple(w)
+            return
+        for v in range(1, p + 1):
+            w[k] = v
+            if seen[v]:
+                yield from rec(k + 1, missing, p)
+            else:
+                seen[v] = True
+                yield from rec(k + 1, missing - 1, p)
+                seen[v] = False
+
+    for p in range(1, n + 1):
+        yield from rec(0, p, p)
+
+
+def test_iter_osp_words_matches_recursive_oracle():
+    for n in range(1, 8):
+        words = list(K.iter_osp_words(n))
+        assert words == list(_iter_osp_words_recursive(n)), n
+        assert len(words) == K.fubini(n)
+    with pytest.raises(ValueError):
+        next(K.iter_osp_words(0))
+
+
 # ---------------------------------------------------------------------------
 # interval structure
 # ---------------------------------------------------------------------------

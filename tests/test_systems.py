@@ -820,6 +820,6 @@ def test_engines_read_types_from_the_ideal_stream(monkeypatch):
         raise AssertionError("an engine re-derived an interval type")
 
     for name in ("mu_tilde_words", "zeta_tilde_words", "interval_type_words",
-                 "block_map"):
+                 "order_type"):
         monkeypatch.setattr(K, name, word_pair_kernel)
     assert values() == expect

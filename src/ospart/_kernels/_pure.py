@@ -305,10 +305,12 @@ def beta_semigroup_identity(n: int, s: int, t: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _weisner_scaled(n: int) -> tuple:
     """(L, table): L = lcm(1..n) and the integers L * w(tau, eta) as
     table[eta][tau], zeros omitted.  For each eta one sweep over OP_n buckets
-    L mu~(sigma, 1^) = (-1)^(p-1) L/p by sigma's quasi-meet with eta."""
+    L mu~(sigma, 1^) = (-1)^(p-1) L/p by sigma's quasi-meet with eta.
+    Cached for both oracle tables, which only read it."""
     words = osp_words(n)
     scale = lcm(*range(1, n + 1))
     mu_top = [(-1) ** (max(w) - 1) * (scale // max(w)) for w in words]

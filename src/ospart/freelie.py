@@ -11,7 +11,7 @@ through descent statistics and homogeneous Eulerian polynomials.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from . import _kernels as K
 from .coefficients import goldberg_from_word
@@ -239,15 +239,42 @@ def pi_convolution_oracle(letters) -> NCPoly:
     return NCPoly(out)
 
 
+@lru_cache(maxsize=None)
+def _projector_scaled(n: int, k: int):
+    """(D, weights, value): D the common denominator of the (n, k)
+    projector table, the integers D * coefficient in table order, and
+    value[weight], that coefficient as an exact number."""
+    coeffs = [c for _, c in _projector_terms(n, k)]
+    scale = lcm(*(c.denominator for c in coeffs))
+    weights = tuple(int(c * scale) for c in coeffs)
+    return scale, weights, {x: exact(c) for x, c in zip(weights, coeffs)}
+
+
 def pi_k(letters, k: int) -> NCPoly:
     """Degree-k piece of the dilated word: (1/k!) sum of K_pi over |pi|=k,
-    the k-th Eulerian idempotent, summed over the descent table."""
+    the k-th Eulerian idempotent, summed over the descent table.
+
+    Every permutation is visited.  On distinct letters each reaches a word
+    of its own, which takes the table's coefficient.  Otherwise the integer
+    weights over the common denominator are added per rearranged word, and
+    a Fraction is formed only for a sum of two or more weights.
+    """
     letters = tuple(letters)
-    if not 1 <= k <= len(letters):
+    n = len(letters)
+    if not 1 <= k <= n:
         raise ValueError("k out of range")
-    return NCPoly(add_into({}, [(tuple(map(letters.__getitem__, order)), coeff)
-                                for order, coeff
-                                in _projector_terms(len(letters), k)]))
+    scale, weights, value = _projector_scaled(n, k)
+    terms = zip(_projector_terms(n, k), weights)
+    if len(set(letters)) == n:
+        return NCPoly({tuple(map(letters.__getitem__, order)): value[c]
+                       for (order, _), c in terms})
+    acc = {}
+    get = acc.get
+    for (order, _), c in terms:
+        w = tuple(map(letters.__getitem__, order))
+        acc[w] = get(w, 0) + c
+    return NCPoly({w: value.get(c) or exact(Fraction(c, scale))
+                   for w, c in acc.items() if c})
 
 
 def dilation_coefficients(letters):

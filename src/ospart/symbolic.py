@@ -18,6 +18,7 @@ shows in a value, only in the cost of the arithmetic.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 MOMENT = "m"
 FREE_CUMULANT = "c"
@@ -124,11 +125,9 @@ class SparseSum:
 
     @classmethod
     def sum(cls, summands):
-        """Sum of the summands, added in place into one dict."""
-        out = {}
-        for s in summands:
-            add_into(out, s.terms.items())
-        return cls(out)
+        """Sum of the summands, added in place into one dict in one pass."""
+        return cls(add_into({}, chain.from_iterable(
+            s.terms.items() for s in summands)))
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -184,6 +183,15 @@ class Poly(SparseSum):
     @classmethod
     def sym(cls, symbol):
         return cls({((symbol, 1),): 1})
+
+    @classmethod
+    def monomial(cls, symbols):
+        """The product of the symbols, coefficient 1: repeats are counted
+        into exponents and the monomial is sorted once."""
+        counts = {}
+        for s in symbols:
+            counts[s] = counts.get(s, 0) + 1
+        return cls({tuple(sorted(counts.items(), key=_item_key)): 1})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -289,4 +297,8 @@ def _mono_mul(m1, m2):
     d = dict(m1)
     for s, e in m2:
         d[s] = d.get(s, 0) + e
-    return tuple(sorted(d.items(), key=lambda it: _symbol_key(it[0])))
+    return tuple(sorted(d.items(), key=_item_key))
+
+
+def _item_key(item):
+    return _symbol_key(item[0])

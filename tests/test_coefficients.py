@@ -191,6 +191,27 @@ def test_oracle_tables_match_per_pair_oracles():
                         assert oracle(elems[tau], elems[eta]) == 0
 
 
+def test_oracle_tables_share_one_weisner_sweep():
+    # both tables read the cached sweep of their n: one miss, and the
+    # sweep they read is left as a cold sweep makes it
+    from ospart._kernels import _pure
+    sweep = _pure._weisner_scaled
+    for n in (3, 4):
+        sweep.cache_clear()
+        wt = C.weisner_oracle_table(n)
+        gt = C.goldberg_oracle_table(n)
+        info = sweep.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        read = sweep(n)
+        sweep.cache_clear()
+        assert sweep(n) == read
+        # the other order, from a cold cache, gives the same tables
+        sweep.cache_clear()
+        assert C.goldberg_oracle_table(n) == gt
+        assert C.weisner_oracle_table(n) == wt
+        assert sweep.cache_info().misses == 1
+
+
 def test_oracle_bound_refusal():
     big_tau = P.OrderedSetPartition.singletons(7)
     big_eta = P.OrderedSetPartition.one_block(7)

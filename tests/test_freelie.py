@@ -217,6 +217,24 @@ def test_pi_k_table_matches_block_products():
             assert FL.pi_k(letters, k) == expect, (letters, k)
 
 
+def test_pi_k_adds_integer_weights_per_word():
+    # the oracle adds the table's Fraction coefficients, one per
+    # permutation, onto the rearranged words
+    for letters in ("aaaabbb", "aabb", "abab", "abcab", "aaa", "abcd", "a"):
+        n = len(letters)
+        for k in range(1, n + 1):
+            table = FL._projector_terms(n, k)
+            scale, weights, _ = FL._projector_scaled(n, k)
+            assert [F(x, scale) for x in weights] == [c for _, c in table]
+            want = FL.NCPoly(add_into({}, [
+                (tuple(letters[i] for i in order), coeff)
+                for order, coeff in table]))
+            got = FL.pi_k(letters, k)
+            assert got == want, (letters, k)
+            assert all(type(c) is (int if F(c).denominator == 1 else F)
+                       for c in got.terms.values()), (letters, k)
+
+
 def test_projector_table_is_solomon_closed_form():
     for n in range(1, 8):
         table = dict(FL._projector_terms(n))

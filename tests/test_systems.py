@@ -1,8 +1,10 @@
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -56,29 +58,13 @@ def test_monotone_factorizations():
 def test_monotone_runs_match_peeling():
     # the definition: peel the runs of the largest remaining value, each a
     # strict local maximum, one moment per run
-    def peeled(word, labels):
-        items = list(enumerate(word))
-        total = Poly.const(1)
-        while items:
-            top_value = max(v for _, v in items)
-            rest, run = [], []
-            for pos, v in items + [(None, None)]:
-                if v == top_value:
-                    run.append(pos)
-                    continue
-                if run:
-                    total = total * m(*(labels[i] for i in run))
-                    run = []
-                if pos is not None:
-                    rest.append((pos, v))
-            items = rest
-        return total
-
     for n in range(1, 6):
         labels = tuple(f"X{i}" for i in range(n))
         for w in K.osp_words(n):
+            peeled = _fold(lambda run: m(*(labels[i] for i in run)),
+                           _peeled_runs(w))
             assert S.MONOTONE.phi_pi(P.OrderedSetPartition._raw(n, w),
-                                     labels) == peeled(w, labels), w
+                                     labels) == peeled, w
 
 
 def test_boolean_factorizations():
@@ -333,6 +319,21 @@ def test_cumulant_patterns(full_mode):
 def test_monotone_mc_formula():
     for n in range(1, 5):
         assert S.monotone_mc_defect(n).is_zero(), n
+
+
+def test_monotone_cumulant_sum_matches_per_partition_sum():
+    # the oracle forms 1/|pi|! prod_B K_B for every monotone partition;
+    # the library forms one product per underlying set partition
+    cumulant = functools.lru_cache(maxsize=None)(S.MONOTONE.cumulant_n)
+    for labels in ("X", "XY", "XYX", "XYZX", "XYXZY", "VWXYZ"):
+        n = len(labels)
+        want = Poly.sum([
+            functools.reduce(operator.mul, [
+                cumulant(tuple(labels[x - 1] for x in blk))
+                for blk in pi.blocks], Poly.const(F(1, math.factorial(len(pi)))))
+            for pi in P.enumerate_partitions(n, P.MONOTONE)])
+        assert S._monotone_cumulant_sum(tuple(labels)) == want, labels
+        assert S.monotone_mc_defect(n, labels).is_zero(), labels
 
 
 def test_clt_moments():
@@ -617,6 +618,173 @@ def test_free_phi_matches_nc_filter():
                     if all(len({w[x - 1] for x in blk}) == 1
                            for blk in blocks)])
             assert S.FREE.phi_pi(pi, labels) == expected[w], pi
+
+
+# ---------------------------------------------------------------------------
+# one product of atoms per word against the per-factor fold
+# ---------------------------------------------------------------------------
+
+def _blocks(word):
+    """The positions of each block of the word, in order of appearance."""
+    out = {}
+    for pos, v in enumerate(word):
+        out.setdefault(v, []).append(pos)
+    return list(out.values())
+
+
+def _peeled_runs(word):
+    """The runs of the largest remaining value, peeled off in turn."""
+    items = list(enumerate(word))
+    runs = []
+    while items:
+        top_value = max(v for _, v in items)
+        rest, run = [], []
+        for pos, v in items + [(None, None)]:
+            if v == top_value:
+                run.append(pos)
+                continue
+            if run:
+                runs.append(run)
+                run = []
+            if pos is not None:
+                rest.append((pos, v))
+        items = rest
+    return runs
+
+
+def _fold(atom, runs):
+    """The per-factor fold: one single-atom product per run."""
+    return functools.reduce(operator.mul, [atom(tuple(r)) for r in runs], 1)
+
+
+def _folded_phi(name, word, moment, free_cumulant):
+    """phi_word of a product engine by definition, folded factor by factor:
+    the moments of the blocks (tensor), of their maximal intervals
+    (Boolean) or of the peeled runs (monotone); for free, the sum over the
+    noncrossing partitions refining the word of their cumulant folds."""
+    if name == "tensor":
+        return _fold(moment, _blocks(word))
+    if name == "boolean":
+        return _fold(moment, [
+            [p for _, p in grp] for blk in _blocks(word)
+            for _, grp in itertools.groupby(enumerate(blk),
+                                            key=lambda ip: ip[1] - ip[0])])
+    if name == "monotone":
+        return _fold(moment, _peeled_runs(word))
+    assert name == "free"
+    refinements = [
+        [[x - 1 for x in blk] for blk in sp.blocks]
+        for sp in P.enumerate_partitions(len(word), P.NC)
+        if all(len({word[x - 1] for x in blk}) == 1 for blk in sp.blocks)]
+    return functools.reduce(operator.add, [_fold(free_cumulant, blocks)
+                                           for blocks in refinements])
+
+
+PRODUCT_ENGINES = ("tensor", "boolean", "monotone", "free")
+
+
+def test_phi_word_matches_per_factor_fold():
+    labels = ("X", "Y", "X", "Z", "Y")
+    for n in range(1, 6):
+        ls = labels[:n]
+        plain, psi = S.Atoms(ls), S.Atoms(ls, moment_kind=PSI_MOMENT)
+        for w in K.osp_words(n):
+            for name in PRODUCT_ENGINES:
+                eng = S.ENGINES[name]
+                for at, moment in ((plain, lambda pos: m(*map(ls.__getitem__,
+                                                             pos))),
+                                   (psi, lambda pos: pm(*map(ls.__getitem__,
+                                                             pos)))):
+                    want = _folded_phi(name, w, moment,
+                                       lambda pos: c(*map(ls.__getitem__,
+                                                          pos)))
+                    assert eng._phi_word(w, at) == want, (name, w)
+            for at in (plain, psi):
+                want = _cmonotone_unmemoized(_syllables(w), at, [])
+                assert S.CMONOTONE._phi_word(w, at) == want, w
+
+
+def test_clt_atoms_match_per_factor_fold():
+    # the fold raises on an atom longer than two; so must the product
+    at = S.CLT_ATOMS
+    for n in range(1, 6):
+        for w in K.osp_words(n):
+            for name in PRODUCT_ENGINES:
+                eng = S.ENGINES[name]
+                try:
+                    want = _folded_phi(name, w, at.moment, at.free_cumulant)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        eng._phi_word(w, at)
+                    continue
+                got = eng._phi_word(w, at)
+                assert got == want and type(got) is int, (name, w)
+            # the c-monotone recursion skips the factors a zero multiplies,
+            # so only the words whose fold raises nothing compare
+            try:
+                want = _cmonotone_unmemoized(_syllables(w), at, [])
+            except ValueError:
+                continue
+            assert S.CMONOTONE._phi_word(w, at) == want, w
+
+
+def test_copy_atoms_match_per_factor_fold():
+    for tags in ((1, 2, 1), (2, 1, 1, 2), (1, 2, 1, 2), (1, 2, 2, 1, 1)):
+        n = len(tags)
+        labels = S._default_labels(n)
+        for name in PRODUCT_ENGINES:
+            eng = S.ENGINES[name]
+            assert eng.check_independence(tags) == [], (name, tags)
+            inner = S._CopyAtoms(eng, labels, tags)
+            for w in K.osp_words(n):
+                want = _folded_phi(name, w, inner.moment, inner.free_cumulant)
+                assert eng._phi_word(w, inner) == want, (name, tags, w)
+
+
+def test_product_engines_form_no_poly_products(monkeypatch):
+    labels = ("X", "Y", "X", "Z", "Y")
+
+    def values():
+        return {(name, kind, w): S.ENGINES[name]._phi_word(
+                    w, S.Atoms(labels, moment_kind=kind))
+                for name in PRODUCT_ENGINES for kind in (MOMENT, PSI_MOMENT)
+                for w in K.osp_words(5)}
+
+    expect = values()
+
+    def product(*args):
+        raise AssertionError("an engine multiplied two Polys")
+
+    monkeypatch.setattr(Poly, "__mul__", product)
+    monkeypatch.setattr(Poly, "__rmul__", product)
+    assert values() == expect
+
+
+def test_monomial_is_the_mono_mul_fold(monkeypatch):
+    from ospart import symbolic as Y
+    syms = [moment_symbol(("X",)), moment_symbol(("X", "Y")),
+            free_cumulant_symbol(("Y",)), psi_moment_symbol(("X",)),
+            Y.time_symbol(2), scalar_symbol("N")]
+    for k in range(5):
+        for seq in itertools.product(syms, repeat=k):
+            fold = functools.reduce(Y._mono_mul, [((s, 1),) for s in seq],
+                                    ())
+            got = Poly.monomial(seq)
+            assert got.terms == {fold: 1} and type(got.terms[fold]) is int
+            assert got == functools.reduce(
+                operator.mul, map(Poly.sym, seq), Poly.const(1)), seq
+    # SparseSum.sum adds every summand in one pass
+    summands = [m("X"), c("Y") * 2, -m("X"), Poly.const(F(1, 2)), c("Y")]
+    expect = c("Y") * 3 + F(1, 2)
+    calls = []
+    add_into = Y.add_into
+
+    def counting(out, items):
+        calls.append(1)
+        return add_into(out, items)
+
+    monkeypatch.setattr(Y, "add_into", counting)
+    assert Poly.sum(summands) == expect and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,45 @@ def zeta_tilde_type(t) -> Fraction:
     return Fraction(1, prod(factorial(k) for k in t))
 
 
+@lru_cache(maxsize=None)
+def _scaled_weights(weight, sizes) -> tuple:
+    """(D, ks) for every word v whose blocks have these sizes, in block
+    order: D is the lcm of the denominators of weight(t) over the types t
+    of typed_ideal(v), and ks[i] the integer D * weight(types[i]).
+
+    typed_ideal(v) lists the same types for all such v, so the word
+    1...1 2...2 ... stands for them.
+    """
+    rep = tuple(j for j, k in enumerate(sizes, 1) for _ in range(k))
+    types = typed_ideal(rep)[1]
+    per_type = {t: weight(t) for t in dict.fromkeys(types)}
+    d = lcm(*(x.denominator for x in per_type.values()))
+    ints = {t: x.numerator * (d // x.denominator)
+            for t, x in per_type.items()}
+    return d, tuple(map(ints.__getitem__, types))
+
+
+def _block_sizes(v) -> tuple:
+    return tuple(map(v.count, range(1, max(v) + 1)))
+
+
+@lru_cache(maxsize=None)
+def mu_tilde_scaled(v) -> tuple:
+    """(D, ks) with ks[i] = D mu~(sigma_i, v) for the i-th sigma of
+    typed_ideal(v), all integers, D the least common denominator.
+
+    prod(t) divides |sigma|!, so D divides n!.
+    """
+    return _scaled_weights(mu_tilde_type, _block_sizes(v))
+
+
+@lru_cache(maxsize=None)
+def zeta_tilde_scaled(v) -> tuple:
+    """(D, ks) with ks[i] = D zeta~(sigma_i, v), as for mu_tilde_scaled;
+    prod(t_j!) divides |sigma|! too."""
+    return _scaled_weights(zeta_tilde_type, _block_sizes(v))
+
+
 def mu_tilde_words(u, v) -> Fraction:
     return mu_tilde_type(interval_type_words(u, v))
 

@@ -77,7 +77,8 @@ def exact(c):
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -110,7 +111,7 @@ class SparseSum:
     The key () is the unit (the empty monomial or the empty word), so an
     int or Fraction c stands for {(): c}.  `const` and `scale` store an
     integral value as an int, so sums of integer terms stay in int
-    arithmetic.  Subclasses supply the product.
+    arithmetic, also after a division.  Subclasses supply the product.
     """
 
     __slots__ = ("terms",)
@@ -171,7 +172,7 @@ class SparseSum:
         c = exact(c)
         if not c:
             return type(self)()
-        return type(self)({k: cc * c for k, cc in self.terms.items()})
+        return type(self)({k: exact(cc * c) for k, cc in self.terms.items()})
 
 
 class Poly(SparseSum):

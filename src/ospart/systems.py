@@ -53,10 +53,16 @@ class Atoms:
     runs' labels, built once per distinct list of runs.  The c-monotone
     recursion also asks for single atoms through `moment` and
     `psi_moment`.  A custom provider subclasses Atoms or supplies the same
-    methods.  These products and `sum` name the ring the engine evaluates
-    into, here Poly: every engine method that takes an atoms object
-    multiplies and adds through them, so atoms of another ring (CLT_ATOMS:
-    the integers) give values in that ring.
+    methods.  These products, `sum` and `scaled_sum` name the ring the
+    engine evaluates into, here Poly: every engine method that takes an
+    atoms object multiplies and adds through them, so atoms of another ring
+    (CLT_ATOMS: the integers) give values in that ring.  `scaled_sum(pairs,
+    d)` is the sum of k x over (x, k) pairs with integer k, divided by the
+    integer d: the mu~ and zeta~ sums over an ideal add through it.
+
+    The c-monotone recursion keeps its values in `_rule_v`, keyed by
+    syllable sequence, so the words of one atoms object share them; atoms
+    without `_rule_v` get a memo per word.
     """
 
     sum = staticmethod(Poly.sum)
@@ -65,6 +71,18 @@ class Atoms:
         self.labels = tuple(labels)
         self.moment_kind = moment_kind
         self._products = {}
+        self._rule_v = {}
+
+    @staticmethod
+    def scaled_sum(pairs, d):
+        """(sum of k x over the (x, k) pairs) / d, for Polys x and ints k.
+
+        The terms add as integer multiples into one dict, and the sum is
+        divided once, by one Poly scaling.
+        """
+        return Poly(add_into({}, ((mono, c * k) for x, k in pairs
+                                  for mono, c in x.terms.items()))
+                    ) * Fraction(1, d)
 
     def _labels_at(self, pos):
         return tuple(self.labels[i] for i in pos)
@@ -93,13 +111,19 @@ def _positions_by_block(word):
     return out
 
 
-def _per_element(pi, values, what="variable label"):
-    """values as a tuple; ValueError unless it holds one entry per element."""
+def _per_element(n, values, what="variable label"):
+    """values as a tuple; ValueError unless it holds one entry per element
+    of [n]."""
     values = tuple(values)
-    if len(values) != pi.n:
+    if len(values) != n:
         raise ValueError(f"need one {what} per element: got {len(values)} "
-                         f"for n = {pi.n}")
+                         f"for n = {n}")
     return values
+
+
+def _labels_or_default(n, labels):
+    """One label per element of [n]: X1..Xn when labels is None."""
+    return _default_labels(n) if labels is None else _per_element(n, labels)
 
 
 def _interval_runs(positions):
@@ -129,13 +153,13 @@ class Engine:
 
     def phi_pi(self, pi, labels, atoms=None):
         """phi_pi(X_1,...,X_n) as a polynomial in primitive symbols."""
-        labels = _per_element(pi, labels)
+        labels = _per_element(pi.n, labels)
         return self._phi_word(pi.word, atoms or self.atoms(labels))
 
     def phi_pi_indexed(self, pi, labels, indices):
         """phi_pi of upper-indexed copies: evaluates at pi quasi-meet kernel."""
-        indices = _per_element(pi, indices, "index")
-        labels = _per_element(pi, labels)
+        indices = _per_element(pi.n, indices, "index")
+        labels = _per_element(pi.n, labels)
         w = K.quasi_meet(pi.word, K.kernel_word(indices))
         return self._phi_word(w, self.atoms(labels))
 
@@ -143,10 +167,10 @@ class Engine:
 
     def cumulant(self, pi, labels, atoms=None):
         """K_pi = sum over sigma <= pi of phi_sigma mu~(sigma,pi)."""
-        labels = _per_element(pi, labels)
+        labels = _per_element(pi.n, labels)
         at = atoms or self.atoms(labels)
         return _ideal_sum(pi.word, lambda w, t: self._phi_word(w, at),
-                          K.mu_tilde_type, at.sum)
+                          K.mu_tilde_scaled, at)
 
     def cumulant_n(self, labels, atoms=None):
         """K_n, the cumulant of the one-block partition."""
@@ -155,25 +179,23 @@ class Engine:
 
     def cumulant_indexed(self, pi, labels, indices):
         """K_pi with entries X_k^(i_k): Mobius sum of quasi-met moments."""
-        indices = _per_element(pi, indices, "index")
-        labels = _per_element(pi, labels)
+        indices = _per_element(pi.n, indices, "index")
+        labels = _per_element(pi.n, labels)
         eta_w = K.kernel_word(indices)
         at = self.atoms(labels)
         return _ideal_sum(pi.word, lambda w, t: self._phi_word(
-            K.quasi_meet(w, eta_w), at), K.mu_tilde_type, at.sum)
+            K.quasi_meet(w, eta_w), at), K.mu_tilde_scaled, at)
 
     def cumulant_table(self, n, labels=None):
         """{word: K_pi} over all of OP_n."""
-        labels = tuple(labels) if labels is not None else _default_labels(n)
-        at = self.atoms(labels)
+        at = self.atoms(_labels_or_default(n, labels))
         phis = {w: self._phi_word(w, at) for w in K.osp_words(n)}
-        return {v: _ideal_sum(v, lambda w, t: phis[w], K.mu_tilde_type,
-                              at.sum)
+        return {v: _ideal_sum(v, lambda w, t: phis[w], K.mu_tilde_scaled, at)
                 for v in K.osp_words(n)}
 
     def multiplicative_cumulant(self, pi, labels):
         """K_(pi): product of one-block cumulants over the blocks of pi."""
-        labels = _per_element(pi, labels)
+        labels = _per_element(pi.n, labels)
         total = ONE
         for blk in pi.blocks:
             total = total * self.cumulant_n([labels[x - 1] for x in blk])
@@ -186,22 +208,22 @@ class Engine:
 
         params[j-1] is the scale attached to sigma-block j.
         """
-        return _ideal_sum(sigma_word, lambda w, t: self._phi_word(w, at),
-                          lambda t: binomial_product(params, t), at.sum)
+        return _binomial_sum(sigma_word, lambda w: self._phi_word(w, at),
+                             params, at.sum)
 
     def dilate(self, pi, labels, scale, atoms=None):
         """phi_pi(N.X_1,...,N.X_n); polynomial in a symbolic scale.
 
         Accepts an int/Fraction, a Poly, or a string naming a scalar symbol.
         """
-        labels = _per_element(pi, labels)
+        labels = _per_element(pi.n, labels)
         at = atoms or self.atoms(labels)
         scale = _as_scale(scale)
         return self._phi_dilated(pi.word, at, [scale] * len(pi))
 
     def dilate_blockwise(self, pi, labels, scales, atoms=None):
         """phi_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n) with one scale per block."""
-        labels = _per_element(pi, labels)
+        labels = _per_element(pi.n, labels)
         at = atoms or self.atoms(labels)
         scales = [_as_scale(s) for s in scales]
         if len(scales) < len(pi):
@@ -210,7 +232,7 @@ class Engine:
 
     def cumulant_dilated(self, pi, labels, scales):
         """K_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n)."""
-        labels = _per_element(pi, labels)
+        labels = _per_element(pi.n, labels)
         scales = [_as_scale(s) for s in scales]
         if len(scales) < len(pi):
             raise ValueError("need one scale per block")
@@ -220,23 +242,22 @@ class Engine:
             # the t_j sigma-blocks in pi-block j dilate by its scale
             params = [x for x, k in zip(scales, t) for _ in range(k)]
             return self._phi_dilated(w, at, params)
-        return _ideal_sum(pi.word, value, K.mu_tilde_type, at.sum)
+        return _ideal_sum(pi.word, value, K.mu_tilde_scaled, at)
 
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
-        labels = _per_element(pi, labels)
+        labels = _per_element(pi.n, labels)
         at = self.atoms(labels)
         inner = _as_scale(inner)
         outer = _as_scale(outer)
-        return _ideal_sum(pi.word, lambda w, t: self._phi_dilated(
-            w, at, [inner] * max(w)),
-            lambda t: binomial_product(repeat(outer), t), at.sum)
+        return _binomial_sum(pi.word, lambda w: self._phi_dilated(
+            w, at, [inner] * max(w)), repeat(outer), at.sum)
 
     # -- time evolution -----------------------------------------------------
 
     def phi_t(self, pi, labels, params=None, atoms=None):
         """phi^t_pi: dilation with a formal parameter per block."""
-        labels = _per_element(pi, labels)
+        labels = _per_element(pi.n, labels)
         at = atoms or self.atoms(labels)
         p = len(pi)
         if params is None:
@@ -250,9 +271,7 @@ class Engine:
         """d/dt_j at t_j = 0 of phi^t_pi; a polynomial in the other t's."""
         if not 1 <= j <= len(pi):
             raise ValueError("block index out of range")
-        phi = self.phi_t(pi, labels)
-        tj = time_symbol(j)
-        return phi.diff(tj).substitute(lambda s: 0 if s == tj else None)
+        return self.phi_t(pi, labels).coefficient(time_symbol(j), 1)
 
     def diffeq_residuals(self, pi, labels, j):
         """Residuals of both evolution identities for d/dt_j phi^t_pi.
@@ -289,8 +308,7 @@ class Engine:
                 params.extend(ts[j:])
                 pi2 = OrderedSetPartition(pi.n, newblocks)
                 phi2 = self._phi_dilated(pi2.word, at, params)
-                add_into(rhs[form], phi2.diff(s_sym).substitute(
-                    lambda sym: 0 if sym == s_sym else None).terms.items())
+                add_into(rhs[form], phi2.coefficient(s_sym, 1).terms.items())
         return lhs - Poly(rhs[0]), lhs - Poly(rhs[1])
 
     # -- central limit ------------------------------------------------------
@@ -305,8 +323,12 @@ class Engine:
         instead of 2,520 at n = 8.  Each phi_pi is evaluated on CLT_ATOMS,
         straight into the integers: no symbol is formed or substituted.
         """
+        if n < 0:
+            raise ValueError(f"n must be >= 0: got {n}")
         if n % 2:
             return Fraction(0)
+        if n == 0:
+            return Fraction(1)  # the empty product, in every engine
         if self.exchangeable:
             words, weight = iter_pair_set_words(n), 1
         else:
@@ -328,7 +350,7 @@ class Engine:
             n = len(indices)
         if len(indices) != n:
             raise ValueError("need one copy index per element")
-        labels = tuple(labels) if labels is not None else _default_labels(n)
+        labels = _labels_or_default(n, labels)
         inner = _CopyAtoms(self, labels, indices)
         plain = self.atoms(labels)
         eta_w = K.kernel_word(indices)
@@ -343,7 +365,6 @@ class Engine:
     def exchangeability_check(self, n, labels=None):
         """Block-permutation invariance of K_pi; returns the witnesses."""
         from itertools import permutations
-        labels = tuple(labels) if labels is not None else _default_labels(n)
         table = self.cumulant_table(n, labels)
         failures = []
         for w, kval in table.items():
@@ -375,6 +396,10 @@ class _CLTAtoms:
     """
 
     sum = staticmethod(sum)
+
+    @staticmethod
+    def scaled_sum(pairs, d):
+        return Fraction(sum(x * k for x, k in pairs), d)
 
     @staticmethod
     def product(runs, family=MOMENT):
@@ -523,12 +548,17 @@ class CMonotoneEngine(Engine):
             else:
                 syls.append((v, [pos]))
         syls = tuple((v, tuple(ps)) for v, ps in syls)
-        return self._eval(syls, atoms, {})
+        # the rule-V branches share their sub-sequences, and so do the words
+        # of one Atoms object.  The word itself is computed, not stored: the
+        # recursion of no other word meets all of its positions.  CLT_ATOMS
+        # keep a memo per word, since one shared over the pair words of
+        # clt_moment(10) costs more than it saves
+        memo = getattr(atoms, "_rule_v", None)
+        return self._compute(syls, atoms, {} if memo is None else memo)
 
     def _eval(self, syls, atoms, memo):
-        """phi of a syllable sequence; memo maps each sequence met during
-        one _phi_word call to its value, since the rule-V branches share
-        their sub-sequences."""
+        """phi of a syllable sequence; memo maps each sequence met to its
+        value, which the sequence fixes for one atoms object."""
         val = memo.get(syls)
         if val is None:
             val = memo[syls] = self._compute(syls, atoms, memo)
@@ -589,24 +619,37 @@ def engine(name: str) -> Engine:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def _ideal_sum(v, value, weight, total=Poly.sum):
-    """Sum of value(sigma, t) * weight(t) over every sigma <= v, with
-    t = type(sigma, v), in the ring whose sum is total (an atoms object's
-    `sum`; Poly.sum by default).
+def _ideal_sum(v, value, scaled, ring):
+    """Sum of value(sigma, t) * mu~ or zeta~(t) over every sigma <= v, with
+    t = type(sigma, v), in the ring of the atoms object `ring`.
 
-    mu~, zeta~ and the dilation binomials depend on sigma only through t,
-    so the values of one type are summed first and each class sum is
-    scaled by weight(t) once: one Fraction (or Poly) product per type
-    instead of one per sigma.  A class whose weight is zero is skipped
-    without evaluating its values.
+    scaled is K.mu_tilde_scaled or K.zeta_tilde_scaled: (D, ks) with the
+    integers ks = D * weight, parallel to typed_ideal(v).  Each value
+    enters `ring.scaled_sum` times its integer, and the sum is divided by
+    D once.  The values are evaluated here, before the ring adds them, so
+    a per-layer profile charges their evaluation to the engines.
+    """
+    d, ks = scaled(v)
+    words, types = K.typed_ideal(v)
+    return ring.scaled_sum(list(zip(map(value, words, types), ks)), d)
+
+
+def _binomial_sum(v, value, params, total):
+    """Sum of value(sigma) * binomial_product(params, t) over every
+    sigma <= v, with t = type(sigma, v), in the ring whose sum is total.
+
+    The binomials can be Polys in symbolic scales, so the values of one
+    type are summed first and each class sum is multiplied by its weight
+    once.  A class whose weight is zero is skipped without evaluating its
+    values.
     """
     classes = {}
     for w, t in zip(*K.typed_ideal(v)):
         entry = classes.get(t)
         if entry is None:
-            entry = classes[t] = (weight(t), [])
+            entry = classes[t] = (binomial_product(params, t), [])
         if entry[0]:
-            entry[1].append(value(w, t))
+            entry[1].append(value(w))
     return total([total(values) * wt for wt, values in classes.values()
                   if wt])
 
@@ -615,12 +658,13 @@ def moments_from_cumulants(table, pi):
     """phi_pi = sum over sigma <= pi of K_sigma zeta~(sigma,pi)."""
     if any(w not in table for w in K.ideal_words(pi.word)):
         raise ValueError("cumulant table does not cover the ideal")
-    return _ideal_sum(pi.word, lambda w, t: table[w], K.zeta_tilde_type)
+    return _ideal_sum(pi.word, lambda w, t: table[w], K.zeta_tilde_scaled,
+                      Atoms)
 
 
 def monotone_mc_defect(n, labels=None):
     """phi(X_1...X_n) minus the monotone-partition cumulant sum (must be 0)."""
-    labels = tuple(labels) if labels is not None else _default_labels(n)
+    labels = _labels_or_default(n, labels)
     lhs = MONOTONE.phi_pi(OrderedSetPartition.one_block(n), labels)
     return lhs - _monotone_cumulant_sum(labels)
 
@@ -651,8 +695,7 @@ def _monotone_cumulant_sum(labels):
 
 def mixed_cumulant_moment(pi, eta, eng, labels):
     """K_pi of copy-indexed entries via Weisner coefficients over moments."""
-    labels = tuple(labels)
-    at = eng.atoms(labels)
+    at = eng.atoms(_per_element(pi.n, labels))
     out = {}
     for w in K.ideal_words(pi.word):
         coeff = weisner3(OrderedSetPartition._raw(pi.n, w), eta, pi)
@@ -663,7 +706,6 @@ def mixed_cumulant_moment(pi, eta, eng, labels):
 
 def mixed_cumulant_cumulant(pi, eta, eng, labels):
     """K_pi of copy-indexed entries via Goldberg coefficients over cumulants."""
-    labels = tuple(labels)
     table = eng.cumulant_table(pi.n, labels)
     out = {}
     for w in K.ideal_words(pi.word):

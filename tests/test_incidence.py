@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 
@@ -379,3 +379,22 @@ def test_typed_ideal_matches_definitions():
         # the filter above is 22 M order tests at n = 6; instead compare
         # every comparable pair with the pairs built from the order itself
         assert pairs == {(w, v) for w in words for v in _ups(w)}
+
+
+def test_scaled_ideal_weights_match_closed_forms():
+    # (D, ks): ks[i] / D is the weight of the i-th sigma of typed_ideal(v),
+    # and no smaller D makes every ks[i] an integer
+    for n in range(1, 6):
+        for v in K.osp_words(n):
+            ideal, types = K.typed_ideal(v)
+            for scaled, weight, by_words in (
+                    (K.mu_tilde_scaled, K.mu_tilde_type, K.mu_tilde_words),
+                    (K.zeta_tilde_scaled, K.zeta_tilde_type,
+                     K.zeta_tilde_words)):
+                d, ks = scaled(v)
+                assert len(ks) == len(types), v
+                assert all(type(k) is int for k in ks), v
+                for w, t, k in zip(ideal, types, ks):
+                    assert F(k, d) == weight(t) == by_words(w, v), (v, w)
+                assert lcm(*(F(k, d).denominator for k in ks)) == d, v
+                assert factorial(n) % d == 0, v

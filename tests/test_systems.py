@@ -377,6 +377,15 @@ def test_clt_moment_matches_ordered_sum():
             assert got == total and type(got) is F, (eng.name, n)
 
 
+def test_clt_moment_refuses_negative_n():
+    for eng in S.ENGINES.values():
+        for n in (-1, -2, -3):
+            with pytest.raises(ValueError):
+                eng.clt_moment(n)
+        assert eng.clt_moment(0) == 1 and type(eng.clt_moment(0)) is F
+        assert eng.clt_moment(3) == 0
+
+
 def test_ideal_sums_stay_in_the_ring_of_the_atoms():
     # CLT_ATOMS evaluate into the integers; an ideal sum over a pair
     # partition adds and scales there and equals the Poly route with the
@@ -462,6 +471,30 @@ def test_partial_cumulant_multiblock():
     from ospart.symbolic import time_symbol
     pc = S.TENSOR.partial_cumulant(o("112"), XYZ, 1)
     assert time_symbol(2) in pc.symbols()
+
+
+def test_partial_cumulants_read_the_linear_coefficient(monkeypatch):
+    # the oracle differentiates in t_j (or s) and substitutes 0
+    from ospart.symbolic import time_symbol
+
+    def diff_at_zero(p, sym, k):
+        assert k == 1
+        return p.diff(sym).substitute(lambda x: 0 if x == sym else None)
+
+    cases = [(eng, pi, j) for eng in S.ENGINES.values()
+             for pi in (top(3), o("1,3|2"), o("2|1,3"), o("1|3|2"))
+             for j in range(1, len(pi) + 1)]
+
+    def values():
+        return [(eng.partial_cumulant(pi, XYZ, j),
+                 eng.diffeq_residuals(pi, XYZ, j)) for eng, pi, j in cases]
+
+    got = values()
+    for (eng, pi, j), (pc, _) in zip(cases, got):
+        want = diff_at_zero(eng.phi_t(pi, XYZ), time_symbol(j), 1)
+        assert pc == want, (eng.name, pi, j)
+    monkeypatch.setattr(Poly, "coefficient", diff_at_zero)
+    assert values() == got
 
 
 def test_diffeq_residuals(full_mode):
@@ -574,6 +607,25 @@ def test_independence_matches_semi_vanishing():
         lhs = eng.cumulant_indexed(pi, XYZ, idx)
         rhs = S.mixed_cumulant_cumulant(pi, eta, eng, XYZ)
         assert lhs == rhs, pi
+
+
+def test_tables_and_checks_need_one_label_per_element():
+    calls = (lambda eng, ls: eng.cumulant_table(3, ls),
+             lambda eng, ls: eng.exchangeability_check(3, ls),
+             lambda eng, ls: eng.check_independence((1, 2, 1), labels=ls))
+    for eng in S.ENGINES.values():
+        for call in calls:
+            call(eng, "UVW")
+            for bad in ("UV", "UVWX", ""):
+                with pytest.raises(ValueError, match="one variable label"):
+                    call(eng, bad)
+    pi, eta = o("1,2|3"), P.kernel((1, 2, 1))
+    for bad in ("UV", "UVWX"):
+        with pytest.raises(ValueError, match="one variable label"):
+            S.monotone_mc_defect(3, bad)
+        for mixed in (S.mixed_cumulant_moment, S.mixed_cumulant_cumulant):
+            with pytest.raises(ValueError, match="one variable label"):
+                mixed(pi, eta, S.TENSOR, bad)
 
 
 def test_exchangeability():
@@ -852,6 +904,38 @@ def test_cmonotone_memo_computes_each_sequence_once(monkeypatch):
     assert S.CMONOTONE.clt_moment(8) == F(35, 8)
 
 
+def test_cmonotone_table_shares_its_memo_across_words(monkeypatch):
+    # one atoms object serves the whole table: each syllable sequence is
+    # computed at most once for it, fewer times in all than with a memo per
+    # word, and the table is the unmemoized recursion summed against mu~
+    computed = []
+    compute = S.CMonotoneEngine._compute
+
+    def counting(self, syls, atoms, memo):
+        computed.append((atoms, syls))
+        return compute(self, syls, atoms, memo)
+
+    monkeypatch.setattr(S.CMonotoneEngine, "_compute", counting)
+    for n in range(1, 6):
+        labels = ("X", "Y", "Z", "X", "W")[:n]
+        del computed[:]
+        table = S.CMONOTONE.cumulant_table(n, labels)
+        keys = [(id(at), syls) for at, syls in computed]
+        assert len(keys) == len(set(keys)), n
+        at = S.Atoms(labels)
+        phis, per_word = {}, 0
+        for w in K.osp_words(n):
+            calls = []
+            phis[w] = _cmonotone_unmemoized(_syllables(w), at, calls)
+            per_word += len(set(calls))
+        if n >= 4:
+            assert len(keys) < per_word, n
+        for v in K.osp_words(n):
+            want = Poly.sum([phis[w] * _mu(t)
+                             for w, t in zip(*K.typed_ideal(v))])
+            assert table[v] == want, v
+
+
 # ---------------------------------------------------------------------------
 # type-grouped ideal sums against the per-sigma definition
 # ---------------------------------------------------------------------------
@@ -925,6 +1009,22 @@ def test_ideal_sums_match_per_sigma_definition():
                 pi, lambda s: table[s.word], _zeta), where
 
 
+def test_tables_match_per_sigma_definition_with_repeated_labels():
+    # repeated labels make the phi_sigma of distinct sigma share monomials,
+    # so the integer multiples of mu~ and zeta~ add and cancel per monomial
+    for n in (3, 4):
+        for labels in (("X",) * n, ("X", "Y", "X", "Y")[:n]):
+            for eng in S.ENGINES.values():
+                table = eng.cumulant_table(n, labels)
+                for v in K.osp_words(n):
+                    pi = P.OrderedSetPartition._raw(n, v)
+                    where = (eng.name, labels, v)
+                    assert table[v] == _per_sigma(
+                        pi, lambda s: eng.phi_pi(s, labels), _mu), where
+                    assert S.moments_from_cumulants(table, pi) == (
+                        eng.phi_pi(pi, labels)), where
+
+
 # ---------------------------------------------------------------------------
 # exact coefficients: int when integral, Fraction otherwise
 # ---------------------------------------------------------------------------
@@ -935,6 +1035,15 @@ def test_coefficients_are_int_when_integral():
     assert Poly.const(F(6, 3)).terms[()] == 2
     assert type(Poly.const(F(1, 2)).terms[()]) is F
     assert set(map(type, (m("X") * F(4, 2)).terms.values())) == {int}
+    # a scaling that divides out stores the integral products as ints
+    halved = (m("X") * 4 + m("Y") * 3) * F(1, 2)
+    assert halved.terms == {**(m("X") * 2).terms, **(m("Y") * F(3, 2)).terms}
+    assert [type(x) for x in halved.terms.values()] == [int, F]
+    # and so do the mu~ sums, which divide once by their denominator
+    for eng in S.ENGINES.values():
+        for poly in eng.cumulant_table(4, "XYXZ").values():
+            for x in poly.terms.values():
+                assert type(x) is int or x.denominator > 1, eng.name
     assert set(map(type, m("X").terms.values())) == {int}
     for const in (Poly.const(3), Poly.const(F(3)), Poly()):
         assert type(const.constant_value()) is F

@@ -19,6 +19,10 @@ from . import systems
 
 ENUMERATE_CAP = 9
 CBH_CAP = 7
+# bound on the words of length 1..degree over the letters (sum of L^k);
+# the slowest `--route all` it allows, 157 letters at degree 2, took
+# 3.5 s and 41 MB on a 2-core host
+CBH_WORD_CAP = 25_000
 CUMULANTS_CAP = 5
 CLT_CAP = 10
 
@@ -186,8 +190,16 @@ def cmd_cbh(args):
         raise UsageError("letters must be distinct")
     if args.degree < 1:
         raise UsageError("degree must be >= 1")
-    if args.degree > CBH_CAP and not args.force:
-        raise CapError(f"cbh degree cap is {CBH_CAP}; pass --force to override")
+    if not args.force:
+        if args.degree > CBH_CAP:
+            raise CapError(
+                f"cbh degree cap is {CBH_CAP}; pass --force to override")
+        words = sum(len(letters) ** k for k in range(1, args.degree + 1))
+        if words > CBH_WORD_CAP:
+            raise CapError(
+                f"cbh word cap is {CBH_WORD_CAP}: {len(letters)} letters "
+                f"to degree {args.degree} make {words} words; "
+                "pass --force to override")
     routes = {
         "direct": fl.cbh_direct,
         "cumulant": fl.cbh_cumulant,

@@ -10,8 +10,9 @@ through descent statistics and homogeneous Eulerian polynomials.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import factorial, lcm
+from itertools import permutations, product
+from math import factorial, lcm, prod
+from operator import itemgetter
 
 from . import _kernels as K
 from .coefficients import goldberg_from_word
@@ -83,6 +84,30 @@ class NCPoly(SparseSum):
     __repr__ = __str__
 
 
+def _cleared(terms):
+    """(d, {key: int}): the coefficients as integers over their least
+    common denominator d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, {k: c.numerator * (d // c.denominator)
+               for k, c in terms.items()}
+
+
+def _divided(acc, den):
+    """{key: v / den} over the nonzero integers v of acc, as exact
+    numbers; equal numerators share one division."""
+    if den == 1:
+        return {k: v for k, v in acc.items() if v}
+    value = {}
+    out = {}
+    for k, v in acc.items():
+        if v:
+            q = value.get(v)
+            if q is None:
+                q = value[v] = exact(Fraction(v, den))
+            out[k] = q
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the Eulerian projector and shuffle-system cumulants
 # ---------------------------------------------------------------------------
@@ -150,16 +175,28 @@ def nct_cumulant(elements):
 
     Works for any type with *, Fraction scalar multiplication and a
     classmethod sum(list) (NCPoly, RationalMatrix); the order of the
-    factors inside a block follows the positions.  The n! products of
-    the projector are walked depth first, so each prefix product is
-    formed once; the descent count rides down the walk, and the last
-    factor comes scaled by the coefficient of its descent count, once
-    per (element, count).
+    factors inside a block follows the positions.
+
+    NCPoly elements expand multilinearly.  Each element is cleared to
+    integers over its own denominator; each choice of one term per element
+    gives one integer product c, and each permutation of the projector
+    table adds c times its integer weight to the concatenation of the
+    chosen words in its order.  Every output word is then divided once,
+    by the table's denominator times the elements' denominators.
+
+    Other rings have no terms to expand: their n! products are walked
+    depth first, so each prefix product is formed once; the descent count
+    rides down the walk, and the last factor comes scaled by the
+    coefficient of its descent count, once per (element, count).
     """
     elements = tuple(elements)
     n = len(elements)
     if n == 0:
         raise ValueError("need at least one element")
+    if n == 1:
+        return elements[0] * 1
+    if all(isinstance(e, NCPoly) for e in elements):
+        return _nct_expand(elements)
     scaled = {}
     leaves = []
 
@@ -178,6 +215,32 @@ def nct_cumulant(elements):
 
     walk(None, -1, 0, tuple(range(n)))
     return type(elements[0]).sum(leaves)
+
+
+@lru_cache(maxsize=None)
+def _order_getters(n: int):
+    """One itemgetter per order of the (n, 1) projector table, n >= 2."""
+    return tuple(itemgetter(*order) for order, _ in _projector_terms(n, 1))
+
+
+def _nct_expand(elements):
+    """nct_cumulant of two or more NCPolys, by term choice in integers."""
+    den, weights, _ = _projector_scaled(len(elements), 1)
+    getters = _order_getters(len(elements))
+    choices = []
+    for e in elements:
+        d, ints = _cleared(e.terms)
+        den *= d
+        choices.append(tuple(ints.items()))
+    acc = {}
+    get = acc.get
+    for picked in product(*choices):
+        words = tuple(w for w, _ in picked)
+        c = prod(c for _, c in picked)
+        for take, wt in zip(getters, weights):
+            key = sum(take(words), ())
+            acc[key] = get(key, 0) + c * wt
+    return NCPoly(_divided(acc, den))
 
 
 def shuffle_moment(letters, indices) -> NCPoly:
@@ -344,18 +407,22 @@ class TruncatedNCSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedNCSeries(self.poly.scale(other), self.order)
         other = self._coerce(other)
-        by_length = {}
-        for w2, c2 in other.poly.terms.items():
-            by_length.setdefault(len(w2), []).append((w2, c2))
-        by_length = sorted(by_length.items())
-        out = {}
-        for w1, c1 in self.poly.terms.items():
-            room = self.order - len(w1)
-            for length, group in by_length:
-                if length > room:
-                    break
-                add_into(out, [(w1 + w2, c1 * c2) for w2, c2 in group])
-        return TruncatedNCSeries(NCPoly(out), self.order)
+        dp, p = _cleared(self.poly.terms)
+        dq, q = _cleared(other.poly.terms)
+        return TruncatedNCSeries(
+            NCPoly(_divided(_truncated_product(p, q, self.order), dp * dq)),
+            self.order)
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
 
     def _coerce(self, other):
         if isinstance(other, TruncatedNCSeries):
@@ -381,42 +448,74 @@ class TruncatedNCSeries:
     __repr__ = __str__
 
 
+def _truncated_product(p, q, order):
+    """Concatenation product of two {word: int} dicts without the words
+    longer than order: each left word meets only the right words that
+    fit.  Words whose coefficients cancel are dropped."""
+    by_length = {}
+    for w2, c2 in q.items():
+        by_length.setdefault(len(w2), []).append((w2, c2))
+    by_length = sorted(by_length.items())
+    out = {}
+    get = out.get
+    for w1, c1 in p.items():
+        room = order - len(w1)
+        for length, group in by_length:
+            if length > room:
+                break
+            for w2, c2 in group:
+                w = w1 + w2
+                out[w] = get(w, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def _compose(x, coeffs):
+    """sum_k coeffs[k] x^k for a series x with no constant term, k up to
+    the order (higher powers vanish under the truncation).
+
+    With x = X / d and coeffs[k] = A_k / L in integers, the sum is
+    (sum_k A_k X^k d^(order - k)) / (L d^order): the powers and the sum
+    are formed in ints, and each word is divided once.
+    """
+    order = x.order
+    d, big_x = _cleared(x.poly.terms)
+    scale, a = _cleared(dict(enumerate(coeffs)))
+    acc = {(): a[0] * d ** order}
+    power = {(): 1}
+    for k in range(1, order + 1):
+        power = _truncated_product(power, big_x, order)
+        if not power:
+            break
+        ak = a[k] * d ** (order - k)
+        if ak:
+            get = acc.get
+            for w, c in power.items():
+                acc[w] = get(w, 0) + c * ak
+    return TruncatedNCSeries(NCPoly(_divided(acc, scale * d ** order)),
+                             order)
+
+
 def exp_trunc(x: TruncatedNCSeries) -> TruncatedNCSeries:
     """exp of a series with zero constant term."""
     if x.constant_term() != 0:
         raise ValueError("exp needs a zero constant term")
-    out = TruncatedNCSeries.one(x.order)
-    power = TruncatedNCSeries.one(x.order)
-    for k in range(1, x.order + 1):
-        power = power * x
-        out = out + power * Fraction(1, factorial(k))
-    return out
+    return _compose(x, [Fraction(1, factorial(k))
+                        for k in range(x.order + 1)])
 
 
 def log_trunc(u: TruncatedNCSeries) -> TruncatedNCSeries:
     """log of a series with constant term one."""
     if u.constant_term() != 1:
         raise ValueError("log needs constant term 1")
-    v = u - 1
-    out = TruncatedNCSeries(NCPoly(), u.order)
-    power = TruncatedNCSeries.one(u.order)
-    for k in range(1, u.order + 1):
-        power = power * v
-        out = out + power * Fraction((-1) ** (k - 1), k)
-    return out
+    return _compose(u - 1, [0] + [Fraction((-1) ** (k - 1), k)
+                                  for k in range(1, u.order + 1)])
 
 
 def inv_trunc(u: TruncatedNCSeries) -> TruncatedNCSeries:
     """Multiplicative inverse of a series with constant term one."""
     if u.constant_term() != 1:
         raise ValueError("inverse needs constant term 1")
-    v = u - 1
-    out = TruncatedNCSeries.one(u.order)
-    power = TruncatedNCSeries.one(u.order)
-    for k in range(1, u.order + 1):
-        power = power * v
-        out = out + power * Fraction((-1) ** k)
-    return out
+    return _compose(u - 1, [(-1) ** k for k in range(u.order + 1)])
 
 
 # ---------------------------------------------------------------------------

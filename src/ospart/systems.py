@@ -428,12 +428,15 @@ class _CopyAtoms(Atoms):
     A joint moment of a sub-tuple is the engine's own evaluation of the
     kernel word of its copy tags; a free cumulant of a sub-tuple vanishes
     across distinct tags; psi moments evaluate in the monotone psi system.
+    Each (family, positions) is evaluated once per object and kept in
+    `_evaluated`.
     """
 
     def __init__(self, engine, labels, tags):
         super().__init__(labels)
         self.engine = engine
         self.tags = tuple(tags)
+        self._evaluated = {}
 
     def product(self, runs, family=MOMENT):
         """The product of the runs' evaluations, one Poly product each."""
@@ -448,13 +451,25 @@ class _CopyAtoms(Atoms):
                 tuple(self.tags[i] for i in pos))
 
     def moment(self, pos):
-        sub_labels, sub_tags = self._sub(pos)
-        return self.engine._phi_word(K.kernel_word(sub_tags), Atoms(sub_labels))
+        return self._atom(MOMENT, pos)
 
     def psi_moment(self, pos):
+        return self._atom(PSI_MOMENT, pos)
+
+    def _atom(self, kind, pos):
+        key = (kind, tuple(pos))
+        val = self._evaluated.get(key)
+        if val is None:
+            val = self._evaluated[key] = self._evaluate(*key)
+        return val
+
+    def _evaluate(self, kind, pos):
+        """The kernel word of the tags at pos, evaluated by the engine
+        (moments) or by the monotone system (psi moments)."""
         sub_labels, sub_tags = self._sub(pos)
-        return MONOTONE._phi_word(K.kernel_word(sub_tags),
-                                  Atoms(sub_labels, moment_kind=PSI_MOMENT))
+        engine = self.engine if kind == MOMENT else MONOTONE
+        return engine._phi_word(K.kernel_word(sub_tags),
+                                Atoms(sub_labels, moment_kind=kind))
 
     def free_cumulant(self, pos):
         sub_labels, sub_tags = self._sub(pos)

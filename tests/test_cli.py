@@ -144,6 +144,25 @@ def test_cbh_degree_one_and_cap():
     assert code == cli.EXIT_USAGE
 
 
+def test_cbh_word_cap():
+    # the first refused letter count at degrees 7 and 2
+    many = "".join(chr(0x4e00 + i) for i in range(158))
+    assert sum(157 ** k for k in (1, 2)) <= cli.CBH_WORD_CAP
+    assert sum(158 ** k for k in (1, 2)) > cli.CBH_WORD_CAP
+    assert sum(4 ** k for k in range(1, 8)) <= cli.CBH_WORD_CAP
+    for letters, degree in (("abcde", "7"), (many, "2")):
+        for route in ("all", "goldberg"):
+            code, out = run("cbh", "--letters", letters, "--degree", degree,
+                            "--route", route)
+            assert code == cli.EXIT_CAP and out == ""
+    # every size the cli-cold stream asks for stays allowed, and so does
+    # two letters at the degree cap
+    assert sum(3 ** k for k in range(1, 7)) <= cli.CBH_WORD_CAP
+    doc = run_json("cbh", "--letters", "ab", "--degree", "7",
+                   "--route", "goldberg")
+    assert doc["series"]["aab"] == "1/12"
+
+
 def test_clt():
     assert run_json("clt", "--system", "monotone", "-n", "4")["value"] == "3/2"
     assert run_json("clt", "--system", "free", "-n", "6")["value"] == "5"

@@ -334,6 +334,75 @@ def test_log_product_degree_two():
                                           ("b", "a"): F(-1, 2)})
 
 
+def test_series_reflected_operators():
+    a = FL.TruncatedNCSeries.letter("a", 3)
+    one = FL.TruncatedNCSeries.one(3)
+    assert 1 + a == a + 1 == one + a
+    assert F(1, 2) + a == a + F(1, 2)
+    assert 1 - a == one - a == -(a - 1)
+    assert 2 * a == a * 2 == a + a
+    assert F(1, 2) * a == a * F(1, 2)
+    assert (F(1, 2) * a).coefficient("a") == F(1, 2)
+    for bad in ("x", None, 1.5):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(bad, a)
+
+
+# the power loops that exp/log/inv replaced, over the untruncated NCPoly
+# product: the oracles of the integer series kernel
+
+def _truncate(x, order):
+    return FL.TruncatedNCSeries(x, order)
+
+
+def _power_sum(x, coeffs):
+    out = _truncate(FL.NCPoly.const(coeffs[0]), x.order)
+    power = FL.TruncatedNCSeries.one(x.order)
+    for k in range(1, x.order + 1):
+        power = _truncate(power.poly * x.poly, x.order)
+        out = out + power * F(coeffs[k])
+    return out
+
+
+def _exp_oracle(x):
+    return _power_sum(x, [F(1, factorial(k)) for k in range(x.order + 1)])
+
+
+def _log_oracle(u):
+    return _power_sum(u - 1, [0] + [F((-1) ** (k - 1), k)
+                                    for k in range(1, u.order + 1)])
+
+
+def _inv_oracle(u):
+    return _power_sum(u - 1, [(-1) ** k for k in range(u.order + 1)])
+
+
+def _exact_types(series):
+    return all(type(c) is int or (type(c) is F and c.denominator > 1)
+               for c in series.poly.terms.values())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_series_kernel_matches_power_loops(data):
+    # mixed denominators and a shared alphabet: powers collide and cancel
+    words = st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple)
+    coeffs = st.sampled_from([F(1, 2), F(1, 3), F(-3, 2), F(1), F(-2)])
+    terms = data.draw(st.dictionaries(words, coeffs, max_size=4))
+    order = data.draw(st.integers(0, 6))
+    x = FL.TruncatedNCSeries(FL.NCPoly(terms), order)
+    u = 1 + x
+    e = FL.exp_trunc(x)
+    assert e == _exp_oracle(x) and _exact_types(e)
+    assert FL.log_trunc(u) == _log_oracle(u) and _exact_types(FL.log_trunc(u))
+    inv = FL.inv_trunc(u)
+    assert inv == _inv_oracle(u) and _exact_types(inv)
+    assert FL.log_trunc(e) == x
+    one = FL.TruncatedNCSeries.one(order)
+    assert u * inv == one and inv * u == one
+
+
 # ---------------------------------------------------------------------------
 # CBH routes
 # ---------------------------------------------------------------------------
@@ -480,6 +549,18 @@ def test_nct_cumulant_matches_projector_fold(data):
     got = FL.nct_cumulant(elements)
     assert got == _projector_fold(elements)
     assert all(got.terms.values())
+
+
+def test_nct_cumulant_expands_mixed_denominators_with_collisions():
+    x = FL.NCPoly({("a",): F(1, 2), ("a", "b"): F(-1, 3), ("b",): 2})
+    y = FL.NCPoly({("b",): F(2, 3), ("a",): F(-3, 2)})
+    z = FL.NCPoly({("a",): 1, ("b", "a"): F(1, 6)})
+    elements = [x, y, x, z, y]
+    got = FL.nct_cumulant(elements)
+    assert got == _projector_fold(elements)
+    assert got and all(got.terms.values())
+    assert all(type(c) is int or (type(c) is F and c.denominator > 1)
+               for c in got.terms.values())
 
 
 def test_nct_cumulant_single_element_and_matrices():

@@ -793,6 +793,30 @@ def test_copy_atoms_match_per_factor_fold():
                 assert eng._phi_word(w, inner) == want, (name, tags, w)
 
 
+def test_copy_atoms_evaluate_each_tuple_once(monkeypatch):
+    real = S._CopyAtoms._evaluate
+    evaluated = []
+
+    def counting(self, kind, pos):
+        evaluated.append((kind, pos))
+        return real(self, kind, pos)
+
+    for eng in S.ENGINES.values():
+        for tags, labels in (((1, 2, 1, 2, 1), None), ((1, 2, 2, 1), "XYXY")):
+            # the oracle: every atom evaluated afresh at every request
+            with monkeypatch.context() as m:
+                m.setattr(S._CopyAtoms, "_atom",
+                          lambda self, kind, pos: real(self, kind, tuple(pos)))
+                want = eng.check_independence(tags, labels=labels)
+            evaluated.clear()
+            with monkeypatch.context() as m:
+                m.setattr(S._CopyAtoms, "_evaluate", counting)
+                assert eng.check_independence(tags, labels=labels) == want
+            # the free engine reads only free cumulants of its copies
+            assert evaluated or eng is S.FREE, (eng.name, tags)
+            assert len(set(evaluated)) == len(evaluated), (eng.name, tags)
+
+
 def test_product_engines_form_no_poly_products(monkeypatch):
     labels = ("X", "Y", "X", "Z", "Y")
 

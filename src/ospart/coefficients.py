@@ -10,7 +10,7 @@ Beta-function monomial rule, never numerically.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import _kernels as K
 from .partitions import OrderedSetPartition
@@ -118,12 +118,18 @@ def poly_mul(a, b):
 
 
 def integrate_unit(coeffs) -> Fraction:
-    """Exact integral over [-1, 0] of the polynomial with these coefficients."""
-    total = Fraction(0)
+    """Exact integral over [-1, 0] of the polynomial with these coefficients.
+
+    The sum of c_k (-1)^k / (k + 1) is added in integers over
+    L = lcm(1..len), as c_k (-1)^k (L / (k + 1)), and divided by L once.
+    """
+    big = lcm(*range(1, len(coeffs) + 1))
+    total = 0
     for k, c in enumerate(coeffs):
         if c:
-            total += Fraction(c * (-1) ** k, k + 1)
-    return total
+            term = c * (big // (k + 1))
+            total += -term if k & 1 else term
+    return Fraction(total, big)
 
 
 def integrate_monomial(a: int, b: int) -> Fraction:
@@ -175,18 +181,43 @@ def goldberg(tau, eta) -> Fraction:
     return Fraction(0) if rw is None else goldberg_from_word(rw)
 
 
-@lru_cache(maxsize=None)
 def goldberg_from_word(rw) -> Fraction:
     """Goldberg integral of a word: (1/prod q_j!) times the integral over
     [-1,0] of x^des (1+x)^asc prod P_{q_j}(x), with q_j its level-run
-    lengths."""
-    des, _, asc = stats(rw)
-    qs = runs(rw, LEVEL).lengths
-    poly = (0,) * des + (1,)
-    pw = (1,)
-    for _ in range(asc):
-        pw = poly_mul(pw, (1, 1))
-    poly = poly_mul(poly, pw)
+    lengths.
+
+    The value depends only on (des, asc, sorted run lengths); the word is
+    read once for them and `goldberg_from_stats` is cached on that key.
+    """
+    rw = tuple(rw)
+    if not rw:
+        raise ValueError("empty word")
+    des = asc = 0
+    qs = []
+    q = 1
+    for a, b in zip(rw, rw[1:]):
+        if a == b:
+            q += 1
+            continue
+        if a > b:
+            des += 1
+        else:
+            asc += 1
+        qs.append(q)
+        q = 1
+    qs.append(q)
+    return goldberg_from_stats(des, asc, tuple(sorted(qs)))
+
+
+@lru_cache(maxsize=None)
+def goldberg_from_stats(des: int, asc: int, qs: tuple) -> Fraction:
+    """Goldberg integral of any word with des descents, asc ascents and
+    level runs of lengths qs (sorted, since the value ignores their order).
+
+    x^des (1+x)^asc prod P_q(x) is expanded in integers, (1+x)^asc by its
+    binomials, integrated by `integrate_unit` and divided by prod q!.
+    """
+    poly = (0,) * des + tuple(comb(asc, j) for j in range(asc + 1))
     denom = 1
     for q in qs:
         poly = poly_mul(poly, eulerian_poly(q))

@@ -11,11 +11,11 @@ through descent statistics and homogeneous Eulerian polynomials.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import itemgetter
 
 from . import _kernels as K
-from .coefficients import goldberg_from_word
+from .coefficients import goldberg_from_stats, goldberg_from_word
 from .partitions import iter_pseudo_partitions
 from .symbolic import SparseSum, add_into, exact
 
@@ -547,27 +547,43 @@ def cbh_direct(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
 
 
 def cbh_cumulant(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
-    """CBH as the cumulant sum over multi-powers of the letters."""
+    """CBH as the cumulant sum over multi-powers of the letters: the
+    projector of each word a^p b^q ... divided by p! q! ....
+
+    Each total degree m is walked once, placing a positive power on each
+    letter after the last one placed until no power is left, so every
+    node is a multi-power's prefix.  Every permutation of the (m, 1)
+    projector table adds its integer weight times the multinomial
+    m!/(p! q! ...) to its rearranged word in one int dict, and each word
+    is divided once, by the table's denominator times m!.
+    """
     _check_cbh_args(letters, order, cap)
     letters = tuple(letters)
     n = len(letters)
-    out = {}
+    out = {(a,): 1 for a in letters}
+    for m in range(2, order + 1):
+        scale, weights, _ = _projector_scaled(m, 1)
+        getters = _order_getters(m)
+        acc = {}
+        get = acc.get
+        word = []
 
-    def rec(i, remaining, current):
-        if i == n:
-            if any(current):
-                seq = []
-                denom = 1
-                for a, p in zip(letters, current):
-                    seq.extend([a] * p)
-                    denom *= factorial(p)
-                add_into(out, pi_projector(seq).scale(
-                    Fraction(1, denom)).terms.items())
-            return
-        for p in range(0, remaining + 1):
-            rec(i + 1, remaining - p, current + [p])
+        def place(start, remaining, multinomial):
+            if remaining == 0:
+                for take, wt in zip(getters, weights):
+                    key = take(word)
+                    acc[key] = get(key, 0) + wt * multinomial
+                return
+            for i in range(start, n):
+                a = letters[i]
+                for p in range(1, remaining + 1):
+                    word.append(a)
+                    place(i + 1, remaining - p,
+                          multinomial * comb(remaining, p))
+                del word[-remaining:]
 
-    rec(0, order, [])
+        place(0, m, 1)
+        out.update(_divided(acc, scale * factorial(m)))
     return TruncatedNCSeries(NCPoly(out), order)
 
 
@@ -592,33 +608,33 @@ def goldberg_word_coefficient(monomial) -> Fraction:
 
 
 def cbh_goldberg(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
-    """CBH from the closed-form monomial coefficients."""
+    """CBH from the closed-form monomial coefficients.
+
+    Each monomial a_{i_1}^{q_1}...a_{i_m}^{q_m} (adjacent indices distinct)
+    is built once, its descents, ascents and multiplicities counted on the
+    way, and takes the Goldberg integral of those statistics, as
+    `goldberg_word_coefficient` would from its word.
+    """
     _check_cbh_args(letters, order, cap)
     letters = tuple(letters)
-    n = len(letters)
     out = {}
 
-    def emit(seq):
-        coeff = goldberg_word_coefficient(seq)
-        if coeff:
-            w = []
-            for i, q in seq:
-                w.extend([letters[i - 1]] * q)
-            out[tuple(w)] = coeff
-
-    def rec(seq, used):
-        if seq:
-            emit(seq)
-        if used >= order:
-            return
-        last = seq[-1][0] if seq else None
-        for i in range(1, n + 1):
+    def rec(word, last, used, des, asc, qs):
+        for i, a in enumerate(letters):
             if i == last:
                 continue
+            d = des + (i < last)
+            s = asc + (0 <= last < i)
             for q in range(1, order - used + 1):
-                rec(seq + [(i, q)], used + q)
+                w = word + (a,) * q
+                qq = qs + (q,)
+                coeff = goldberg_from_stats(d, s, tuple(sorted(qq)))
+                if coeff:
+                    out[w] = coeff
+                if used + q < order:
+                    rec(w, i, used + q, d, s, qq)
 
-    rec([], 0)
+    rec((), -1, 0, 0, 0, ())
     return TruncatedNCSeries(NCPoly(out), order)
 
 

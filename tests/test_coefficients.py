@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -98,6 +100,51 @@ def test_integration():
     # the monomial rule agrees with expanding (1+x)^b
     landing = C.poly_mul((0, 1), (1, 2, 1))            # x (1+x)^2
     assert C.integrate_unit(landing) == C.integrate_monomial(1, 2)
+
+
+def test_integrate_unit_matches_per_term_sum():
+    import random
+    rng = random.Random(5)
+    for length in range(12):
+        coeffs = tuple(rng.randint(-9, 9) for _ in range(length))
+        value = C.integrate_unit(coeffs)
+        assert type(value) is F
+        assert value == sum(F(c * (-1) ** k, k + 1)
+                            for k, c in enumerate(coeffs))
+
+
+def _goldberg_run_by_run(rw):
+    """The Goldberg integral as first written: x^des (1+x)^asc and one
+    P_q per level run multiplied out, then a Fraction per coefficient."""
+    des, _, asc = C.stats(rw)
+    poly = (0,) * des + (1,)
+    for _ in range(asc):
+        poly = C.poly_mul(poly, (1, 1))
+    denom = 1
+    for q in C.runs(rw, C.LEVEL).lengths:
+        poly = C.poly_mul(poly, C.eulerian_poly(q))
+        denom *= factorial(q)
+    total = F(0)
+    for k, c in enumerate(poly):
+        total += F(c * (-1) ** k, k + 1)
+    return total / denom
+
+
+def test_goldberg_integral_is_cached_by_word_statistics():
+    C.goldberg_from_stats.cache_clear()
+    signatures = set()
+    for n in range(1, 8):
+        for rw in itertools.product((1, 2, 3), repeat=n):
+            value = C.goldberg_from_word(rw)
+            assert type(value) is F
+            assert value == _goldberg_run_by_run(rw), rw
+            des, _, asc = C.stats(rw)
+            signatures.add(
+                (des, asc, tuple(sorted(C.runs(rw, C.LEVEL).lengths))))
+    info = C.goldberg_from_stats.cache_info()
+    assert info.currsize == info.misses == len(signatures) < 3 ** 7
+    with pytest.raises(ValueError):
+        C.goldberg_from_word(())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import collections
 import functools
 import itertools
 import operator
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +415,61 @@ def test_cbh_routes_agree_small():
     t = FL.cbh_direct("abc", 3)
     assert t == FL.cbh_cumulant("abc", 3)
     assert t == FL.cbh_goldberg("abc", 3)
+
+
+def _multi_powers(n, order):
+    return [p for p in itertools.product(range(order + 1), repeat=n)
+            if 1 <= sum(p) <= order]
+
+
+def _cumulant_definition(letters, order):
+    """sum over multi-powers p of pi(a^p1 b^p2 ...) / (p1! p2! ...), each
+    projector taken from the coproduct definition."""
+    out = {}
+    for powers in _multi_powers(len(letters), order):
+        word = sum(((a,) * p for a, p in zip(letters, powers)), ())
+        denom = prod(factorial(p) for p in powers)
+        add_into(out, ((w, c / denom) for w, c in
+                       FL.pi_convolution_oracle(word).terms.items()))
+    return FL.NCPoly(out)
+
+
+@pytest.mark.parametrize("letters, top", [("ab", 5), ("abc", 4)])
+def test_cbh_cumulant_matches_coproduct_definition(letters, top):
+    for order in range(1, top + 1):
+        series = FL.cbh_cumulant(letters, order)
+        assert series.poly == _cumulant_definition(letters, order)
+        assert _exact_types(series)
+
+
+def test_cbh_cumulant_visits_each_projector_term_of_each_multi_power(
+        monkeypatch):
+    # the permutations of one multi-power word are not grouped by image:
+    # each table term of each word is applied exactly once
+    calls = collections.Counter()
+    getters = FL._order_getters
+
+    def counted(m):
+        def take(word, get):
+            calls[m] += 1
+            return get(word)
+        return tuple(functools.partial(take, get=g) for g in getters(m))
+
+    monkeypatch.setattr(FL, "_order_getters", counted)
+    letters, order = "abc", 5
+    FL.cbh_cumulant(letters, order)
+    powers = _multi_powers(len(letters), order)
+    assert calls == {m: sum(sum(p) == m for p in powers)
+                     * len(FL._projector_terms(m, 1))
+                     for m in range(2, order + 1)}
+
+
+@pytest.mark.parametrize("count, order", [(60, 2), (12, 3)])
+def test_cbh_routes_agree_on_many_letters(count, order):
+    letters = tuple(f"x{i}" for i in range(count))
+    d = FL.cbh_direct(letters, order)
+    assert d == FL.cbh_cumulant(letters, order)
+    assert d == FL.cbh_goldberg(letters, order)
 
 
 def test_cbh_direct_equals_goldberg_degree_10():

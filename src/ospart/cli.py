@@ -17,11 +17,11 @@ from . import freelie as fl
 from . import partitions as parts
 from . import systems
 
-ENUMERATE_CAP = 9
+ENUMERATE_CAP = 8
 CBH_CAP = 7
 # bound on the words of length 1..degree over the letters (sum of L^k);
-# the slowest `--route all` it allows, 157 letters at degree 2, took
-# 3.5 s and 41 MB on a 2-core host
+# the slowest `--route all` it allows, `abcd` at degree 7, takes about
+# 0.9 s and 32 MB on a 2-core host
 CBH_WORD_CAP = 25_000
 CUMULANTS_CAP = 5
 CLT_CAP = 10

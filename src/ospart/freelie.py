@@ -538,12 +538,30 @@ def _check_cbh_args(letters, order, cap):
 
 
 def cbh_direct(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
-    """log of the product of letter exponentials by series arithmetic."""
+    """log of the product of the letter exponentials.
+
+    The letters are distinct, so the product is the sum of the words
+    a^p b^q ... up to the order, each with coefficient 1/(p! q! ...), whose
+    denominator divides order!.  The prefix product is kept as integers over
+    order!: the next letter a extends each word w by a^k with w's integer
+    // k!, exactly.  Words of full length are set aside, since no later
+    letter extends them, and every word is divided once before the log.
+    """
     _check_cbh_args(letters, order, cap)
-    prod = TruncatedNCSeries.one(order)
+    scale = factorial(order)
+    full = {}
+    grow = {(): scale}
     for a in letters:
-        prod = prod * exp_trunc(TruncatedNCSeries.letter(a, order))
-    return log_trunc(prod)
+        nxt = {}
+        for w, c in grow.items():
+            nxt[w] = c
+            for k in range(1, order - len(w) + 1):
+                w += (a,)
+                c //= k
+                (full if len(w) == order else nxt)[w] = c
+        grow = nxt
+    full.update(grow)
+    return log_trunc(TruncatedNCSeries(NCPoly(_divided(full, scale)), order))
 
 
 def cbh_cumulant(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:

@@ -108,7 +108,7 @@ def test_criterion_04_mobius_inversion():
     for s in range(1, 5):
         for t in range(1, 5):
             ok = ok and all(K.beta_semigroup_identity(n, s, t)
-                            for n in range(1, 6))
+                            for n in range(1, 7))
     # gamma (x) beta = beta_{s o t} with parameter vectors, n <= 4
     for s_, t_ in (((2, 3, 2, 3), (3, 2, 3, 2)), ((1, 2, 3, 1), (3, 1, 2, 2))):
         st = tuple(a * b for a, b in zip(s_, t_))
@@ -119,7 +119,7 @@ def test_criterion_04_mobius_inversion():
                 for sg in P.ideal_elements(pi):
                     ok = ok and (I.convolve_tri(gam, bet, sg, pi)
                                  == I.beta_vec(st, sg, pi))
-    report(4, ok, "mu~*zeta~ = delta (n<=6); beta semigroup (n<=5); "
+    report(4, ok, "mu~*zeta~ = delta (n<=6); beta semigroup (n<=6); "
                   "gamma(x)beta (n<=4)")
 
 

@@ -67,6 +67,16 @@ def test_enumerate_cap():
     assert doc["count"] == 102247563
 
 
+def test_enumerate_cap_refuses_n9_listing():
+    # n = 9 lists 7,087,261 words (about 38 s and 1.3 GB on a 2-core host);
+    # n = 8 is the largest listing allowed without --force
+    assert cli.ENUMERATE_CAP == 8
+    code, out = run("enumerate", "-n", "9", "--class", "all")
+    assert code == cli.EXIT_CAP and out == ""
+    assert run_json("enumerate", "-n", "8", "--class", "all",
+                    "--count-only")["count"] == 545835
+
+
 def test_coeff_values():
     doc = run_json("coeff", "goldberg", "--tau", "12", "--eta", "12")
     assert doc["value"] == "1/2"

@@ -472,6 +472,21 @@ def test_cbh_routes_agree_on_many_letters(count, order):
     assert d == FL.cbh_goldberg(letters, order)
 
 
+@pytest.mark.parametrize("letters, top", [
+    ("a", 5), ("ab", 6), ("abc", 4), (tuple(f"x{i}" for i in range(20)), 2)])
+def test_cbh_direct_is_the_log_of_the_series_product(letters, top):
+    # the integer prefix product against one TruncatedNCSeries product
+    # per letter exponential, coefficient types included
+    for order in range(1, top + 1):
+        product = FL.TruncatedNCSeries.one(order)
+        for a in letters:
+            letter = FL.TruncatedNCSeries.letter(a, order)
+            product = product * FL.exp_trunc(letter)
+        series = FL.cbh_direct(letters, order)
+        assert series.poly.terms == FL.log_trunc(product).poly.terms
+        assert _exact_types(series)
+
+
 def test_cbh_direct_equals_goldberg_degree_10():
     # Goldberg, Duke Math. J. 23 (1956): the closed-form coefficients
     # reproduce the series arithmetic for two letters to degree 10

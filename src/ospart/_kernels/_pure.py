@@ -189,26 +189,64 @@ def _lifted(k: int, off: int) -> tuple:
     return tuple((tuple(x + off for x in w), max(w)) for w in osp_words(k))
 
 
+def _representative(sizes) -> tuple:
+    """The word 1...1 2...2 ... whose blocks have these sizes, in order.
+
+    Every word v with the same block sizes is it with its positions permuted
+    by _carrier(v), and so are the ideal and the oracle rows of v.
+    """
+    return tuple(j for j, k in enumerate(sizes, 1) for _ in range(k))
+
+
+def _carrier(v):
+    """The position permutation taking _representative(_block_sizes(v)) to v,
+    as a map on words: position k of the result reads position place[k] of
+    its argument, where place[k] is k's index once v's positions are sorted
+    (stably) by block.
+
+    quasi-meet, the order and the interval types commute with it, so it
+    takes every sigma <= the representative, and every oracle row of the
+    representative, to those of v.
+    """
+    order = sorted(range(len(v)), key=v.__getitem__)
+    place = sorted(range(len(v)), key=order.__getitem__)
+    # itemgetter of one index returns the item, not a 1-tuple
+    return itemgetter(*place) if len(place) > 1 else tuple
+
+
+def _carry_row(row, v):
+    """An oracle row of _representative(_block_sizes(v)), carried to v."""
+    return dict(zip(map(_carrier(v), row), row.values()))
+
+
+@lru_cache(maxsize=None)
+def _ideal_rows(sizes) -> tuple:
+    """(words, types) of typed_ideal(_representative(sizes)).
+
+    Each sigma concatenates one OP word per block, lifted past the blocks
+    of the words before it, and the block counts of those words are its
+    type.  Equal types are one shared tuple.
+    """
+    rows = [((), (), 0)]
+    for k in sizes:
+        rows = [(c + w, t + (p,), off + p) for c, t, off in rows
+                for w, p in _lifted(k, off)]
+    shared = {}
+    return (tuple(c for c, _, _ in rows),
+            tuple(shared.setdefault(t, t) for _, t, _ in rows))
+
+
 @lru_cache(maxsize=None)
 def typed_ideal(v) -> tuple:
     """(words, types): every sigma <= v and type(sigma, v), as two parallel
     tuples.
 
-    Each sigma concatenates one OP word per v-block, lifted past the blocks
-    of the words before it, and the block counts of those words are its
-    type.  Equal types are one shared tuple.
+    The rows of v's block sizes are built once (_ideal_rows) and carried to
+    v by its position permutation; the types tuple is theirs, shared by
+    every word of those block sizes.
     """
-    order = sorted(range(len(v)), key=v.__getitem__)
-    place = sorted(range(len(v)), key=order.__getitem__)
-    rows = [((), (), 0)]
-    for j in range(1, max(v) + 1):
-        rows = [(c + w, t + (p,), off + p) for c, t, off in rows
-                for w, p in _lifted(v.count(j), off)]
-    # itemgetter of one index returns the item, not a 1-tuple
-    permute = itemgetter(*place) if len(place) > 1 else tuple
-    shared = {}
-    return (tuple(permute(c) for c, _, _ in rows),
-            tuple(shared.setdefault(t, t) for _, t, _ in rows))
+    words, types = _ideal_rows(_block_sizes(v))
+    return tuple(map(_carrier(v), words)), types
 
 
 def ideal_words(v) -> tuple:
@@ -260,11 +298,9 @@ def _scaled_weights(weight, sizes) -> tuple:
     order: D is the lcm of the denominators of weight(t) over the types t
     of typed_ideal(v), and ks[i] the integer D * weight(types[i]).
 
-    typed_ideal(v) lists the same types for all such v, so the word
-    1...1 2...2 ... stands for them.
+    typed_ideal(v) lists the types of _ideal_rows(sizes) for all such v.
     """
-    rep = tuple(j for j, k in enumerate(sizes, 1) for _ in range(k))
-    types = typed_ideal(rep)[1]
+    types = _ideal_rows(sizes)[1]
     per_type = {t: weight(t) for t in dict.fromkeys(types)}
     d = lcm(*(x.denominator for x in per_type.values()))
     ints = {t: x.numerator * (d // x.denominator)
@@ -363,49 +399,72 @@ def beta_semigroup_identity(n: int, s: int, t: int) -> bool:
     return True
 
 
+class _Quotients(dict):
+    """x -> Fraction(x, d), made once per distinct numerator x."""
+
+    def __init__(self, d: int):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, x):
+        q = self[x] = Fraction(x, self.d)
+        return q
+
+
 @lru_cache(maxsize=None)
 def _weisner_scaled(n: int) -> tuple:
     """(L, table): L = lcm(1..n) and the integers L * w(tau, eta) as
-    table[eta][tau], zeros omitted.  For each eta one sweep over OP_n buckets
-    L mu~(sigma, 1^) = (-1)^(p-1) L/p by sigma's quasi-meet with eta.
-    Cached for both oracle tables, which only read it."""
+    table[eta][tau], zeros omitted.
+
+    Only the representative eta of each block-size composition is swept:
+    over all of OP_n, L mu~(sigma, 1^) = (-1)^(p-1) L/p is bucketed by
+    sigma's quasi-meet with it, 2^(n-1) Fubini(n) quasi-meets in all.
+    sigma -> sigma o g permutes OP_n and commutes with the quasi-meet, so
+    every other eta gets its representative's row carried by _carrier(eta).
+    Cached for both oracle tables, which only read it.
+    """
     words = osp_words(n)
     scale = lcm(*range(1, n + 1))
     mu_top = [(-1) ** (max(w) - 1) * (scale // max(w)) for w in words]
-    table = {}
-    for eta in words:
+    rows = {}
+    for sizes in compositions(n):
+        rep = _representative(sizes)
         acc = {}
         for sig, m in zip(words, mu_top):
-            tau = quasi_meet(sig, eta)
+            tau = quasi_meet(sig, rep)
             acc[tau] = acc.get(tau, 0) + m
-        table[eta] = {k: val for k, val in acc.items() if val}
-    return scale, table
+        rows[sizes] = {k: val for k, val in acc.items() if val}
+    return scale, {eta: _carry_row(rows[_block_sizes(eta)], eta)
+                   for eta in words}
 
 
 def weisner_oracle_table(n: int) -> dict:
     """Brute-force w(tau,eta) for all pairs: table[eta][tau], zeros omitted."""
     scale, table = _weisner_scaled(n)
-    return {eta: {tau: Fraction(x, scale) for tau, x in row.items()}
+    q = _Quotients(scale)
+    return {eta: {tau: q[x] for tau, x in row.items()}
             for eta, row in table.items()}
 
 
 def goldberg_oracle_table(n: int) -> dict:
     """Brute-force g(tau,eta) = sum_{sigma>=tau} zeta~(tau,sigma) w(sigma,eta),
-    summed as integers n! zeta~ times L w and divided once per entry."""
-    words = osp_words(n)
+    summed as integers n! zeta~ times L w and divided once per entry.
+
+    The sum runs for the representative eta of each block-size composition
+    only; every other eta gets its row carried by _carrier(eta), since
+    sigma -> sigma o g keeps both zeta~ and w.
+    """
     scale, wtab = _weisner_scaled(n)
     nf = factorial(n)
-    zpairs = {}
-    for sig in words:
-        taus, types = typed_ideal(sig)
-        zpairs[sig] = tuple(zip(taus, [nf // zeta_tilde_type(t).denominator
-                                       for t in types]))
-    table = {}
-    for eta in words:
+    q = _Quotients(scale * nf)
+    rows = {}
+    for sizes in compositions(n):
         acc = {}
-        for sig, wval in wtab[eta].items():
-            for tau, z in zpairs[sig]:
-                acc[tau] = acc.get(tau, 0) + z * wval
-        table[eta] = {k: Fraction(val, scale * nf)
-                      for k, val in acc.items() if val}
-    return table
+        for sig, wval in wtab[_representative(sizes)].items():
+            d, zs = zeta_tilde_scaled(sig)
+            f = nf // d * wval
+            for tau, z in zip(typed_ideal(sig)[0], zs):
+                acc[tau] = acc.get(tau, 0) + z * f
+        rows[sizes] = {k: q[val] for k, val in acc.items() if val}
+    return {eta: _carry_row(rows[_block_sizes(eta)], eta)
+            for eta in osp_words(n)}

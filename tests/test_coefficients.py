@@ -259,6 +259,48 @@ def test_oracle_tables_share_one_weisner_sweep():
         assert sweep.cache_info().misses == 1
 
 
+def test_weisner_sweep_runs_once_per_block_size_composition(monkeypatch):
+    # only the representative eta = 1...1 2...2 ... of each of the 2^(n-1)
+    # block-size compositions is swept over OP_n; every other row is carried
+    # by a position permutation and must equal a plain sweep for its own eta
+    from ospart import _kernels as K
+    from ospart._kernels import _pure
+    meet = _pure.quasi_meet
+    calls = []
+
+    def counted_meet(u, v):
+        calls.append(v)
+        return meet(u, v)
+
+    monkeypatch.setattr(_pure, "quasi_meet", counted_meet)
+    for n in (3, 4):
+        _pure._weisner_scaled.cache_clear()
+        calls.clear()
+        _pure._weisner_scaled(n)
+        assert len(calls) == 2 ** (n - 1) * K.fubini(n)
+        assert len(set(calls)) == 2 ** (n - 1)
+        assert all(v == tuple(sorted(v)) for v in calls)
+    monkeypatch.undo()
+    _pure._weisner_scaled.cache_clear()
+
+    for n in (1, 2, 3, 4):
+        words = K.osp_words(n)
+        plain = {}
+        for eta in words:
+            row = {}
+            for sig in words:
+                # quasi-meet: eta restricted to sigma's blocks, concatenated
+                pairs = sorted(set(zip(sig, eta)))
+                tau = tuple(pairs.index(pr) + 1 for pr in zip(sig, eta))
+                p = max(sig)
+                row[tau] = row.get(tau, 0) + F((-1) ** (p - 1), p)
+            plain[eta] = {tau: x for tau, x in row.items() if x}
+        assert C.weisner_oracle_table(n) == plain
+        scale, table = _pure._weisner_scaled(n)
+        assert table == {eta: {tau: x * scale for tau, x in row.items()}
+                         for eta, row in plain.items()}
+
+
 def test_oracle_bound_refusal():
     big_tau = P.OrderedSetPartition.singletons(7)
     big_eta = P.OrderedSetPartition.one_block(7)

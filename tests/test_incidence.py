@@ -410,6 +410,34 @@ def test_typed_ideal_matches_definitions():
         assert pairs == {(w, v) for w in words for v in _ups(w)}
 
 
+def test_typed_ideal_builds_rows_once_per_block_sizes():
+    # the rows are built once per block-size tuple and carried to each word
+    # by its position permutation; the result is, tuple for tuple and in the
+    # same order, the per-word construction written out here
+    def per_word(v):
+        order = sorted(range(len(v)), key=v.__getitem__)
+        place = sorted(range(len(v)), key=order.__getitem__)
+        rows = [((), (), 0)]
+        for j in range(1, max(v) + 1):
+            rows = [(c + tuple(x + off for x in w), t + (max(w),),
+                     off + max(w))
+                    for c, t, off in rows for w in K.osp_words(v.count(j))]
+        return (tuple(tuple(c[i] for i in place) for c, _, _ in rows),
+                tuple(t for _, t, _ in rows))
+
+    _pure.typed_ideal.cache_clear()
+    _pure._ideal_rows.cache_clear()
+    sizes = set()
+    for n in range(1, 6):
+        for v in K.osp_words(n):
+            sizes.add(tuple(v.count(b) for b in range(1, max(v) + 1)))
+            assert K.typed_ideal(v) == per_word(v), v
+    assert len(sizes) == 2 ** 5 - 1
+    assert _pure._ideal_rows.cache_info().misses == len(sizes)
+    # words of the same block sizes share one types tuple
+    assert K.typed_ideal((2, 1, 1))[1] is K.typed_ideal((1, 1, 2))[1]
+
+
 def test_scaled_ideal_weights_match_closed_forms():
     # (D, ks): ks[i] / D is the weight of the i-th sigma of typed_ideal(v),
     # and no smaller D makes every ks[i] an integer

@@ -308,6 +308,7 @@ def _scaled_weights(weight, sizes) -> tuple:
     return d, tuple(map(ints.__getitem__, types))
 
 
+@lru_cache(maxsize=None)
 def _block_sizes(v) -> tuple:
     return tuple(map(v.count, range(1, max(v) + 1)))
 
@@ -358,23 +359,25 @@ def mu_zeta_identity(n: int) -> bool:
     """Check mu~ * zeta~ = zeta~ * mu~ = delta on every comparable pair.
 
     Both sums are taken times (max(u)!)**2, in exact integers.  They depend
-    on type(u, v) alone, so each interval type is summed once per call and
-    kept for that call only; every comparable pair from typed_ideal is still
-    compared with its own expected value.
+    on t = type(u, v) alone, and so does the expected value: u == v exactly
+    when t is all ones, and max(u) = sum(t).  So each interval type is
+    summed and judged once per call, its verdict kept for that call only,
+    and every comparable pair is still checked: the types of v's ideal are
+    the rows of v's block sizes, read without carrying a u word to v.
     """
-    sums = {}
+    holds = {}
     for v in osp_words(n):
-        for u, tv in zip(*typed_ideal(v)):
-            pair = sums.get(tv)
-            if pair is None:
+        for tv in _ideal_rows(_block_sizes(v))[1]:
+            ok = holds.get(tv)
+            if ok is None:
                 s_mz = s_zm = 0
                 for t1, t2 in _interval_types(tv):
                     mz, zm = _mu_zeta_scaled(t1, t2)
                     s_mz += mz
                     s_zm += zm
-                pair = sums[tv] = (s_mz, s_zm)
-            expect = factorial(max(u)) ** 2 if u == v else 0
-            if pair != (expect, expect):
+                expect = factorial(sum(tv)) ** 2 if max(tv) == 1 else 0
+                ok = holds[tv] = s_mz == s_zm == expect
+            if not ok:
                 return False
     return True
 
@@ -384,11 +387,11 @@ def beta_semigroup_identity(n: int, s: int, t: int) -> bool:
 
     Both sides depend on type(u, v) alone, so each interval type is summed
     once per call and its verdict kept for that call only; every comparable
-    pair from typed_ideal is still checked.
+    pair is still checked, its type read from the rows of v's block sizes.
     """
     holds = {}
     for v in osp_words(n):
-        for tv in typed_ideal(v)[1]:
+        for tv in _ideal_rows(_block_sizes(v))[1]:
             ok = holds.get(tv)
             if ok is None:
                 total = sum(_beta_type(s, t1) * _beta_type(t, t2)

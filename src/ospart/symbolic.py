@@ -169,10 +169,19 @@ class SparseSum:
         return -self + other
 
     def scale(self, c):
+        """Every coefficient times c: one product per distinct
+        coefficient, shared by the keys that carry it."""
         c = exact(c)
         if not c:
             return type(self)()
-        return type(self)({k: exact(cc * c) for k, cc in self.terms.items()})
+        products = {}
+        out = {}
+        for k, cc in self.terms.items():
+            p = products.get(cc)
+            if p is None:
+                p = products[cc] = exact(cc * c)
+            out[k] = p
+        return type(self)(out)
 
 
 class Poly(SparseSum):

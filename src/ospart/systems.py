@@ -49,20 +49,28 @@ class Atoms:
     runs, each an ascending tuple of 0-based positions of the current word:
     `product(runs)` for the moment family (the psi family when
     `moment_kind` is PSI_MOMENT) and `product(runs, FREE_CUMULANT)` for
-    free cumulants.  Here the product is one monomial in the symbols of the
-    runs' labels, built once per distinct list of runs.  The c-monotone
-    recursion also asks for single atoms through `moment` and
-    `psi_moment`.  A custom provider subclasses Atoms or supplies the same
-    methods.  These products, `sum` and `scaled_sum` name the ring the
-    engine evaluates into, here Poly: every engine method that takes an
-    atoms object multiplies and adds through them, so atoms of another ring
-    (CLT_ATOMS: the integers) give values in that ring.  `scaled_sum(pairs,
-    d)` is the sum of k x over (x, k) pairs with integer k, divided by the
-    integer d: the mu~ and zeta~ sums over an ideal add through it.
+    free cumulants.  `term(factors)` is the product over (family, run)
+    pairs of mixed families (MOMENT, PSI_MOMENT or FREE_CUMULANT); the
+    c-monotone engine asks for it once per distinct signed term of its
+    rule-V expansion, so it forms no Poly product either.  Here a product
+    is one monomial in the symbols of the runs' labels, built once per
+    distinct list of factors.  The c-monotone recursion asks a provider
+    whose `term` is None or missing (CLT_ATOMS, the copy atoms of
+    check_independence) for single atoms through `moment` and
+    `psi_moment` and multiplies them in its ring instead, where a zero
+    atom skips the terms it multiplies.  A custom provider subclasses
+    Atoms or supplies the same methods.  These products, `sum` and
+    `scaled_sum` name the ring the engine evaluates into, here Poly: every
+    engine method that takes an atoms object multiplies and adds through
+    them, so atoms of another ring (CLT_ATOMS: the integers) give values
+    in that ring.  `scaled_sum(pairs, d)` is the sum of k x over (x, k)
+    pairs with integer k, divided by the integer d: the mu~ and zeta~ sums
+    over an ideal add through it.
 
-    The c-monotone recursion keeps its values in `_rule_v`, keyed by
-    syllable sequence, so the words of one atoms object share them; atoms
-    without `_rule_v` get a memo per word.
+    The c-monotone recursion keeps its values (its signed terms, on atoms
+    with `term`) in `_rule_v`, keyed by syllable sequence, so the words of
+    one atoms object share them; atoms without `_rule_v` get a memo per
+    word.
     """
 
     sum = staticmethod(Poly.sum)
@@ -77,24 +85,35 @@ class Atoms:
     def scaled_sum(pairs, d):
         """(sum of k x over the (x, k) pairs) / d, for Polys x and ints k.
 
-        The terms add as integer multiples into one dict, and the sum is
-        divided once, by one Poly scaling.
+        The terms add as integer multiples into one dict, the monomials
+        whose sum cancels are dropped, and the sum is divided once, by one
+        Poly scaling (none when d is 1).
         """
-        return Poly(add_into({}, ((mono, c * k) for x, k in pairs
-                                  for mono, c in x.terms.items()))
-                    ) * Fraction(1, d)
+        acc = {}
+        get = acc.get
+        for x, k in pairs:
+            for mono, c in x.terms.items():
+                old = get(mono)
+                acc[mono] = c * k if old is None else old + c * k
+        total = Poly({mono: c for mono, c in acc.items() if c})
+        return total if d == 1 else total * Fraction(1, d)
 
     def _labels_at(self, pos):
         return tuple(self.labels[i] for i in pos)
 
     def product(self, runs, family=MOMENT):
         """The product over runs of the family's atoms, as one monomial."""
-        key = (family, tuple(map(tuple, runs)))
-        val = self._products.get(key)
+        return self.term(tuple((family, tuple(run)) for run in runs))
+
+    def term(self, factors):
+        """The product of the atoms over (family, run) pairs, as one
+        monomial, built once per distinct factors tuple."""
+        val = self._products.get(factors)
         if val is None:
-            kind = self.moment_kind if family == MOMENT else family
-            val = self._products[key] = Poly.monomial(
-                (kind, self._labels_at(run)) for run in key[1])
+            kind = self.moment_kind
+            val = self._products[factors] = Poly.monomial(
+                (kind if family == MOMENT else family, self._labels_at(run))
+                for family, run in factors)
         return val
 
     def moment(self, pos):
@@ -189,9 +208,8 @@ class Engine:
     def cumulant_table(self, n, labels=None):
         """{word: K_pi} over all of OP_n."""
         at = self.atoms(_labels_or_default(n, labels))
-        phis = {w: self._phi_word(w, at) for w in K.osp_words(n)}
-        return {v: _ideal_sum(v, lambda w, t: phis[w], K.mu_tilde_scaled, at)
-                for v in K.osp_words(n)}
+        return _mu_tilde_table({w: self._phi_word(w, at)
+                                for w in K.osp_words(n)})
 
     def multiplicative_cumulant(self, pi, labels):
         """K_(pi): product of one-block cumulants over the blocks of pi."""
@@ -392,10 +410,13 @@ class _CLTAtoms:
     """Centered atoms of unit variance, as plain integers.
 
     Every family gives 0 on one position and 1 on two, the same for all
-    labels; a pair partition never asks for a longer atom.
+    labels; a pair partition never asks for a longer atom.  There is no
+    `term`: c-monotone multiplies single atoms here, where a zero atom
+    skips the terms it multiplies.
     """
 
     sum = staticmethod(sum)
+    term = None
 
     @staticmethod
     def scaled_sum(pairs, d):
@@ -437,6 +458,10 @@ class _CopyAtoms(Atoms):
         self.engine = engine
         self.tags = tuple(tags)
         self._evaluated = {}
+
+    # no `term`: c-monotone multiplies the evaluated atoms, whose products
+    # are Polys of many terms, and skips the terms a zero atom multiplies
+    term = None
 
     def product(self, runs, family=MOMENT):
         """The product of the runs' evaluations, one Poly product each."""
@@ -552,6 +577,51 @@ class FreeEngine(Engine):
         return atoms.sum(terms)
 
 
+class _Terms(dict):
+    """A sum of signed products of atoms, {factors: integer}: factors is
+    a sorted tuple of (family, run) pairs, one per atom of the product."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        out = _Terms()
+        get = out.get
+        for f1, c1 in self.items():
+            for f2, c2 in other.items():
+                key = tuple(sorted(f1 + f2))
+                old = get(key)
+                out[key] = c1 * c2 if old is None else old + c1 * c2
+        return out
+
+    def __sub__(self, other):
+        out = _Terms(self)
+        for key, c in other.items():
+            out[key] = out.get(key, 0) - c
+        return out
+
+
+class _TermAtoms:
+    """The ring in which c-monotone expands rule V on atoms with `term`:
+    each atom is the one-factor term sum of its (family, run)."""
+
+    @staticmethod
+    def moment(pos):
+        return _Terms({((MOMENT, pos),): 1})
+
+    @staticmethod
+    def psi_moment(pos):
+        return _Terms({((PSI_MOMENT, pos),): 1})
+
+    @staticmethod
+    def sum(summands):
+        out = _Terms()
+        get = out.get
+        for s in summands:
+            for key, c in s.items():
+                out[key] = get(key, 0) + c
+        return out
+
+
 class CMonotoneEngine(Engine):
     name = "cmonotone"
 
@@ -562,14 +632,23 @@ class CMonotoneEngine(Engine):
                 syls[-1][1].append(pos)
             else:
                 syls.append((v, [pos]))
-        syls = tuple((v, tuple(ps)) for v, ps in syls)
+        syls = tuple([(v, tuple(ps)) for v, ps in syls])
         # the rule-V branches share their sub-sequences, and so do the words
         # of one Atoms object.  The word itself is computed, not stored: the
         # recursion of no other word meets all of its positions.  CLT_ATOMS
         # keep a memo per word, since one shared over the pair words of
         # clt_moment(10) costs more than it saves
         memo = getattr(atoms, "_rule_v", None)
-        return self._compute(syls, atoms, {} if memo is None else memo)
+        if memo is None:
+            memo = {}
+        term = getattr(atoms, "term", None)
+        if term is None:
+            # multiply in the provider's ring, which collapses as it goes:
+            # CLT_ATOMS skip every term a zero atom multiplies
+            return self._compute(syls, atoms, memo)
+        # expand into signed terms, then ask the atoms once per term
+        terms = self._compute(syls, _TermAtoms, memo)
+        return atoms.scaled_sum([(term(f), k) for f, k in terms.items()], 1)
 
     def _eval(self, syls, atoms, memo):
         """phi of a syllable sequence; memo maps each sequence met to its
@@ -647,6 +726,33 @@ def _ideal_sum(v, value, scaled, ring):
     d, ks = scaled(v)
     words, types = K.typed_ideal(v)
     return ring.scaled_sum(list(zip(map(value, words, types), ks)), d)
+
+
+def _mu_tilde_table(phis):
+    """{v: K_v} for every word v of phis, which holds a Poly for each word
+    of OP_n: K_v is the sum of phis[sigma] mu~(sigma, v) over sigma <= v.
+
+    Each phi is flattened once into (monomial id, coefficient) rows, one id
+    per distinct monomial of the table.  Each K_v adds the integers c k,
+    with k from K.mu_tilde_scaled(v), into a dict keyed by id, and is
+    divided by its D once.
+    """
+    ids = {}
+    rows = {w: [(ids.setdefault(mono, len(ids)), c)
+                for mono, c in x.terms.items()] for w, x in phis.items()}
+    monos = list(ids)
+    table = {}
+    for v in phis:
+        d, ks = K.mu_tilde_scaled(v)
+        acc = {}
+        get = acc.get
+        for w, k in zip(K.typed_ideal(v)[0], ks):
+            for i, c in rows[w]:
+                old = get(i)
+                acc[i] = c * k if old is None else old + c * k
+        table[v] = Poly({monos[i]: c for i, c in acc.items() if c}
+                        ) * Fraction(1, d)
+    return table
 
 
 def _binomial_sum(v, value, params, total):
@@ -737,6 +843,8 @@ def singleton_defect(eng, pi, labels, k):
     symbol families are centered; the two-state system needs both).
     """
     labels = tuple(labels)
+    if not 1 <= k <= pi.n:
+        raise ValueError(f"k must be in 1..{pi.n}: got {k}")
     target = (labels[k - 1],)
 
     def subst(sym):

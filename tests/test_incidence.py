@@ -350,32 +350,43 @@ def test_identity_scans_keep_type_caches_small():
 
 
 def test_identity_scans_walk_each_interval_type_once_per_call(monkeypatch):
-    # the sum over [u, v] depends on type(u, v) alone: each call reads
-    # typed_ideal(v) for every v in OP_5 (4,501 comparable pairs) but walks
+    # the sum over [u, v] depends on type(u, v) alone: each call reads the
+    # types of every v in OP_5 (4,501 comparable pairs) from the rows of
+    # v's block sizes, carries no u word to v through typed_ideal, walks
     # the stream once per distinct type, 2^5 - 1 of them, and keeps nothing
     # for the next call
-    walks, ideals = [], []
-    walk, ideal = _pure._interval_types, _pure.typed_ideal
+    walks, rows, ideals = [], [], []
+    walk, row, ideal = (_pure._interval_types, _pure._ideal_rows,
+                        _pure.typed_ideal)
 
     def counted_walk(t):
         walks.append(t)
         return walk(t)
+
+    def counted_rows(sizes):
+        rows.append(sizes)
+        return row(sizes)
 
     def counted_ideal(v):
         ideals.append(v)
         return ideal(v)
 
     monkeypatch.setattr(_pure, "_interval_types", counted_walk)
+    monkeypatch.setattr(_pure, "_ideal_rows", counted_rows)
     monkeypatch.setattr(_pure, "typed_ideal", counted_ideal)
     assert sum(len(ideal(v)[1]) for v in K.osp_words(5)) == 4501
+    for v in K.osp_words(5):
+        assert row(_pure._block_sizes(v))[1] == ideal(v)[1], v
     for scan in (lambda: K.mu_zeta_identity(5),
                  lambda: K.beta_semigroup_identity(5, 3, 4)):
         for _ in range(2):
             walks.clear()
+            rows.clear()
             ideals.clear()
             assert scan()
             assert len(walks) == len(set(walks)) == 2 ** 5 - 1
-            assert ideals == list(K.osp_words(5))
+            assert rows == [_pure._block_sizes(v) for v in K.osp_words(5)]
+            assert ideals == []
 
 
 # ---------------------------------------------------------------------------

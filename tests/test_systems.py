@@ -445,6 +445,16 @@ def test_singleton_condition():
                             eng.name, pi, k)
 
 
+def test_singleton_defect_refuses_a_variable_out_of_range():
+    labels = ("X", "Y", "Z")
+    pi = o("1|2,3")
+    for eng in S.ENGINES.values():
+        assert S.singleton_defect(eng, pi, labels, 1).is_zero()
+        for k in (0, -1, 4):
+            with pytest.raises(ValueError):
+                S.singleton_defect(eng, pi, labels, k)
+
+
 # ---------------------------------------------------------------------------
 # partial cumulants and differential equations
 # ---------------------------------------------------------------------------
@@ -836,6 +846,33 @@ def test_product_engines_form_no_poly_products(monkeypatch):
     assert values() == expect
 
 
+def test_cmonotone_forms_no_poly_products(monkeypatch):
+    # rule V expands into signed terms of (family, run) atoms, and each
+    # distinct term is one monomial asked of the atoms: on Atoms of either
+    # moment family, c-monotone multiplies no Poly
+    labels = ("X", "Y", "X", "Z", "Y")
+    kinds = (MOMENT, PSI_MOMENT)
+    expect = {}
+    for n in range(1, 6):
+        for kind in kinds:
+            at = S.Atoms(labels[:n], moment_kind=kind)
+            for w in K.osp_words(n):
+                expect[kind, w] = _cmonotone_unmemoized(_syllables(w), at, [])
+
+    def product(*args):
+        raise AssertionError("c-monotone multiplied two Polys")
+
+    monkeypatch.setattr(Poly, "__mul__", product)
+    monkeypatch.setattr(Poly, "__rmul__", product)
+    for n in range(1, 6):
+        for kind in kinds:
+            at = S.Atoms(labels[:n], moment_kind=kind)
+            for w in K.osp_words(n):
+                got = S.CMONOTONE._phi_word(w, at)
+                assert got == expect[kind, w], (kind, w)
+                assert set(map(type, got.terms.values())) <= {int}, (kind, w)
+
+
 def test_monomial_is_the_mono_mul_fold(monkeypatch):
     from ospart import symbolic as Y
     syms = [moment_symbol(("X",)), moment_symbol(("X", "Y")),
@@ -1049,7 +1086,75 @@ def test_tables_match_per_sigma_definition_with_repeated_labels():
                         eng.phi_pi(pi, labels)), where
 
 
+def _typed(poly):
+    return {mono: (type(x), x) for mono, x in poly.terms.items()}
+
+
+def test_cumulant_table_evaluates_each_phi_once(monkeypatch):
+    # the table evaluates phi_w once per word of OP_n and sums the same
+    # values as the per-v ideal sum, coefficient types included
+    for eng in S.ENGINES.values():
+        real = type(eng)._phi_word
+        calls = []
+
+        def counting(self, word, atoms, real=real):
+            calls.append(word)
+            return real(self, word, atoms)
+
+        monkeypatch.setattr(type(eng), "_phi_word", counting)
+        for n in range(1, 6):
+            for labels in (S._default_labels(n), "XYXZY"[:n], "X" * n):
+                del calls[:]
+                table = eng.cumulant_table(n, labels)
+                assert len(calls) == K.fubini(n), (eng.name, n)
+                assert sorted(calls) == sorted(K.osp_words(n)), (eng.name, n)
+                at = S.Atoms(labels)
+                phis = {w: real(eng, w, at) for w in K.osp_words(n)}
+                assert list(table) == list(K.osp_words(n))
+                for v in K.osp_words(n):
+                    want = S._ideal_sum(v, lambda w, t: phis[w],
+                                        K.mu_tilde_scaled, at)
+                    assert _typed(table[v]) == _typed(want), (eng.name, v)
+
+
+def test_scale_is_the_per_term_product(monkeypatch):
+    # one product per distinct coefficient, the same sum as one product
+    # per term, an int wherever the product is integral
+    from ospart import freelie as FL
+    from ospart import symbolic as Y
+    sums = [
+        m("X") * 2 + m("Y") * 2 + c("X") * F(1, 3) + pm("Y") * F(2, 6)
+        + m("X", "Y") * -4 + Poly.const(6) + c("Y") * F(-3, 2),
+        Poly({**m("X").terms, **m("Y").terms, **c("X").terms}),
+        Poly(),
+        FL.NCPoly({("a",): 2, ("b",): 2, ("a", "b"): F(1, 2),
+                   ("b", "a"): F(1, 2), (): F(-3, 4)}),
+        FL.NCPoly({("a", "a"): 6, ("b",): 6}),
+    ]
+    exact = Y.exact
+    products = []
+
+    def counting(x):
+        products.append(x)
+        return exact(x)
+
+    monkeypatch.setattr(Y, "exact", counting)
+    for x in sums:
+        for s in (0, F(0), 1, -1, 3, F(1, 2), F(3, 2), F(-2, 3), F(4, 2)):
+            del products[:]
+            got = x.scale(s)
+            assert type(got) is type(x)
+            want = {k: v * s for k, v in x.terms.items() if v * s}
+            assert got.terms == want, (x, s)
+            for v in got.terms.values():
+                assert type(v) is (int if F(v).denominator == 1 else F)
+            # exact(s), then one product per distinct coefficient
+            assert len(products) == 1 + (len(set(x.terms.values()))
+                                         if s else 0), (x, s)
+
+
 # ---------------------------------------------------------------------------
+# exact coefficients: int when integral, Fraction otherwise# ---------------------------------------------------------------------------
 # exact coefficients: int when integral, Fraction otherwise
 # ---------------------------------------------------------------------------
 

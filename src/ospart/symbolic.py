@@ -170,7 +170,9 @@ class SparseSum:
 
     def scale(self, c):
         """Every coefficient times c: one product per distinct
-        coefficient, shared by the keys that carry it."""
+        coefficient, shared by the keys that carry it.  The scale is the
+        left operand, so a Fraction scale multiplies an int coefficient
+        by its own __mul__, not through int's fallback to __rmul__."""
         c = exact(c)
         if not c:
             return type(self)()
@@ -179,7 +181,7 @@ class SparseSum:
         for k, cc in self.terms.items():
             p = products.get(cc)
             if p is None:
-                p = products[cc] = exact(cc * c)
+                p = products[cc] = exact(c * cc)
             out[k] = p
         return type(self)(out)
 

@@ -27,13 +27,14 @@ included, evaluates on ordered ones.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import factorial
+from math import factorial, lcm, prod
 
 from . import _kernels as K
 from .coefficients import goldberg3, weisner3
 from .incidence import binomial_product
-from .partitions import (OrderedSetPartition, enumerate_partitions,
-                         iter_pair_set_words, iter_pair_words)
+from .partitions import (NC, OrderedSetPartition, _nesting_parents,
+                         enumerate_partitions, iter_pair_set_words,
+                         iter_pair_words)
 from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, add_into,
                        free_cumulant_symbol, psi_moment_symbol,
                        scalar_symbol, time_symbol)
@@ -140,6 +141,11 @@ def _per_element(n, values, what="variable label"):
     return values
 
 
+def _check_size(n):
+    if n < 1:
+        raise ValueError(f"n must be >= 1: got {n}")
+
+
 def _labels_or_default(n, labels):
     """One label per element of [n]: X1..Xn when labels is None."""
     return _default_labels(n) if labels is None else _per_element(n, labels)
@@ -193,7 +199,9 @@ class Engine:
 
     def cumulant_n(self, labels, atoms=None):
         """K_n, the cumulant of the one-block partition."""
-        return self.cumulant(OrderedSetPartition.one_block(len(tuple(labels))),
+        labels = tuple(labels)
+        _check_size(len(labels))
+        return self.cumulant(OrderedSetPartition.one_block(len(labels)),
                              labels, atoms)
 
     def cumulant_indexed(self, pi, labels, indices):
@@ -785,33 +793,89 @@ def moments_from_cumulants(table, pi):
 
 def monotone_mc_defect(n, labels=None):
     """phi(X_1...X_n) minus the monotone-partition cumulant sum (must be 0)."""
+    _check_size(n)
     labels = _labels_or_default(n, labels)
     lhs = MONOTONE.phi_pi(OrderedSetPartition.one_block(n), labels)
     return lhs - _monotone_cumulant_sum(labels)
 
 
+class _PositionRuns:
+    """Atoms that keep positions in place of labels: a product is its runs,
+    a sorted tuple of position tuples, and `scaled_sum` returns (d, rows)
+    with one (runs, integer) row per run set whose integer is nonzero.
+
+    An engine's cumulant on these atoms serves every label tuple of that
+    length: read each run as its labels and divide by d.
+    """
+
+    @staticmethod
+    def product(runs):
+        return tuple(sorted(map(tuple, runs)))
+
+    @staticmethod
+    def scaled_sum(pairs, d):
+        return d, tuple(add_into({}, pairs).items())
+
+
+@lru_cache(maxsize=None)
+def _monotone_block_rows(k):
+    """(D, rows): D K_k of the monotone engine on positions 0..k-1, its
+    mu~ sum over OP_k evaluated once per size k."""
+    return MONOTONE.cumulant_n(range(k), _PositionRuns)
+
+
+@lru_cache(maxsize=None)
+def _monotone_partition_rows(n):
+    """(L, rows): one row (f, blocks) per noncrossing set partition pi of
+    [n], blocks its position tuples in the order of their smallest element,
+    and f / L = 1 / (tau(pi)! prod_B D_|B|) with the integer L the least
+    common denominator.
+
+    tau(pi)! is the tree factorial of pi's nesting forest: the product over
+    the blocks B of h(B), the number of blocks in the subtree rooted at B.
+    """
+    rows = []
+    for pi in enumerate_partitions(n, NC):
+        parent = _nesting_parents(pi.word)
+        # a restricted growth string opens each block after its parent
+        h = [1] * len(parent)
+        for b in range(len(parent) - 1, 0, -1):
+            h[parent[b]] += h[b]
+        blocks = tuple(map(tuple, _positions_by_block(pi.word).values()))
+        rows.append((prod(h[1:]) * prod(_monotone_block_rows(len(blk))[0]
+                                        for blk in blocks), blocks))
+    denom = lcm(*(d for d, _ in rows))
+    return denom, tuple((denom // d, blocks) for d, blocks in rows)
+
+
 def _monotone_cumulant_sum(labels):
     """The sum of 1/|pi|! prod_B K_B over the monotone partitions pi.
 
-    The block cumulants commute, so every block order of one set partition
-    gives the same product: the weights 1/|pi|! are added per underlying
-    set partition while every monotone partition is still visited, and
-    each product is formed once (42 products instead of 360 at n = 5).
+    Each noncrossing set partition pi is the underlying partition of
+    |pi|!/tau(pi)! monotone ones, tau(pi)! its tree factorial, so the sum
+    runs over the noncrossing set partitions with weight 1/tau(pi)!
+    (Hasebe-Saigo, The monotone cumulants, Ann. IHP Probab. Stat. 47,
+    2011).  The block cumulants are one integer row set per block size, on
+    positions (_monotone_block_rows), and the weights one integer per
+    partition (_monotone_partition_rows).  Each call expands the products
+    in integers, with each block's runs read through its positions, forms
+    one monomial per distinct run set and divides once by L.  The tests
+    keep the sum over the monotone partitions as the oracle.
     """
-    from .partitions import MONOTONE as MONO_CLASS
-    counts = {}
-    for pi in enumerate_partitions(len(labels), MONO_CLASS):
-        key = K.rgs_word(pi.word)
-        counts[key] = counts.get(key, 0) + 1
-    # one cumulant per block label tuple, each still its mu~ sum over the ideal
-    block_cumulant = lru_cache(maxsize=None)(MONOTONE.cumulant_n)
-    terms = []
-    for w, count in counts.items():
-        term = Poly.const(Fraction(count, factorial(max(w))))
-        for blk in _positions_by_block(w).values():
-            term = term * block_cumulant(tuple(labels[x] for x in blk))
-        terms.append(term)
-    return Poly.sum(terms)
+    denom, rows = _monotone_partition_rows(len(labels))
+    acc = {}
+    for f, blocks in rows:
+        terms = [((), f)]
+        for blk in blocks:
+            at = blk.__getitem__
+            carried = [(tuple(tuple(map(at, run)) for run in block_runs), k)
+                       for block_runs, k in _monotone_block_rows(len(blk))[1]]
+            terms = [(runs + block_runs, c * k) for block_runs, k in carried
+                     for runs, c in terms]
+        add_into(acc, [(tuple(sorted(runs)), c) for runs, c in terms])
+    atoms = Atoms(labels)
+    return atoms.scaled_sum([(atoms.product(runs), c)
+                             for runs, c in acc.items()], denom)
 
 
 def mixed_cumulant_moment(pi, eta, eng, labels):

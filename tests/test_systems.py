@@ -336,6 +336,81 @@ def test_monotone_cumulant_sum_matches_per_partition_sum():
         assert S.monotone_mc_defect(n, labels).is_zero(), labels
 
 
+def _position_blocks(pi):
+    return tuple(sorted(tuple(x - 1 for x in blk) for blk in pi.blocks))
+
+
+def test_tree_factorial_weights_count_monotone_orders():
+    # 1/tau(pi)! is the share of the |pi|! block orders of a noncrossing
+    # set partition that are monotone
+    for n in range(1, 8):
+        orders = {}
+        for pi in P.enumerate_partitions(n, P.MONOTONE):
+            key = _position_blocks(pi)
+            orders[key] = orders.get(key, 0) + 1
+        denom, rows = S._monotone_partition_rows(n)
+        assert len(rows) == math.comb(2 * n, n) // (n + 1), n
+        weights = {}
+        for f, blocks in rows:
+            assert list(blocks) == sorted(blocks), blocks
+            scale = math.prod(S._monotone_block_rows(len(blk))[0]
+                              for blk in blocks)
+            weights[blocks] = F(f * scale, denom)
+        assert weights == {key: F(count, math.factorial(len(key)))
+                           for key, count in orders.items()}, n
+
+
+def test_carried_block_cumulants_match_cumulant_n():
+    # K_k on positions, each run read through a block's positions, is the
+    # cumulant of that block's labels, repeated labels merged
+    for labels in ("X", "XY", "XYX", "XYXY", "XYXZY", "VWXYZ"):
+        n = len(labels)
+        for size in range(1, n + 1):
+            d, rows = S._monotone_block_rows(size)
+            for blk in itertools.combinations(range(n), size):
+                at = S.Atoms(labels)
+                carried = at.scaled_sum([
+                    (at.product([[blk[i] for i in run] for run in runs]), k)
+                    for runs, k in rows], d)
+                assert carried == S.MONOTONE.cumulant_n(
+                    [labels[i] for i in blk]), (labels, blk)
+
+
+def test_monotone_mc_formula_n6_and_repeated_labels_n7():
+    assert S.monotone_mc_defect(6).is_zero()
+    assert S.monotone_mc_defect(7, "XYXZYXX").is_zero()
+
+
+def test_monotone_block_cumulants_sum_once_per_size(monkeypatch):
+    # the mu~ sum over OP_k runs once per block size k, however many
+    # calls and label words ask for it
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return scaled(v)
+
+    scaled = K.mu_tilde_scaled
+    monkeypatch.setattr(K, "mu_tilde_scaled", counting)
+    S._monotone_block_rows.cache_clear()
+    S._monotone_partition_rows.cache_clear()
+    for _ in range(2):
+        for labels in ("XYZXY", "XXXXX", "XYX", "VWXYZ", "XY", "Z"):
+            assert S.monotone_mc_defect(len(labels), labels).is_zero()
+    # one mu~ sum per size; MONOTONE.phi_pi of the left side asks for none
+    assert sorted(calls) == [(1,) * k for k in range(1, 6)]
+    assert S._monotone_block_rows.cache_info().misses == 5
+
+
+def test_sizes_below_one_are_refused():
+    for n in (-1, 0):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            S.monotone_mc_defect(n)
+    for eng in S.ENGINES.values():
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            eng.cumulant_n(())
+
+
 def test_clt_moments():
     assert S.MONOTONE.clt_moment(4) == F(3, 2)
     assert S.MONOTONE.clt_moment(6) == F(5, 2)

@@ -9,10 +9,10 @@ through descent statistics and homogeneous Eulerian polynomials.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
-from math import comb, factorial, lcm, prod
-from operator import itemgetter
+from math import comb, factorial, prod
+from operator import itemgetter, mul
 
 from . import _kernels as K
 from .coefficients import goldberg_from_stats, goldberg_from_word
@@ -82,30 +82,6 @@ class NCPoly(SparseSum):
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def _cleared(terms):
-    """(d, {key: int}): the coefficients as integers over their least
-    common denominator d."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, {k: c.numerator * (d // c.denominator)
-               for k, c in terms.items()}
-
-
-def _divided(acc, den):
-    """{key: v / den} over the nonzero integers v of acc, as exact
-    numbers; equal numerators share one division."""
-    if den == 1:
-        return {k: v for k, v in acc.items() if v}
-    value = {}
-    out = {}
-    for k, v in acc.items():
-        if v:
-            q = value.get(v)
-            if q is None:
-                q = value[v] = exact(Fraction(v, den))
-            out[k] = q
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +160,9 @@ def nct_cumulant(elements):
     chosen words in its order.  Every output word is then divided once,
     by the table's denominator times the elements' denominators.
 
-    Other rings have no terms to expand: their n! products are walked
-    depth first, so each prefix product is formed once; the descent count
-    rides down the walk, and the last factor comes scaled by the
-    coefficient of its descent count, once per (element, count).
+    Other rings have no terms to expand: the cumulant is its definition,
+    the sum over the (n, 1) projector table of each order's product of
+    the elements times the order's coefficient.
     """
     elements = tuple(elements)
     n = len(elements)
@@ -197,39 +172,26 @@ def nct_cumulant(elements):
         return elements[0] * 1
     if all(isinstance(e, NCPoly) for e in elements):
         return _nct_expand(elements)
-    scaled = {}
-    leaves = []
-
-    def walk(prefix, prev, d, rest):
-        if len(rest) == 1:
-            i = rest[0]
-            d += prev > i
-            tail = scaled.get((i, d))
-            if tail is None:
-                tail = scaled[i, d] = elements[i] * _descent_weights(n, d)[1]
-            leaves.append(tail if prefix is None else prefix * tail)
-            return
-        for pos, i in enumerate(rest):
-            walk(elements[i] if prefix is None else prefix * elements[i],
-                 i, d + (prev > i), rest[:pos] + rest[pos + 1:])
-
-    walk(None, -1, 0, tuple(range(n)))
-    return type(elements[0]).sum(leaves)
+    return type(elements[0]).sum(
+        [reduce(mul, map(elements.__getitem__, order)) * coeff
+         for order, coeff in _projector_terms(n, 1)])
 
 
 @lru_cache(maxsize=None)
-def _order_getters(n: int):
-    """One itemgetter per order of the (n, 1) projector table, n >= 2."""
-    return tuple(itemgetter(*order) for order, _ in _projector_terms(n, 1))
+def _order_getters(n: int, k: int = 1):
+    """One tuple-valued getter per order of the (n, k) projector table
+    (itemgetter of one index would return the item, not a 1-tuple)."""
+    return tuple(itemgetter(*order) if n > 1 else tuple
+                 for order, _ in _projector_terms(n, k))
 
 
 def _nct_expand(elements):
     """nct_cumulant of two or more NCPolys, by term choice in integers."""
-    den, weights, _ = _projector_scaled(len(elements), 1)
+    den, weights = _projector_scaled(len(elements), 1)
     getters = _order_getters(len(elements))
     choices = []
     for e in elements:
-        d, ints = _cleared(e.terms)
+        d, ints = K.cleared(e.terms)
         den *= d
         choices.append(tuple(ints.items()))
     acc = {}
@@ -240,7 +202,7 @@ def _nct_expand(elements):
         for take, wt in zip(getters, weights):
             key = sum(take(words), ())
             acc[key] = get(key, 0) + c * wt
-    return NCPoly(_divided(acc, den))
+    return NCPoly(K.divided(acc, den))
 
 
 def shuffle_moment(letters, indices) -> NCPoly:
@@ -304,40 +266,31 @@ def pi_convolution_oracle(letters) -> NCPoly:
 
 @lru_cache(maxsize=None)
 def _projector_scaled(n: int, k: int):
-    """(D, weights, value): D the common denominator of the (n, k)
-    projector table, the integers D * coefficient in table order, and
-    value[weight], that coefficient as an exact number."""
-    coeffs = [c for _, c in _projector_terms(n, k)]
-    scale = lcm(*(c.denominator for c in coeffs))
-    weights = tuple(int(c * scale) for c in coeffs)
-    return scale, weights, {x: exact(c) for x, c in zip(weights, coeffs)}
+    """(D, weights): D the common denominator of the (n, k) projector
+    table and the integers D * coefficient, in table order."""
+    d, ints = K.cleared(dict(enumerate(c for _, c in _projector_terms(n, k))))
+    return d, tuple(ints.values())
 
 
 def pi_k(letters, k: int) -> NCPoly:
     """Degree-k piece of the dilated word: (1/k!) sum of K_pi over |pi|=k,
     the k-th Eulerian idempotent, summed over the descent table.
 
-    Every permutation is visited.  On distinct letters each reaches a word
-    of its own, which takes the table's coefficient.  Otherwise the integer
-    weights over the common denominator are added per rearranged word, and
-    a Fraction is formed only for a sum of two or more weights.
+    Every permutation is visited: its integer weight over the table's
+    common denominator is added to its rearranged word, and each word is
+    divided once.
     """
     letters = tuple(letters)
     n = len(letters)
     if not 1 <= k <= n:
         raise ValueError("k out of range")
-    scale, weights, value = _projector_scaled(n, k)
-    terms = zip(_projector_terms(n, k), weights)
-    if len(set(letters)) == n:
-        return NCPoly({tuple(map(letters.__getitem__, order)): value[c]
-                       for (order, _), c in terms})
+    scale, weights = _projector_scaled(n, k)
     acc = {}
     get = acc.get
-    for (order, _), c in terms:
-        w = tuple(map(letters.__getitem__, order))
+    for take, c in zip(_order_getters(n, k), weights):
+        w = take(letters)
         acc[w] = get(w, 0) + c
-    return NCPoly({w: value.get(c) or exact(Fraction(c, scale))
-                   for w, c in acc.items() if c})
+    return NCPoly(K.divided(acc, scale))
 
 
 def dilation_coefficients(letters):
@@ -407,11 +360,10 @@ class TruncatedNCSeries:
         if isinstance(other, (int, Fraction)):
             return TruncatedNCSeries(self.poly.scale(other), self.order)
         other = self._coerce(other)
-        dp, p = _cleared(self.poly.terms)
-        dq, q = _cleared(other.poly.terms)
-        return TruncatedNCSeries(
-            NCPoly(_divided(_truncated_product(p, q, self.order), dp * dq)),
-            self.order)
+        dp, p = K.cleared(self.poly.terms)
+        dq, q = K.cleared(other.poly.terms)
+        return TruncatedNCSeries(NCPoly(K.divided(
+            K.truncated_product(p, q, self.order), dp * dq)), self.order)
 
     def __radd__(self, other):
         return self + other
@@ -448,74 +400,32 @@ class TruncatedNCSeries:
     __repr__ = __str__
 
 
-def _truncated_product(p, q, order):
-    """Concatenation product of two {word: int} dicts without the words
-    longer than order: each left word meets only the right words that
-    fit.  Words whose coefficients cancel are dropped."""
-    by_length = {}
-    for w2, c2 in q.items():
-        by_length.setdefault(len(w2), []).append((w2, c2))
-    by_length = sorted(by_length.items())
-    out = {}
-    get = out.get
-    for w1, c1 in p.items():
-        room = order - len(w1)
-        for length, group in by_length:
-            if length > room:
-                break
-            for w2, c2 in group:
-                w = w1 + w2
-                out[w] = get(w, 0) + c1 * c2
-    return {w: c for w, c in out.items() if c}
-
-
-def _compose(x, coeffs):
-    """sum_k coeffs[k] x^k for a series x with no constant term, k up to
-    the order (higher powers vanish under the truncation).
-
-    With x = X / d and coeffs[k] = A_k / L in integers, the sum is
-    (sum_k A_k X^k d^(order - k)) / (L d^order): the powers and the sum
-    are formed in ints, and each word is divided once.
-    """
-    order = x.order
-    d, big_x = _cleared(x.poly.terms)
-    scale, a = _cleared(dict(enumerate(coeffs)))
-    acc = {(): a[0] * d ** order}
-    power = {(): 1}
-    for k in range(1, order + 1):
-        power = _truncated_product(power, big_x, order)
-        if not power:
-            break
-        ak = a[k] * d ** (order - k)
-        if ak:
-            get = acc.get
-            for w, c in power.items():
-                acc[w] = get(w, 0) + c * ak
-    return TruncatedNCSeries(NCPoly(_divided(acc, scale * d ** order)),
-                             order)
-
-
 def exp_trunc(x: TruncatedNCSeries) -> TruncatedNCSeries:
     """exp of a series with zero constant term."""
     if x.constant_term() != 0:
         raise ValueError("exp needs a zero constant term")
-    return _compose(x, [Fraction(1, factorial(k))
-                        for k in range(x.order + 1)])
+    return TruncatedNCSeries(NCPoly(K.series_compose(
+        x.poly.terms, [Fraction(1, factorial(k)) for k in range(x.order + 1)],
+        x.order)), x.order)
 
 
 def log_trunc(u: TruncatedNCSeries) -> TruncatedNCSeries:
     """log of a series with constant term one."""
     if u.constant_term() != 1:
         raise ValueError("log needs constant term 1")
-    return _compose(u - 1, [0] + [Fraction((-1) ** (k - 1), k)
-                                  for k in range(1, u.order + 1)])
+    return TruncatedNCSeries(NCPoly(K.series_compose(
+        (u - 1).poly.terms,
+        [0] + [Fraction((-1) ** (k - 1), k) for k in range(1, u.order + 1)],
+        u.order)), u.order)
 
 
 def inv_trunc(u: TruncatedNCSeries) -> TruncatedNCSeries:
     """Multiplicative inverse of a series with constant term one."""
     if u.constant_term() != 1:
         raise ValueError("inverse needs constant term 1")
-    return _compose(u - 1, [(-1) ** k for k in range(u.order + 1)])
+    return TruncatedNCSeries(NCPoly(K.series_compose(
+        (u - 1).poly.terms, [(-1) ** k for k in range(u.order + 1)],
+        u.order)), u.order)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +471,7 @@ def cbh_direct(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
                 (full if len(w) == order else nxt)[w] = c
         grow = nxt
     full.update(grow)
-    return log_trunc(TruncatedNCSeries(NCPoly(_divided(full, scale)), order))
+    return log_trunc(TruncatedNCSeries(NCPoly(K.divided(full, scale)), order))
 
 
 def cbh_cumulant(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
@@ -580,7 +490,7 @@ def cbh_cumulant(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
     n = len(letters)
     out = {(a,): 1 for a in letters}
     for m in range(2, order + 1):
-        scale, weights, _ = _projector_scaled(m, 1)
+        scale, weights = _projector_scaled(m, 1)
         getters = _order_getters(m)
         acc = {}
         get = acc.get
@@ -601,7 +511,7 @@ def cbh_cumulant(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
                 del word[-remaining:]
 
         place(0, m, 1)
-        out.update(_divided(acc, scale * factorial(m)))
+        out.update(K.divided(acc, scale * factorial(m)))
     return TruncatedNCSeries(NCPoly(out), order)
 
 

@@ -33,9 +33,11 @@ def _pair_type(sigma, pi):
 
 
 def generalized_binomial(t, k: int):
-    """binom(t, k) = t(t-1)...(t-k+1)/k! for numbers or ring elements."""
+    """binom(t, k) = t(t-1)...(t-k+1)/k! for exact numbers or ring elements."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    if isinstance(t, float):
+        raise TypeError(f"inexact value {t!r}: pass an int or a Fraction")
     num = 1
     for i in range(k):
         num = num * (t - i)
@@ -182,12 +184,15 @@ def convolution_sequence(f, g, n: int):
 # ---------------------------------------------------------------------------
 
 class TruncatedSeries:
-    """c_1 z + c_2 z^2 + ... + c_D z^D with exact coefficients."""
+    """c_1 z + c_2 z^2 + ... + c_D z^D with exact (not float) coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        if any(isinstance(c, float) for c in coeffs):
+            raise TypeError("inexact coefficient: pass ints or Fractions")
+        self.coeffs = tuple(map(Fraction, coeffs))
         if not self.coeffs:
             raise ValueError("order must be >= 1")
 
@@ -226,21 +231,9 @@ def gen_series(f: MultiplicativeFunction, order: int) -> TruncatedSeries:
 
 
 def compose(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """a(b(z)) truncated; both series are constant-term-free by construction."""
+    """a(b(z)) truncated; both series are constant-term-free by construction.
+    The series kernel composes them on one-letter words, z^k as (0,) * k."""
     order = min(a.order, b.order)
-    out = [Fraction(0)] * (order + 1)
-    power = [Fraction(0)] * (order + 1)  # running b(z)^k
-    power[0] = Fraction(1)
-    for k in range(1, order + 1):
-        nxt = [Fraction(0)] * (order + 1)
-        for i, ci in enumerate(power):
-            if ci == 0:
-                continue
-            for j in range(1, order + 1 - i):
-                nxt[i + j] += ci * b.coeffs[j - 1]
-        power = nxt
-        ak = a.coeffs[k - 1]
-        if ak:
-            for d in range(1, order + 1):
-                out[d] += ak * power[d]
-    return TruncatedSeries(out[1:])
+    z = [(0,) * k for k in range(1, order + 1)]
+    out = K.series_compose(dict(zip(z, b.coeffs)), (0,) + a.coeffs, order)
+    return TruncatedSeries([out.get(w, 0) for w in z])

@@ -74,10 +74,12 @@ def symbol_str(sym) -> str:
 
 
 def exact(c):
-    """c as an int when it is integral, else as a Fraction."""
+    """c as an int when it is integral, else as a Fraction (never a float)."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"inexact value {c!r}: pass an int or a Fraction")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -26,7 +26,7 @@ included, evaluates on ordered ones.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import factorial, lcm, prod
 
 from . import _kernels as K
@@ -36,7 +36,7 @@ from .partitions import (NC, OrderedSetPartition, _nesting_parents,
                          enumerate_partitions, iter_pair_set_words,
                          iter_pair_words)
 from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, add_into,
-                       free_cumulant_symbol, psi_moment_symbol,
+                       exact, free_cumulant_symbol, psi_moment_symbol,
                        scalar_symbol, time_symbol)
 
 ONE = Poly.const(1)
@@ -86,18 +86,13 @@ class Atoms:
     def scaled_sum(pairs, d):
         """(sum of k x over the (x, k) pairs) / d, for Polys x and ints k.
 
-        The terms add as integer multiples into one dict, the monomials
-        whose sum cancels are dropped, and the sum is divided once, by one
-        Poly scaling (none when d is 1).
+        The terms add as integer multiples into one dict by add_into, which
+        drops the monomials whose sum cancels, and each coefficient is
+        divided once (none when d is 1): no Poly product is formed.
         """
-        acc = {}
-        get = acc.get
-        for x, k in pairs:
-            for mono, c in x.terms.items():
-                old = get(mono)
-                acc[mono] = c * k if old is None else old + c * k
-        total = Poly({mono: c for mono, c in acc.items() if c})
-        return total if d == 1 else total * Fraction(1, d)
+        return Poly(K.divided(add_into({}, (
+            (mono, c * k) for x, k in pairs for mono, c in x.terms.items())),
+            d))
 
     def _labels_at(self, pos):
         return tuple(self.labels[i] for i in pos)
@@ -411,7 +406,7 @@ def _as_scale(x):
         return Poly.sym(scalar_symbol(x))
     if isinstance(x, Poly):
         return x
-    return Fraction(x)
+    return Fraction(exact(x))
 
 
 class _CLTAtoms:
@@ -592,20 +587,13 @@ class _Terms(dict):
     __slots__ = ()
 
     def __mul__(self, other):
-        out = _Terms()
-        get = out.get
-        for f1, c1 in self.items():
-            for f2, c2 in other.items():
-                key = tuple(sorted(f1 + f2))
-                old = get(key)
-                out[key] = c1 * c2 if old is None else old + c1 * c2
-        return out
+        # rule V multiplies terms on disjoint positions, so every pair of
+        # terms gives a key of its own: there is nothing to add up
+        return _Terms({tuple(sorted(f1 + f2)): c1 * c2
+                       for f1, c1 in self.items() for f2, c2 in other.items()})
 
     def __sub__(self, other):
-        out = _Terms(self)
-        for key, c in other.items():
-            out[key] = out.get(key, 0) - c
-        return out
+        return add_into(_Terms(self), [(key, -c) for key, c in other.items()])
 
 
 class _TermAtoms:
@@ -622,12 +610,8 @@ class _TermAtoms:
 
     @staticmethod
     def sum(summands):
-        out = _Terms()
-        get = out.get
-        for s in summands:
-            for key, c in s.items():
-                out[key] = get(key, 0) + c
-        return out
+        return add_into(_Terms(), chain.from_iterable(
+            s.items() for s in summands))
 
 
 class CMonotoneEngine(Engine):

@@ -225,7 +225,7 @@ def test_pi_k_adds_integer_weights_per_word():
         n = len(letters)
         for k in range(1, n + 1):
             table = FL._projector_terms(n, k)
-            scale, weights, _ = FL._projector_scaled(n, k)
+            scale, weights = FL._projector_scaled(n, k)
             assert [F(x, scale) for x in weights] == [c for _, c in table]
             want = FL.NCPoly(add_into({}, [
                 (tuple(letters[i] for i in order), coeff)

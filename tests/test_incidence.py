@@ -186,14 +186,29 @@ def test_series_examples():
 
 
 def test_faa_di_bruno_random_sequences():
+    # compose runs the series kernel on one-letter words; the convolution
+    # of the defining sequences is its oracle.  Orders 1..8, outer and
+    # inner series of unequal orders, and zeros among the inner
+    # coefficients, which the kernel must skip without losing a power
     rng = random.Random(7)
-    for _ in range(5):
-        fseq = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(6)]
-        gseq = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(6)]
+    cases = [(6, 6, False)] * 5 + [(order, order, False)
+                                   for order in range(1, 9)]
+    cases += [(3, 5, True), (7, 4, True), (8, 2, False), (2, 8, True),
+              (8, 8, True), (1, 6, True), (5, 1, False)]
+    for order_g, order_f, zeros in cases:
+        fseq = [F(rng.randint(-6, 6), rng.randint(1, 5))
+                for _ in range(order_f)]
+        gseq = [F(rng.randint(-6, 6), rng.randint(1, 5))
+                for _ in range(order_g)]
+        if zeros:
+            fseq[0] = 0
+            fseq[rng.randrange(order_f)] = 0
         f = I.MultiplicativeFunction(lambda n: fseq[n - 1])
         g = I.MultiplicativeFunction(lambda n: gseq[n - 1])
-        comp = I.compose(I.gen_series(g, 6), I.gen_series(f, 6))
-        for n in range(1, 7):
+        comp = I.compose(I.gen_series(g, order_g), I.gen_series(f, order_f))
+        assert comp.order == min(order_g, order_f)
+        assert all(type(x) is F for x in comp.coeffs)
+        for n in range(1, comp.order + 1):
             assert I.convolution_sequence(f, g, n) == comp[n]
 
 

@@ -355,6 +355,33 @@ def test_kernel_word_matches_block_definition(seq):
     assert K.rgs_word(tuple(seq)) == canonical.word
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.integers(0, 30),
+    st.one_of(st.integers(-40, 40), st.integers(-300, 300).map(lambda x: x ** 3),
+              st.fractions(min_value=-20, max_value=20, max_denominator=24)),
+    max_size=14))
+def test_cleared_and_divided_round_trip(values):
+    from fractions import Fraction as F
+    from math import lcm
+    d, ints = K.cleared(values)
+    assert d == lcm(*(F(v).denominator for v in values.values()))
+    assert ints.keys() == values.keys()
+    assert all(type(x) is int for x in ints.values())
+    back = K.divided(ints, d)
+    assert back == {k: v for k, v in values.items() if v}
+    for v in back.values():
+        assert type(v) is (int if F(v).denominator == 1 else F)
+    # d == 1 keeps the nonzero integers as they are
+    assert K.divided(ints, 1) == {k: x for k, x in ints.items() if x}
+    # a real division: equal numerators share one quotient object
+    third = K.divided(ints, 3 * d)
+    assert third == {k: F(v) / 3 for k, v in values.items() if v}
+    for k1, k2 in itertools.combinations(third, 2):
+        if ints[k1] == ints[k2]:
+            assert third[k1] is third[k2]
+
+
 def test_segments():
     assert K.segments((3, 1, 4, 1, 5), (2, 0, 3)) == [(3, 1), (), (4, 1, 5)]
     with pytest.raises(ValueError):

@@ -1192,6 +1192,34 @@ def test_cumulant_table_evaluates_each_phi_once(monkeypatch):
                     assert _typed(table[v]) == _typed(want), (eng.name, v)
 
 
+def test_floats_are_refused_by_the_exact_layer():
+    # a float holds no exact value: every entry that turns a number into an
+    # exact coefficient refuses it, and ints and Fractions keep their values
+    from ospart import freelie as FL
+    from ospart import incidence as I
+    pi = o("1|2")
+    p = m("X") + m("Y")
+    refused = [lambda x: Poly.const(x), lambda x: p.scale(x),
+               lambda x: FL.NCPoly.word("a", x),
+               lambda x: S.TENSOR.dilate(pi, "XY", x),
+               lambda x: I.TruncatedSeries([1, x]),
+               lambda x: I.generalized_binomial(x, 2)]
+    for make in refused:
+        for bad in (0.1, 0.5, 2.0):
+            with pytest.raises(TypeError):
+                make(bad)
+    for x in (3, F(1, 2), F(-4, 2)):
+        assert Poly.const(x).terms == {(): x}
+        assert p.scale(x).terms == {k: x for k in p.terms}
+        assert FL.NCPoly.word("a", x).terms == {("a",): x}
+        assert I.TruncatedSeries([1, x]).coeffs == (1, x)
+        assert I.generalized_binomial(x, 2) == x * (x - 1) / 2
+        n = Poly.sym(scalar_symbol("N"))
+        assert (S.TENSOR.dilate(pi, "XY", x)
+                == S.TENSOR.dilate(pi, "XY", n).substitute(
+                    lambda s: x if s == scalar_symbol("N") else None))
+
+
 def test_scale_is_the_per_term_product(monkeypatch):
     # one product per distinct coefficient, the same sum as one product
     # per term, an int wherever the product is integral

@@ -95,10 +95,7 @@ def cmd_enumerate(args):
             f"enumeration cap is n = {ENUMERATE_CAP} (Fubini growth); "
             "pass --force to override")
     if args.count_only:
-        if cls == parts.ALL:
-            count = parts.fubini(args.n)
-        else:
-            count = sum(1 for _ in parts._class_words(args.n, cls))
+        count = parts.class_count(args.n, cls)
         return {
             "json": {"command": "enumerate", "n": args.n, "class": args.klass,
                      "count": count},

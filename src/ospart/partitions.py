@@ -6,6 +6,7 @@ kernels of index tuples, interval structure and the text formats
 """
 
 from itertools import permutations
+from math import comb, factorial
 
 from . import _kernels as K
 
@@ -475,6 +476,31 @@ def _class_words(n, cls):
     else:
         words = K.iter_osp_words(n)
     return words if test is None else filter(test, words)
+
+
+def class_count(n, cls=ALL) -> int:
+    """The size of a class on [n] by closed form; the tests keep
+    _class_words as the oracle.  SP, NC and IP sum their partitions with k
+    blocks (Stirling, Narayana and binomial numbers), ONC and OI weigh
+    those by k!, and the pair classes count by m = n/2 (none at odd n)."""
+    _class_test(cls)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if cls in (ALL, MONOTONE):
+        return K.fubini(n) if cls == ALL else factorial(n + 1) // 2
+    if cls not in _PAIR_CLASSES:
+        with_k = {SP: lambda k: sum((-1) ** j * comb(k, j) * (k - j) ** n
+                                    for j in range(k + 1)) // factorial(k),
+                  NC: lambda k: comb(n, k) * comb(n, k - 1) // n,
+                  IP: lambda k: comb(n - 1, k - 1)}
+        base = {ONC: NC, OI: IP}.get(cls, cls)
+        return sum(with_k[base](k) * (factorial(k) if base != cls else 1)
+                   for k in range(1, n + 1))
+    m, odd = divmod(n, 2)
+    sets = factorial(n) // (factorial(m) << m)  # (2m-1)!! pair partitions
+    return 0 if odd else {PAIR: sets * factorial(m), PAIR_MONOTONE: sets,
+                          PAIR_NC: comb(n, m) // (m + 1) * factorial(m),
+                          PAIR_IP: factorial(m)}[cls]
 
 
 def enumerate_partitions(n, cls=ALL):

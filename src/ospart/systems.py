@@ -26,18 +26,18 @@ included, evaluates on ordered ones.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import factorial, lcm, prod
 
 from . import _kernels as K
 from .coefficients import goldberg3, weisner3
-from .incidence import binomial_product
+from .incidence import generalized_binomial
 from .partitions import (NC, OrderedSetPartition, _nesting_parents,
                          enumerate_partitions, iter_pair_set_words,
                          iter_pair_words)
-from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, add_into,
-                       exact, free_cumulant_symbol, psi_moment_symbol,
-                       scalar_symbol, time_symbol)
+from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, _mono_mul,
+                       add_into, exact, free_cumulant_symbol,
+                       psi_moment_symbol, scalar_symbol, time_symbol)
 
 ONE = Poly.const(1)
 ZERO = Poly()
@@ -225,10 +225,7 @@ class Engine:
     # -- dilation (dot operation) -------------------------------------------
 
     def _phi_dilated(self, sigma_word, at, params):
-        """phi_sigma with block-wise dot dilation.
-
-        params[j-1] is the scale attached to sigma-block j.
-        """
+        """phi_sigma dilated block-wise: params[j-1] scales sigma-block j."""
         return _binomial_sum(sigma_word, lambda w: self._phi_word(w, at),
                              params, at.sum)
 
@@ -237,10 +234,7 @@ class Engine:
 
         Accepts an int/Fraction, a Poly, or a string naming a scalar symbol.
         """
-        labels = _per_element(pi.n, labels)
-        at = atoms or self.atoms(labels)
-        scale = _as_scale(scale)
-        return self._phi_dilated(pi.word, at, [scale] * len(pi))
+        return self.dilate_blockwise(pi, labels, [scale] * len(pi), atoms)
 
     def dilate_blockwise(self, pi, labels, scales, atoms=None):
         """phi_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n) with one scale per block."""
@@ -269,8 +263,7 @@ class Engine:
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
         labels = _per_element(pi.n, labels)
         at = self.atoms(labels)
-        inner = _as_scale(inner)
-        outer = _as_scale(outer)
+        inner, outer = _as_scale(inner), _as_scale(outer)
         return _binomial_sum(pi.word, lambda w: self._phi_dilated(
             w, at, [inner] * max(w)), repeat(outer), at.sum)
 
@@ -278,58 +271,52 @@ class Engine:
 
     def phi_t(self, pi, labels, params=None, atoms=None):
         """phi^t_pi: dilation with a formal parameter per block."""
-        labels = _per_element(pi.n, labels)
-        at = atoms or self.atoms(labels)
-        p = len(pi)
         if params is None:
-            params = [Poly.sym(time_symbol(j)) for j in range(1, p + 1)]
-        params = [_as_scale(x) for x in params]
-        if len(params) != p:
+            params = [Poly.sym(time_symbol(j)) for j in range(1, len(pi) + 1)]
+        params = list(params)
+        if len(params) != len(pi):
             raise ValueError("need one parameter per block")
-        return self._phi_dilated(pi.word, at, params)
+        return self.dilate_blockwise(pi, labels, params, atoms)
 
     def partial_cumulant(self, pi, labels, j):
-        """d/dt_j at t_j = 0 of phi^t_pi; a polynomial in the other t's."""
+        """d/dt_j at t_j = 0 of phi^t_pi, a polynomial in the other t's:
+        its [t_j^1] coefficient, read off the weight rows with slot j
+        _LINEAR, so no Poly in t_j is formed."""
         if not 1 <= j <= len(pi):
             raise ValueError("block index out of range")
-        return self.phi_t(pi, labels).coefficient(time_symbol(j), 1)
+        params = [Poly.sym(time_symbol(i)) for i in range(1, len(pi) + 1)]
+        params[j - 1] = _LINEAR
+        return self.phi_t(pi, labels, params)
 
     def diffeq_residuals(self, pi, labels, j):
         """Residuals of both evolution identities for d/dt_j phi^t_pi.
 
-        Splitting the j-th block P into (A, P\\A) with the fresh parameter on
-        A gives the first form; (P\\A, A) gives the second.  Both residuals
-        vanish identically for the product engines.
+        Splitting the j-th block P into (A, P\\A) with the fresh parameter s
+        on A gives the first form; (P\\A, A) gives the second.  Each split
+        phi^t is read at its [s^1] coefficient off the weight rows, with s's
+        slot _LINEAR, so no Poly in s is formed.  Both residuals vanish
+        identically for the product engines.
         """
         labels = tuple(labels)
-        p = len(pi)
-        if not 1 <= j <= p:
+        if not 1 <= j <= len(pi):
             raise ValueError("block index out of range")
         at = self.atoms(labels)
-        ts = [Poly.sym(time_symbol(i)) for i in range(1, p + 1)]
-        s_sym = scalar_symbol("s")
-        s = Poly.sym(s_sym)
-        lhs = self.phi_t(pi, labels, ts).diff(time_symbol(j))
-        blocks = pi.blocks
-        pj = blocks[j - 1]
+        phi = lru_cache(maxsize=None)(lambda w: self._phi_word(w, at))
+        ts = [Poly.sym(time_symbol(i)) for i in range(1, len(pi) + 1)]
+        lhs = _binomial_sum(pi.word, phi, ts, at.sum).diff(time_symbol(j))
+        pj = pi.blocks[j - 1]
         rhs = [{}, {}]
         for mask in range(1, 1 << len(pj)):
-            a = [pj[i] for i in range(len(pj)) if mask >> i & 1]
+            a = [x for i, x in enumerate(pj) if mask >> i & 1]
             rest = [x for x in pj if x not in a]
+            split = [(a, _LINEAR)] + ([(rest, ts[j - 1])] if rest else [])
             for form in (0, 1):
-                split = [a, rest] if form == 0 else [rest, a]
-                par = ([s, ts[j - 1]] if form == 0 else [ts[j - 1], s])
-                newblocks = list(blocks[:j - 1])
-                params = list(ts[:j - 1])
-                for blk, pp in zip(split, par):
-                    if blk:
-                        newblocks.append(blk)
-                        params.append(pp)
-                newblocks.extend(blocks[j:])
-                params.extend(ts[j:])
-                pi2 = OrderedSetPartition(pi.n, newblocks)
-                phi2 = self._phi_dilated(pi2.word, at, params)
-                add_into(rhs[form], phi2.coefficient(s_sym, 1).terms.items())
+                mid = split if form == 0 else split[::-1]
+                pi2 = OrderedSetPartition(pi.n, [
+                    *pi.blocks[:j - 1], *(b for b, _ in mid), *pi.blocks[j:]])
+                params = [*ts[:j - 1], *(x for _, x in mid), *ts[j:]]
+                add_into(rhs[form], _binomial_sum(
+                    pi2.word, phi, params, at.sum).terms.items())
         return lhs - Poly(rhs[0]), lhs - Poly(rhs[1])
 
     # -- central limit ------------------------------------------------------
@@ -404,7 +391,7 @@ def _default_labels(n):
 def _as_scale(x):
     if isinstance(x, str):
         return Poly.sym(scalar_symbol(x))
-    if isinstance(x, Poly):
+    if isinstance(x, Poly) or x is _LINEAR:
         return x
     return Fraction(exact(x))
 
@@ -747,24 +734,54 @@ def _mu_tilde_table(phis):
     return table
 
 
-def _binomial_sum(v, value, params, total):
-    """Sum of value(sigma) * binomial_product(params, t) over every
-    sigma <= v, with t = type(sigma, v), in the ring whose sum is total.
+_LINEAR = object()  # a parameter slot read at its linear coefficient
 
-    The binomials can be Polys in symbolic scales, so the values of one
-    type are summed first and each class sum is multiplied by its weight
-    once.  A class whose weight is zero is skipped without evaluating its
-    values.
+
+@lru_cache(maxsize=4096)
+def _weight_rows(params, t):
+    """(d, rows): prod_j binom(params[j], t[j]) as integers over d, rows
+    {scale monomial: int} one per term.  A _LINEAR slot gives its [x^1]
+    coefficient (-1)^(k-1)/k, as every part k >= 1.  Ints carry no type,
+    so the equal keys 2, Fraction(2) and Poly.const(2) may share rows."""
+    w = ONE
+    for x, k in zip(params, t):
+        w = w * (Fraction((-1) ** (k - 1), k) if x is _LINEAR
+                 else generalized_binomial(x, k))
+    return K.cleared(w.terms)
+
+
+def _binomial_sum(v, value, params, total):
+    """Sum of value(sigma) * prod_j binom(params[j], t_j) over every
+    sigma <= v, with t = type(sigma, v), in the ring whose sum is total:
+    a number when the values and the parameters (numbers, Polys or
+    _LINEAR) are, else a Poly.  Each value term times each weight row,
+    over D = lcm of the types' d, adds as an integer under (value
+    monomial, scale monomial); each key forms its monomial once, and the
+    sum divides by D once.  A zero weight evaluates no value.
     """
-    classes = {}
-    for w, t in zip(*K.typed_ideal(v)):
-        entry = classes.get(t)
-        if entry is None:
-            entry = classes[t] = (binomial_product(params, t), [])
-        if entry[0]:
-            entry[1].append(value(w))
-    return total([total(values) * wt for wt, values in classes.values()
-                  if wt])
+    params = tuple(islice(params, max(v)))
+    words, types = K.typed_ideal(v)
+    weights = {t: _weight_rows(params, t) for t in set(types)}
+    denom = lcm(*(d for d, rows in weights.values() if rows))
+    acc = {}
+    get = acc.get
+    x = None
+    for w, t in zip(words, types):
+        d, rows = weights[t]
+        if rows:
+            x = value(w)
+            for vmono, c in (x.terms.items() if isinstance(x, Poly)
+                             else (((), x),)):
+                c *= denom // d
+                for smono, k in rows.items():
+                    key = vmono, smono
+                    acc[key] = get(key, 0) + c * k
+    # d > 1 only for values with Fraction coefficients (dilate_iterated)
+    d, ints = K.cleared(add_into({}, (
+        (_mono_mul(vmono, smono), c) for (vmono, smono), c in acc.items())))
+    out = K.divided(ints, d * denom)
+    poly = isinstance(x, Poly) or any(isinstance(y, Poly) for y in params)
+    return Poly(out) if poly else total(out.values())
 
 
 def moments_from_cumulants(table, pi):

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ospart
 from ospart import cli
@@ -65,6 +67,10 @@ def test_enumerate_cap():
     doc = run_json("enumerate", "-n", "10", "--class", "all", "--count-only",
                    "--force")
     assert doc["count"] == 102247563
+    # every class counts by closed form, so a forced count walks no words
+    doc = run_json("enumerate", "-n", "14", "--class", "monotone-pair",
+                   "--count-only", "--force")
+    assert doc["count"] == 135135
 
 
 def test_enumerate_cap_refuses_n9_listing():
@@ -224,6 +230,92 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_OK
     assert err == b""
+
+
+# argv for the fuzz test.  Half are well formed: a subcommand with every
+# option, in any order, each value in range (a flag present or not).  The
+# rest drop each option one time in ten and its value one time in twenty,
+# take values in range or wrong in kind, and add a stray token one time in
+# five.  In-range numbers keep every command below its cap and fast (cbh to
+# degree 4 on 3 letters, cumulants to n = 3).  "-h" is left out, as help
+# exits 0.
+_JUNK = st.text("0123456789,|ab -x", max_size=6).filter(
+    lambda s: not s.startswith(("-h", "--h")))
+_ENGINES = st.sampled_from(sorted(cli.systems.ENGINES))
+_FLAG = (None, None)
+_OPTIONS = {  # name: (value in range, value wrong in kind)
+    "enumerate": {
+        "-n": (st.integers(1, 5).map(str), st.integers(-2, 0).map(str)),
+        "--class": (st.sampled_from(sorted(cli._CLASS_CHOICES)),
+                    st.just("pairs")),
+        "--count-only": _FLAG, "--force": _FLAG},
+    "coeff": {"--tau": (st.sampled_from(["12", "1|2", "2,1|3", "21"]), _JUNK),
+              "--eta": (st.sampled_from(["12", "11", "1,2|3", "1"]), _JUNK),
+              "--pi": (st.sampled_from(["1,2", "1,2,3", "2|1"]), _JUNK)},
+    "cumulants": {"--system": (_ENGINES, st.just("v-monotone")),
+                  "-n": (st.integers(1, 3).map(str), st.just("0")),
+                  "--direction": (st.sampled_from(["m2c", "c2m"]),
+                                  st.just("up")),
+                  "--force": _FLAG},
+    "cbh": {"--letters": (st.sampled_from(["a", "ab", "ba", "abc"]),
+                          st.sampled_from(["", "aa", "a b"])),
+            "--degree": (st.integers(1, 4).map(str), st.just("-1")),
+            "--route": (st.sampled_from(["direct", "cumulant", "goldberg",
+                                         "all"]), st.just("fast")),
+            "--force": _FLAG},
+    "clt": {"--system": (_ENGINES, _JUNK),
+            "-n": (st.integers(1, 6).map(str), st.integers(-1, 0).map(str)),
+            "--force": _FLAG},
+}
+_FORMAT = (st.sampled_from(["json", "csv", "text"]), st.just("xml"))
+
+
+def _one_in(k):
+    return st.sampled_from([False] * (k - 1) + [True])
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_OPTIONS) + ["", "enum"]))
+    options = dict(_OPTIONS.get(cmd, {}), **{"--format": _FORMAT})
+    well_formed = draw(st.booleans())
+    argv = [cmd] if cmd else []
+    if cmd == "coeff":
+        kinds = ["weisner", "goldberg"] + ([] if well_formed else ["mobius"])
+        argv.append(draw(st.sampled_from(kinds)))
+    if well_formed:
+        kept = [name for name in sorted(options)
+                if options[name] is not _FLAG or draw(st.booleans())]
+    else:
+        kept = [name for name in sorted(options) if not draw(_one_in(10))]
+    for name in draw(st.permutations(kept)):
+        argv.append(name)
+        good, bad = options[name]
+        if well_formed:
+            if good is not None:
+                argv.append(draw(good))
+        elif good is not None and not draw(_one_in(20)):
+            argv.append(draw(good | bad))
+    if not well_formed and draw(_one_in(5)):
+        argv.append(draw(_JUNK))
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    # any argv returns 0, 2 or 3, or leaves through argparse's exit 2;
+    # no other exception escapes, and no traceback is printed
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == cli.EXIT_USAGE, argv
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_CAP), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert bool(out.getvalue()) == (code == cli.EXIT_OK), argv
 
 
 def test_cli_import_loads_every_layer_and_no_dataclasses():

@@ -122,6 +122,24 @@ def test_counts_are_fubini(full_mode):
         assert P.fubini(n) == expected[n]
 
 
+def test_class_counts_match_enumeration(full_mode):
+    # the closed forms against the enumeration; n = 8 walks all of OP_8
+    # for the filtered ordered classes, so there it runs in full mode only
+    cheap = (P.ALL, P.SP, P.NC, P.IP, P.PAIR, P.PAIR_NC, P.PAIR_IP,
+             P.PAIR_MONOTONE)
+    for cls in P.CLASSES:
+        top = 8 if full_mode or cls in cheap else 7
+        for n in range(1, top + 1):
+            assert P.class_count(n, cls) == sum(
+                1 for _ in P._class_words(n, cls)), (cls, n)
+    assert [P.class_count(n, P.SP) for n in range(1, 7)] == [
+        1, 2, 5, 15, 52, 203]
+    assert P.class_count(12, P.MONOTONE) == 3113510400
+    for bad in ((0, P.ALL), (-1, P.PAIR), (3, "v-monotone")):
+        with pytest.raises(ValueError):
+            P.class_count(*bad)
+
+
 def test_enumerate_small_sets():
     two = {str(x) for x in P.enumerate_partitions(2)}
     assert two == {"1,2", "1|2", "2|1"}

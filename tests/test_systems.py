@@ -1145,6 +1145,99 @@ def test_ideal_sums_match_per_sigma_definition():
                 pi, lambda s: table[s.word], _zeta), where
 
 
+def _binomial_route(eng, sigma, at, params):
+    """The dilation sum by Poly products of binomials: phi_rho times
+    incidence.binomial_product(params, type(rho, sigma)) over rho <= sigma,
+    in the ring of the atoms at."""
+    from ospart import incidence as I
+    words, types = K.typed_ideal(sigma.word)
+    return at.sum([eng._phi_word(w, at) * I.binomial_product(params, t)
+                   for w, t in zip(words, types)])
+
+
+def test_dilation_sums_match_the_binomial_product_route():
+    # the cached integer weight rows against Poly products of binomials:
+    # every dilation method and the [t_j^1] and [s^1] readers, all five
+    # engines, int/Fraction/Poly/string scales (a scale of 1 zeroes every
+    # class with a part >= 2; Poly.const(2) after 2 shares its table),
+    # n <= 4, on Atoms, copy atoms and (pair partitions) the CLT atoms
+    from ospart import incidence as I
+    from ospart.symbolic import time_symbol
+    N, M = Poly.sym(scalar_symbol("N")), Poly.sym(scalar_symbol("M"))
+    s_sym = scalar_symbol("s")
+    s = Poly.sym(s_sym)
+    scales = [3, F(-1, 2), 1, N * 2 + M, "M", 2, Poly.const(2)]
+
+    def as_param(x):
+        return Poly.sym(scalar_symbol(x)) if isinstance(x, str) else x
+
+    cases = [pi for n in (1, 2, 3) for pi in P.enumerate_partitions(n)]
+    cases += [o(w) for w in ("1,2,3,4", "2|1,3,4", "1,3|2,4", "3|1|2,4",
+                             "4|3|2|1")]
+    for pi in cases:
+        n, p = pi.n, len(pi)
+        labels = ("X", "Y", "X", "Z")[:n]
+        ts = [Poly.sym(time_symbol(j)) for j in range(1, p + 1)]
+        blockwise = [scales[(i + n) % len(scales)] for i in range(p)]
+        params = [as_param(x) for x in blockwise]
+        ideal = list(zip(*K.typed_ideal(pi.word)))
+        pair = n % 2 == 0 and {len(b) for b in pi.blocks} == {2}
+        for eng in S.ENGINES.values():
+            at = S.Atoms(labels)
+            where = (eng.name, pi)
+            for scale in scales:
+                want = _binomial_route(eng, pi, at, [as_param(scale)] * p)
+                assert eng.dilate(pi, labels, scale) == want, where + (scale,)
+            assert eng.dilate_blockwise(pi, labels, blockwise) == (
+                _binomial_route(eng, pi, at, params)), where
+            phi_t = _binomial_route(eng, pi, at, ts)
+            assert eng.phi_t(pi, labels) == phi_t, where
+            assert eng.cumulant_dilated(pi, labels, blockwise) == Poly.sum([
+                _binomial_route(eng, P.OrderedSetPartition._raw(n, w), at, [
+                    x for x, k in zip(params, t) for _ in range(k)])
+                * _mu(t) for w, t in ideal]), where
+            assert eng.dilate_iterated(pi, labels, "N", 2) == Poly.sum([
+                _binomial_route(eng, P.OrderedSetPartition._raw(n, w), at,
+                                [N] * max(w))
+                * I.binomial_product([2] * p, t) for w, t in ideal]), where
+            for j in range(1, p + 1):
+                assert eng.partial_cumulant(pi, labels, j) == (
+                    phi_t.coefficient(time_symbol(j), 1)), where + (j,)
+            # the evolution identities, with s a Poly symbol
+            j = n % p + 1
+            pj = pi.blocks[j - 1]
+            rhs = [S.ZERO, S.ZERO]
+            for mask in range(1, 1 << len(pj)):
+                a = [x for i, x in enumerate(pj) if mask >> i & 1]
+                rest = [x for x in pj if x not in a]
+                for form, split in enumerate(([a, rest], [rest, a])):
+                    pars = [[s, ts[j - 1]], [ts[j - 1], s]][form]
+                    kept = [(b, x) for b, x in zip(split, pars) if b]
+                    pi2 = P.OrderedSetPartition(n, list(pi.blocks[:j - 1])
+                                                + [b for b, _ in kept]
+                                                + list(pi.blocks[j:]))
+                    rhs[form] = rhs[form] + _binomial_route(
+                        eng, pi2, at,
+                        ts[:j - 1] + [x for _, x in kept] + ts[j:],
+                    ).coefficient(s_sym, 1)
+            lhs = phi_t.diff(time_symbol(j))
+            assert eng.diffeq_residuals(pi, labels, j) == (
+                lhs - rhs[0], lhs - rhs[1]), where
+            # the same route in the other rings
+            rings = [S._CopyAtoms(eng, labels, (1, 2, 1, 1)[:n])]
+            if pair:
+                rings.append(S.CLT_ATOMS)
+            for ring in rings:
+                for scale in (3, F(-1, 2), 1, "N", Poly.const(2)):
+                    got = eng.dilate(pi, labels, scale, atoms=ring)
+                    want = _binomial_route(eng, pi, ring,
+                                           [as_param(scale)] * p)
+                    assert got == want, where + (scale,)
+                    assert isinstance(got, Poly) == isinstance(want, Poly)
+                got = eng.phi_t(pi, labels, atoms=ring)
+                assert got == _binomial_route(eng, pi, ring, ts), where
+
+
 def test_tables_match_per_sigma_definition_with_repeated_labels():
     # repeated labels make the phi_sigma of distinct sigma share monomials,
     # so the integer multiples of mu~ and zeta~ add and cancel per monomial
@@ -1257,7 +1350,6 @@ def test_scale_is_the_per_term_product(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# exact coefficients: int when integral, Fraction otherwise# ---------------------------------------------------------------------------
 # exact coefficients: int when integral, Fraction otherwise
 # ---------------------------------------------------------------------------
 
@@ -1276,6 +1368,21 @@ def test_coefficients_are_int_when_integral():
         for poly in eng.cumulant_table(4, "XYXZ").values():
             for x in poly.terms.values():
                 assert type(x) is int or x.denominator > 1, eng.name
+    # and so do the dilation sums, which divide once by theirs
+    N = Poly.sym(scalar_symbol("N"))
+    for eng in S.ENGINES.values():
+        for pi in (top(3), o("1,3|2"), o("2|1,3,4"), o("1,2|3,4")):
+            labels = ("X", "Y", "X", "Z")[:pi.n]
+            scales = [N, F(1, 2), "M", 3][:len(pi)]
+            polys = [eng.dilate(pi, labels, N), eng.dilate(pi, labels, 3),
+                     eng.phi_t(pi, labels),
+                     eng.cumulant_dilated(pi, labels, scales),
+                     eng.dilate_iterated(pi, labels, "N", 2)]
+            polys += [eng.partial_cumulant(pi, labels, j)
+                      for j in range(1, len(pi) + 1)]
+            for poly in polys:
+                for x in poly.terms.values():
+                    assert type(x) is int or x.denominator > 1, (eng.name, pi)
     assert set(map(type, m("X").terms.values())) == {int}
     for const in (Poly.const(3), Poly.const(F(3)), Poly()):
         assert type(const.constant_value()) is F

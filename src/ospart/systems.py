@@ -24,6 +24,7 @@ moments over set partitions; every other method, exchangeability_check
 included, evaluates on ordered ones.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -60,13 +61,12 @@ class Atoms:
     check_independence) for single atoms through `moment` and
     `psi_moment` and multiplies them in its ring instead, where a zero
     atom skips the terms it multiplies.  A custom provider subclasses
-    Atoms or supplies the same methods.  These products, `sum` and
-    `scaled_sum` name the ring the engine evaluates into, here Poly: every
-    engine method that takes an atoms object multiplies and adds through
-    them, so atoms of another ring (CLT_ATOMS: the integers) give values
-    in that ring.  `scaled_sum(pairs, d)` is the sum of k x over (x, k)
-    pairs with integer k, divided by the integer d: the mu~ and zeta~ sums
-    over an ideal add through it.
+    Atoms or supplies the same methods: `product`, `term`, `moment`,
+    `psi_moment` and `sum`.  These products and `sum` name the ring the
+    engine evaluates into, here Poly, so atoms of another ring (CLT_ATOMS:
+    the integers) give values in that ring.  The one sum over an ideal
+    (cumulants, dilations, moments from cumulants), _ideal_sum, adds the
+    values' terms in integers outside the atoms.
 
     The c-monotone recursion keeps its values (its signed terms, on atoms
     with `term`) in `_rule_v`, keyed by syllable sequence, so the words of
@@ -81,18 +81,6 @@ class Atoms:
         self.moment_kind = moment_kind
         self._products = {}
         self._rule_v = {}
-
-    @staticmethod
-    def scaled_sum(pairs, d):
-        """(sum of k x over the (x, k) pairs) / d, for Polys x and ints k.
-
-        The terms add as integer multiples into one dict by add_into, which
-        drops the monomials whose sum cancels, and each coefficient is
-        divided once (none when d is 1): no Poly product is formed.
-        """
-        return Poly(K.divided(add_into({}, (
-            (mono, c * k) for x, k in pairs for mono, c in x.terms.items())),
-            d))
 
     def _labels_at(self, pos):
         return tuple(self.labels[i] for i in pos)
@@ -189,8 +177,8 @@ class Engine:
         """K_pi = sum over sigma <= pi of phi_sigma mu~(sigma,pi)."""
         labels = _per_element(pi.n, labels)
         at = atoms or self.atoms(labels)
-        return _ideal_sum(pi.word, lambda w, t: self._phi_word(w, at),
-                          K.mu_tilde_scaled, at)
+        return _ideal_sum(pi.word, lambda w: self._phi_word(w, at),
+                          K.mu_tilde_type)
 
     def cumulant_n(self, labels, atoms=None):
         """K_n, the cumulant of the one-block partition."""
@@ -205,8 +193,8 @@ class Engine:
         labels = _per_element(pi.n, labels)
         eta_w = K.kernel_word(indices)
         at = self.atoms(labels)
-        return _ideal_sum(pi.word, lambda w, t: self._phi_word(
-            K.quasi_meet(w, eta_w), at), K.mu_tilde_scaled, at)
+        return _ideal_sum(pi.word, lambda w: self._phi_word(
+            K.quasi_meet(w, eta_w), at), K.mu_tilde_type)
 
     def cumulant_table(self, n, labels=None):
         """{word: K_pi} over all of OP_n."""
@@ -226,8 +214,8 @@ class Engine:
 
     def _phi_dilated(self, sigma_word, at, params):
         """phi_sigma dilated block-wise: params[j-1] scales sigma-block j."""
-        return _binomial_sum(sigma_word, lambda w: self._phi_word(w, at),
-                             params, at.sum)
+        return _ideal_sum(sigma_word, lambda w: self._phi_word(w, at),
+                          params)
 
     def dilate(self, pi, labels, scale, atoms=None):
         """phi_pi(N.X_1,...,N.X_n); polynomial in a symbolic scale.
@@ -252,20 +240,18 @@ class Engine:
         if len(scales) < len(pi):
             raise ValueError("need one scale per block")
         at = self.atoms(labels)
-
-        def value(w, t):
-            # the t_j sigma-blocks in pi-block j dilate by its scale
-            params = [x for x, k in zip(scales, t) for _ in range(k)]
-            return self._phi_dilated(w, at, params)
-        return _ideal_sum(pi.word, value, K.mu_tilde_scaled, at)
+        # each sigma-block dilates by the scale of the pi-block holding it
+        return _ideal_sum(pi.word, lambda w: self._phi_dilated(w, at, [
+            scales[b - 1] for b in K.relative_word(w, pi.word)]),
+            K.mu_tilde_type)
 
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
         labels = _per_element(pi.n, labels)
         at = self.atoms(labels)
         inner, outer = _as_scale(inner), _as_scale(outer)
-        return _binomial_sum(pi.word, lambda w: self._phi_dilated(
-            w, at, [inner] * max(w)), repeat(outer), at.sum)
+        return _ideal_sum(pi.word, lambda w: self._phi_dilated(
+            w, at, [inner] * max(w)), repeat(outer))
 
     # -- time evolution -----------------------------------------------------
 
@@ -297,13 +283,13 @@ class Engine:
         slot _LINEAR, so no Poly in s is formed.  Both residuals vanish
         identically for the product engines.
         """
-        labels = tuple(labels)
+        labels = _per_element(pi.n, labels)
         if not 1 <= j <= len(pi):
             raise ValueError("block index out of range")
         at = self.atoms(labels)
         phi = lru_cache(maxsize=None)(lambda w: self._phi_word(w, at))
         ts = [Poly.sym(time_symbol(i)) for i in range(1, len(pi) + 1)]
-        lhs = _binomial_sum(pi.word, phi, ts, at.sum).diff(time_symbol(j))
+        lhs = _ideal_sum(pi.word, phi, ts).diff(time_symbol(j))
         pj = pi.blocks[j - 1]
         rhs = [{}, {}]
         for mask in range(1, 1 << len(pj)):
@@ -315,8 +301,8 @@ class Engine:
                 pi2 = OrderedSetPartition(pi.n, [
                     *pi.blocks[:j - 1], *(b for b, _ in mid), *pi.blocks[j:]])
                 params = [*ts[:j - 1], *(x for _, x in mid), *ts[j:]]
-                add_into(rhs[form], _binomial_sum(
-                    pi2.word, phi, params, at.sum).terms.items())
+                add_into(rhs[form],
+                         _ideal_sum(pi2.word, phi, params).terms.items())
         return lhs - Poly(rhs[0]), lhs - Poly(rhs[1])
 
     # -- central limit ------------------------------------------------------
@@ -409,10 +395,6 @@ class _CLTAtoms:
     term = None
 
     @staticmethod
-    def scaled_sum(pairs, d):
-        return Fraction(sum(x * k for x, k in pairs), d)
-
-    @staticmethod
     def product(runs, family=MOMENT):
         value = 1
         for run in runs:
@@ -427,7 +409,7 @@ class _CLTAtoms:
     def moment(cls, pos):
         return cls.product([pos])
 
-    psi_moment = free_cumulant = moment
+    psi_moment = moment
 
 
 CLT_ATOMS = _CLTAtoms()
@@ -617,9 +599,7 @@ class CMonotoneEngine(Engine):
         # recursion of no other word meets all of its positions.  CLT_ATOMS
         # keep a memo per word, since one shared over the pair words of
         # clt_moment(10) costs more than it saves
-        memo = getattr(atoms, "_rule_v", None)
-        if memo is None:
-            memo = {}
+        memo = getattr(atoms, "_rule_v", {})
         term = getattr(atoms, "term", None)
         if term is None:
             # multiply in the provider's ring, which collapses as it goes:
@@ -627,7 +607,8 @@ class CMonotoneEngine(Engine):
             return self._compute(syls, atoms, memo)
         # expand into signed terms, then ask the atoms once per term
         terms = self._compute(syls, _TermAtoms, memo)
-        return atoms.scaled_sum([(term(f), k) for f, k in terms.items()], 1)
+        return Poly(add_into({}, ((mono, c * k) for f, k in terms.items()
+                                  for mono, c in term(f).terms.items())))
 
     def _eval(self, syls, atoms, memo):
         """phi of a syllable sequence; memo maps each sequence met to its
@@ -692,21 +673,6 @@ def engine(name: str) -> Engine:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def _ideal_sum(v, value, scaled, ring):
-    """Sum of value(sigma, t) * mu~ or zeta~(t) over every sigma <= v, with
-    t = type(sigma, v), in the ring of the atoms object `ring`.
-
-    scaled is K.mu_tilde_scaled or K.zeta_tilde_scaled: (D, ks) with the
-    integers ks = D * weight, parallel to typed_ideal(v).  Each value
-    enters `ring.scaled_sum` times its integer, and the sum is divided by
-    D once.  The values are evaluated here, before the ring adds them, so
-    a per-layer profile charges their evaluation to the engines.
-    """
-    d, ks = scaled(v)
-    words, types = K.typed_ideal(v)
-    return ring.scaled_sum(list(zip(map(value, words, types), ks)), d)
-
-
 def _mu_tilde_table(phis):
     """{v: K_v} for every word v of phis, which holds a Poly for each word
     of OP_n: K_v is the sum of phis[sigma] mu~(sigma, v) over sigma <= v.
@@ -738,58 +704,64 @@ _LINEAR = object()  # a parameter slot read at its linear coefficient
 
 
 @lru_cache(maxsize=4096)
-def _weight_rows(params, t):
-    """(d, rows): prod_j binom(params[j], t[j]) as integers over d, rows
-    {scale monomial: int} one per term.  A _LINEAR slot gives its [x^1]
-    coefficient (-1)^(k-1)/k, as every part k >= 1.  Ints carry no type,
-    so the equal keys 2, Fraction(2) and Poly.const(2) may share rows."""
-    w = ONE
-    for x, k in zip(params, t):
-        w = w * (Fraction((-1) ** (k - 1), k) if x is _LINEAR
-                 else generalized_binomial(x, k))
-    return K.cleared(w.terms)
+def _weight_rows(weight, types):
+    """(D, rows per type of types): ((scale monomial, int), ...), D times
+    the type's weight over the least common denominator D.  The weight is
+    K.mu_tilde_type(t) or K.zeta_tilde_type(t), or prod_j binom(weight[j],
+    t[j]) for a parameter tuple, where a _LINEAR slot gives [x^1]
+    binom(x, k) = (-1)^(k-1)/k.  Ints carry no type, so the equal keys 2,
+    Fraction(2) and Poly.const(2) may share a table."""
+    terms = {}  # {(type, scale monomial): exact}
+    for t in set(types):
+        if callable(weight):
+            terms[t, ()] = weight(t)
+            continue
+        w = ONE
+        for x, k in zip(weight, t):
+            w = w * (Fraction((-1) ** (k - 1), k) if x is _LINEAR
+                     else generalized_binomial(x, k))
+        terms.update(((t, s), c) for s, c in w.terms.items())
+    denom, ints = K.cleared(terms)
+    rows = dict.fromkeys(types, ())
+    for (t, s), k in ints.items():
+        rows[t] += ((s, k),)
+    return denom, tuple(map(rows.__getitem__, types))
 
 
-def _binomial_sum(v, value, params, total):
-    """Sum of value(sigma) * prod_j binom(params[j], t_j) over every
-    sigma <= v, with t = type(sigma, v), in the ring whose sum is total:
-    a number when the values and the parameters (numbers, Polys or
-    _LINEAR) are, else a Poly.  Each value term times each weight row,
-    over D = lcm of the types' d, adds as an integer under (value
-    monomial, scale monomial); each key forms its monomial once, and the
-    sum divides by D once.  A zero weight evaluates no value.
-    """
-    params = tuple(islice(params, max(v)))
+def _ideal_sum(v, value, weight):
+    """Sum of value(sigma) * weight(type(sigma, v)) over every sigma <= v,
+    for a weight of _weight_rows (parameters sliced to max(v)).  Each value
+    term times each row adds as an integer under its scale and value
+    monomials, each pair forms its monomial once, and the sum divides by D
+    once.  A zero weight evaluates no value but the first, which names the
+    ring: a Poly when a value or a parameter is one, else a number."""
+    params = () if callable(weight) else tuple(islice(weight, max(v)))
     words, types = K.typed_ideal(v)
-    weights = {t: _weight_rows(params, t) for t in set(types)}
-    denom = lcm(*(d for d, rows in weights.values() if rows))
-    acc = {}
-    get = acc.get
+    denom, weights = _weight_rows(params or weight, types)
+    parts = defaultdict(dict)  # {scale monomial: {value monomial: int}}
     x = None
-    for w, t in zip(words, types):
-        d, rows = weights[t]
-        if rows:
+    for w, rows in zip(words, weights):
+        if rows or x is None:  # the first value names the ring
             x = value(w)
-            for vmono, c in (x.terms.items() if isinstance(x, Poly)
-                             else (((), x),)):
-                c *= denom // d
-                for smono, k in rows.items():
-                    key = vmono, smono
-                    acc[key] = get(key, 0) + c * k
-    # d > 1 only for values with Fraction coefficients (dilate_iterated)
-    d, ints = K.cleared(add_into({}, (
-        (_mono_mul(vmono, smono), c) for (vmono, smono), c in acc.items())))
+            terms = x.terms.items() if isinstance(x, Poly) else (((), x),)
+            for smono, k in rows:
+                part = parts[smono]
+                for vmono, c in terms:
+                    part[vmono] = part.get(vmono, 0) + c * k
+    # d > 1 only for values with Fraction coefficients
+    d, ints = K.cleared(add_into(parts.pop((), {}), (
+        (_mono_mul(vmono, smono), c) for smono, part in parts.items()
+        for vmono, c in part.items())))
     out = K.divided(ints, d * denom)
     poly = isinstance(x, Poly) or any(isinstance(y, Poly) for y in params)
-    return Poly(out) if poly else total(out.values())
+    return Poly(out) if poly else sum(out.values())
 
 
 def moments_from_cumulants(table, pi):
     """phi_pi = sum over sigma <= pi of K_sigma zeta~(sigma,pi)."""
     if any(w not in table for w in K.ideal_words(pi.word)):
         raise ValueError("cumulant table does not cover the ideal")
-    return _ideal_sum(pi.word, lambda w, t: table[w], K.zeta_tilde_scaled,
-                      Atoms)
+    return _ideal_sum(pi.word, table.__getitem__, K.zeta_tilde_type)
 
 
 def monotone_mc_defect(n, labels=None):
@@ -801,28 +773,21 @@ def monotone_mc_defect(n, labels=None):
 
 
 class _PositionRuns:
-    """Atoms that keep positions in place of labels: a product is its runs,
-    a sorted tuple of position tuples, and `scaled_sum` returns (d, rows)
-    with one (runs, integer) row per run set whose integer is nonzero.
-
-    An engine's cumulant on these atoms serves every label tuple of that
-    length: read each run as its labels and divide by d.
-    """
+    """Atoms that keep positions in place of labels: a product is the Poly
+    keyed by its runs, a sorted tuple of position tuples, so an engine's
+    cumulant on these atoms serves every label tuple of that length."""
 
     @staticmethod
     def product(runs):
-        return tuple(sorted(map(tuple, runs)))
-
-    @staticmethod
-    def scaled_sum(pairs, d):
-        return d, tuple(add_into({}, pairs).items())
+        return Poly({tuple(sorted(map(tuple, runs))): 1})
 
 
 @lru_cache(maxsize=None)
 def _monotone_block_rows(k):
-    """(D, rows): D K_k of the monotone engine on positions 0..k-1, its
-    mu~ sum over OP_k evaluated once per size k."""
-    return MONOTONE.cumulant_n(range(k), _PositionRuns)
+    """(D, rows): D K_k of the monotone engine on positions 0..k-1 as
+    (runs, int) rows, its mu~ sum over OP_k evaluated once per size k."""
+    d, rows = K.cleared(MONOTONE.cumulant_n(range(k), _PositionRuns).terms)
+    return d, tuple(rows.items())
 
 
 @lru_cache(maxsize=None)
@@ -875,30 +840,31 @@ def _monotone_cumulant_sum(labels):
                      for runs, c in terms]
         add_into(acc, [(tuple(sorted(runs)), c) for runs, c in terms])
     atoms = Atoms(labels)
-    return atoms.scaled_sum([(atoms.product(runs), c)
-                             for runs, c in acc.items()], denom)
+    return Poly(K.divided(add_into({}, (
+        (mono, c * k) for runs, c in acc.items()
+        for mono, k in atoms.product(runs).terms.items())), denom))
+
+
+def _mixed_sum(pi, eta, value, coefficient):
+    """Sum of value(sigma) coefficient(sigma, eta, pi) over sigma <= pi."""
+    out = {}
+    for w in K.ideal_words(pi.word):
+        coeff = coefficient(OrderedSetPartition._raw(pi.n, w), eta, pi)
+        if coeff:
+            add_into(out, (value(w) * coeff).terms.items())
+    return Poly(out)
 
 
 def mixed_cumulant_moment(pi, eta, eng, labels):
     """K_pi of copy-indexed entries via Weisner coefficients over moments."""
     at = eng.atoms(_per_element(pi.n, labels))
-    out = {}
-    for w in K.ideal_words(pi.word):
-        coeff = weisner3(OrderedSetPartition._raw(pi.n, w), eta, pi)
-        if coeff:
-            add_into(out, (eng._phi_word(w, at) * coeff).terms.items())
-    return Poly(out)
+    return _mixed_sum(pi, eta, lambda w: eng._phi_word(w, at), weisner3)
 
 
 def mixed_cumulant_cumulant(pi, eta, eng, labels):
     """K_pi of copy-indexed entries via Goldberg coefficients over cumulants."""
-    table = eng.cumulant_table(pi.n, labels)
-    out = {}
-    for w in K.ideal_words(pi.word):
-        coeff = goldberg3(OrderedSetPartition._raw(pi.n, w), eta, pi)
-        if coeff:
-            add_into(out, (table[w] * coeff).terms.items())
-    return Poly(out)
+    return _mixed_sum(pi, eta, eng.cumulant_table(pi.n, labels).__getitem__,
+                      goldberg3)
 
 
 def singleton_defect(eng, pi, labels, k):
@@ -907,7 +873,7 @@ def singleton_defect(eng, pi, labels, k):
     Zero for every engine whenever {k} is a singleton block of pi (both
     symbol families are centered; the two-state system needs both).
     """
-    labels = tuple(labels)
+    labels = _per_element(pi.n, labels)
     if not 1 <= k <= pi.n:
         raise ValueError(f"k must be in 1..{pi.n}: got {k}")
     target = (labels[k - 1],)

@@ -121,6 +121,11 @@ def test_cumulants_check_lengths():
         S.TENSOR.cumulant_dilated(o("1,2|3"), XYZ, ["N"])
     assert (S.TENSOR.cumulant_dilated(o("1,2|3"), XYZ, ["N", "M"])
             == S.TENSOR.cumulant_dilated(o("1,2|3"), XYZ, ["N", "M", "L"]))
+    for bad in (XY, "XYZW"):
+        with pytest.raises(ValueError):
+            S.TENSOR.diffeq_residuals(o("1,2|3"), bad, 1)
+        with pytest.raises(ValueError):
+            S.singleton_defect(S.TENSOR, o("1,2|3"), bad, 3)
 
 
 def test_dilations_check_lengths():
@@ -369,9 +374,9 @@ def test_carried_block_cumulants_match_cumulant_n():
             d, rows = S._monotone_block_rows(size)
             for blk in itertools.combinations(range(n), size):
                 at = S.Atoms(labels)
-                carried = at.scaled_sum([
-                    (at.product([[blk[i] for i in run] for run in runs]), k)
-                    for runs, k in rows], d)
+                carried = Poly.sum([
+                    at.product([[blk[i] for i in run] for run in runs]) * k
+                    for runs, k in rows]) * F(1, d)
                 assert carried == S.MONOTONE.cumulant_n(
                     [labels[i] for i in blk]), (labels, blk)
 
@@ -388,10 +393,10 @@ def test_monotone_block_cumulants_sum_once_per_size(monkeypatch):
 
     def counting(v):
         calls.append(v)
-        return scaled(v)
+        return typed(v)
 
-    scaled = K.mu_tilde_scaled
-    monkeypatch.setattr(K, "mu_tilde_scaled", counting)
+    typed = K.typed_ideal
+    monkeypatch.setattr(K, "typed_ideal", counting)
     S._monotone_block_rows.cache_clear()
     S._monotone_partition_rows.cache_clear()
     for _ in range(2):
@@ -490,7 +495,8 @@ def test_ideal_sums_stay_in_the_ring_of_the_atoms():
 
 def test_clt_atoms_refuse_longer_atoms():
     at = S.CLT_ATOMS
-    for family in (at.moment, at.psi_moment, at.free_cumulant):
+    for family in (at.moment, at.psi_moment,
+                   lambda run: at.product([run], FREE_CUMULANT)):
         assert (family((3,)), family((0, 5))) == (0, 1)
         with pytest.raises(ValueError):
             family((0, 1, 2))
@@ -849,7 +855,9 @@ def test_clt_atoms_match_per_factor_fold():
             for name in PRODUCT_ENGINES:
                 eng = S.ENGINES[name]
                 try:
-                    want = _folded_phi(name, w, at.moment, at.free_cumulant)
+                    want = _folded_phi(
+                        name, w, at.moment,
+                        lambda run: at.product([run], FREE_CUMULANT))
                 except ValueError:
                     with pytest.raises(ValueError):
                         eng._phi_word(w, at)
@@ -1228,7 +1236,7 @@ def test_dilation_sums_match_the_binomial_product_route():
             if pair:
                 rings.append(S.CLT_ATOMS)
             for ring in rings:
-                for scale in (3, F(-1, 2), 1, "N", Poly.const(2)):
+                for scale in (3, F(-1, 2), 1, 0, "N", Poly.const(2)):
                     got = eng.dilate(pi, labels, scale, atoms=ring)
                     want = _binomial_route(eng, pi, ring,
                                            [as_param(scale)] * p)
@@ -1280,8 +1288,8 @@ def test_cumulant_table_evaluates_each_phi_once(monkeypatch):
                 phis = {w: real(eng, w, at) for w in K.osp_words(n)}
                 assert list(table) == list(K.osp_words(n))
                 for v in K.osp_words(n):
-                    want = S._ideal_sum(v, lambda w, t: phis[w],
-                                        K.mu_tilde_scaled, at)
+                    want = S._ideal_sum(v, phis.__getitem__,
+                                        K.mu_tilde_type)
                     assert _typed(table[v]) == _typed(want), (eng.name, v)
 
 
@@ -1363,9 +1371,16 @@ def test_coefficients_are_int_when_integral():
     halved = (m("X") * 4 + m("Y") * 3) * F(1, 2)
     assert halved.terms == {**(m("X") * 2).terms, **(m("Y") * F(3, 2)).terms}
     assert [type(x) for x in halved.terms.values()] == [int, F]
-    # and so do the mu~ sums, which divide once by their denominator
+    # and so do the mu~ and zeta~ sums, which divide once by their
+    # denominator
     for eng in S.ENGINES.values():
-        for poly in eng.cumulant_table(4, "XYXZ").values():
+        table = eng.cumulant_table(4, "XYXZ")
+        polys = list(table.values())
+        for pi in (top(4), o("1,3|2,4"), o("2|1,3,4"), o("4|1,2|3")):
+            polys += [eng.cumulant(pi, "XYXZ"),
+                      eng.cumulant_indexed(pi, "XYXZ", (1, 2, 1, 1)),
+                      S.moments_from_cumulants(table, pi)]
+        for poly in polys:
             for x in poly.terms.values():
                 assert type(x) is int or x.denominator > 1, eng.name
     # and so do the dilation sums, which divide once by theirs

@@ -189,6 +189,11 @@ def _lifted(k: int, off: int) -> tuple:
     return tuple((tuple(x + off for x in w), max(w)) for w in osp_words(k))
 
 
+@lru_cache(maxsize=None)
+def _block_sizes(v) -> tuple:
+    return tuple(map(v.count, range(1, max(v) + 1)))
+
+
 def _representative(sizes) -> tuple:
     """The word 1...1 2...2 ... whose blocks have these sizes, in order.
 
@@ -301,13 +306,12 @@ def cleared(values) -> tuple:
 
 
 def divided(ints, d) -> dict:
-    """{key: v / d} over the nonzero v of ints: an int by one divmod when
-    integral, else a Fraction, one quotient object per distinct numerator.
+    """{key: v / d} over the nonzero v of ints, for exact numerators (int
+    or Fraction) and a positive int d: an int by one divmod when integral,
+    else a Fraction, one quotient object per distinct numerator.
     The integer loops feeding it (projector, CBH, series) add by
     `acc[k] = get(k, 0) + c` and leave their zeros to it: adding through
     symbolic.add_into made the cbh-lie workload 7-11 % slower."""
-    if d == 1:
-        return {k: v for k, v in ints.items() if v}
     quotients = {}
     out = {}
     for k, v in ints.items():
@@ -362,41 +366,6 @@ def series_compose(x, coeffs, order) -> dict:
     return divided(acc, scale * d ** order)
 
 
-@lru_cache(maxsize=None)
-def _scaled_weights(weight, sizes) -> tuple:
-    """(D, ks) for every word v whose blocks have these sizes, in block
-    order: D is the lcm of the denominators of weight(t) over the types t
-    of typed_ideal(v), and ks[i] the integer D * weight(types[i]).
-
-    typed_ideal(v) lists the types of _ideal_rows(sizes) for all such v.
-    """
-    types = _ideal_rows(sizes)[1]
-    d, ints = cleared({t: weight(t) for t in dict.fromkeys(types)})
-    return d, tuple(map(ints.__getitem__, types))
-
-
-@lru_cache(maxsize=None)
-def _block_sizes(v) -> tuple:
-    return tuple(map(v.count, range(1, max(v) + 1)))
-
-
-@lru_cache(maxsize=None)
-def mu_tilde_scaled(v) -> tuple:
-    """(D, ks) with ks[i] = D mu~(sigma_i, v) for the i-th sigma of
-    typed_ideal(v), all integers, D the least common denominator.
-
-    prod(t) divides |sigma|!, so D divides n!.
-    """
-    return _scaled_weights(mu_tilde_type, _block_sizes(v))
-
-
-@lru_cache(maxsize=None)
-def zeta_tilde_scaled(v) -> tuple:
-    """(D, ks) with ks[i] = D zeta~(sigma_i, v), as for mu_tilde_scaled;
-    prod(t_j!) divides |sigma|! too."""
-    return _scaled_weights(zeta_tilde_type, _block_sizes(v))
-
-
 def mu_tilde_words(u, v) -> Fraction:
     return mu_tilde_type(interval_type_words(u, v))
 
@@ -422,51 +391,45 @@ def _beta_type(x: int, t) -> int:
     return prod(comb(x, k) for k in t)
 
 
+def _holds_per_type(n: int, holds) -> bool:
+    """True when holds(t) for the type t = type(u, v) of every comparable
+    pair of OP_n.  Each type is judged once per call and its verdict kept
+    for that call only; the types of v's ideal are the rows of v's block
+    sizes, read without carrying a u word to v."""
+    verdicts = {}
+    for v in osp_words(n):
+        for t in _ideal_rows(_block_sizes(v))[1]:
+            ok = verdicts.get(t)
+            if ok is None:
+                ok = verdicts[t] = holds(t)
+            if not ok:
+                return False
+    return True
+
+
 def mu_zeta_identity(n: int) -> bool:
     """Check mu~ * zeta~ = zeta~ * mu~ = delta on every comparable pair.
 
-    Both sums are taken times (max(u)!)**2, in exact integers.  They depend
-    on t = type(u, v) alone, and so does the expected value: u == v exactly
-    when t is all ones, and max(u) = sum(t).  So each interval type is
-    summed and judged once per call, its verdict kept for that call only,
-    and every comparable pair is still checked: the types of v's ideal are
-    the rows of v's block sizes, read without carrying a u word to v.
+    Both sums over [u, v] are taken times (max(u)!)**2, in exact integers.
+    u == v exactly when t = type(u, v) is all ones, and max(u) = sum(t).
     """
-    holds = {}
-    for v in osp_words(n):
-        for tv in _ideal_rows(_block_sizes(v))[1]:
-            ok = holds.get(tv)
-            if ok is None:
-                s_mz = s_zm = 0
-                for t1, t2 in _interval_types(tv):
-                    mz, zm = _mu_zeta_scaled(t1, t2)
-                    s_mz += mz
-                    s_zm += zm
-                expect = factorial(sum(tv)) ** 2 if max(tv) == 1 else 0
-                ok = holds[tv] = s_mz == s_zm == expect
-            if not ok:
-                return False
-    return True
+    def holds(tv):
+        s_mz = s_zm = 0
+        for t1, t2 in _interval_types(tv):
+            mz, zm = _mu_zeta_scaled(t1, t2)
+            s_mz += mz
+            s_zm += zm
+        expect = factorial(sum(tv)) ** 2 if max(tv) == 1 else 0
+        return s_mz == s_zm == expect
+
+    return _holds_per_type(n, holds)
 
 
 def beta_semigroup_identity(n: int, s: int, t: int) -> bool:
-    """Check beta_s * beta_t = beta_{st} on every comparable pair.
-
-    Both sides depend on type(u, v) alone, so each interval type is summed
-    once per call and its verdict kept for that call only; every comparable
-    pair is still checked, its type read from the rows of v's block sizes.
-    """
-    holds = {}
-    for v in osp_words(n):
-        for tv in _ideal_rows(_block_sizes(v))[1]:
-            ok = holds.get(tv)
-            if ok is None:
-                total = sum(_beta_type(s, t1) * _beta_type(t, t2)
-                            for t1, t2 in _interval_types(tv))
-                ok = holds[tv] = total == _beta_type(s * t, tv)
-            if not ok:
-                return False
-    return True
+    """Check beta_s * beta_t = beta_{st} on every comparable pair."""
+    return _holds_per_type(n, lambda tv: sum(
+        _beta_type(s, t1) * _beta_type(t, t2)
+        for t1, t2 in _interval_types(tv)) == _beta_type(s * t, tv))
 
 
 class _Quotients(dict):
@@ -527,14 +490,18 @@ def goldberg_oracle_table(n: int) -> dict:
     scale, wtab = _weisner_scaled(n)
     nf = factorial(n)
     q = _Quotients(scale * nf)
+    # n! zeta~ on the types of each block-size row of OP_n: integers, since
+    # prod(t_j!) divides sum(t)!, which divides n!
+    zetas = {sizes: [nf // prod(map(factorial, t))
+                     for t in _ideal_rows(sizes)[1]]
+             for sizes in compositions(n)}
     rows = {}
     for sizes in compositions(n):
         acc = {}
         for sig, wval in wtab[_representative(sizes)].items():
-            d, zs = zeta_tilde_scaled(sig)
-            f = nf // d * wval
-            for tau, z in zip(typed_ideal(sig)[0], zs):
-                acc[tau] = acc.get(tau, 0) + z * f
+            for tau, z in zip(typed_ideal(sig)[0],
+                              zetas[_block_sizes(sig)]):
+                acc[tau] = acc.get(tau, 0) + z * wval
         rows[sizes] = {k: q[val] for k, val in acc.items() if val}
     return {eta: _carry_row(rows[_block_sizes(eta)], eta)
             for eta in osp_words(n)}

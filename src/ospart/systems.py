@@ -157,6 +157,10 @@ class Engine:
     def _phi_word(self, word, atoms):
         raise NotImplementedError
 
+    def _memo_phi(self, at):
+        """w -> phi_w on the atoms at, each word evaluated once per call."""
+        return lru_cache(maxsize=None)(lambda w: self._phi_word(w, at))
+
     # -- partitioned moments ------------------------------------------------
 
     def phi_pi(self, pi, labels, atoms=None):
@@ -212,11 +216,6 @@ class Engine:
 
     # -- dilation (dot operation) -------------------------------------------
 
-    def _phi_dilated(self, sigma_word, at, params):
-        """phi_sigma dilated block-wise: params[j-1] scales sigma-block j."""
-        return _ideal_sum(sigma_word, lambda w: self._phi_word(w, at),
-                          params)
-
     def dilate(self, pi, labels, scale, atoms=None):
         """phi_pi(N.X_1,...,N.X_n); polynomial in a symbolic scale.
 
@@ -228,30 +227,26 @@ class Engine:
         """phi_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n) with one scale per block."""
         labels = _per_element(pi.n, labels)
         at = atoms or self.atoms(labels)
-        scales = [_as_scale(s) for s in scales]
-        if len(scales) < len(pi):
-            raise ValueError("need one scale per block")
-        return self._phi_dilated(pi.word, at, scales)
+        return _ideal_sum(pi.word, lambda w: self._phi_word(w, at),
+                          _block_scales(pi, scales))
 
     def cumulant_dilated(self, pi, labels, scales):
         """K_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n)."""
         labels = _per_element(pi.n, labels)
-        scales = [_as_scale(s) for s in scales]
-        if len(scales) < len(pi):
-            raise ValueError("need one scale per block")
-        at = self.atoms(labels)
+        scales = _block_scales(pi, scales)
+        phi = self._memo_phi(self.atoms(labels))
         # each sigma-block dilates by the scale of the pi-block holding it
-        return _ideal_sum(pi.word, lambda w: self._phi_dilated(w, at, [
+        return _ideal_sum(pi.word, lambda w: _ideal_sum(w, phi, [
             scales[b - 1] for b in K.relative_word(w, pi.word)]),
             K.mu_tilde_type)
 
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
         labels = _per_element(pi.n, labels)
-        at = self.atoms(labels)
+        phi = self._memo_phi(self.atoms(labels))
         inner, outer = _as_scale(inner), _as_scale(outer)
-        return _ideal_sum(pi.word, lambda w: self._phi_dilated(
-            w, at, [inner] * max(w)), repeat(outer))
+        return _ideal_sum(pi.word, lambda w: _ideal_sum(
+            w, phi, repeat(inner)), repeat(outer))
 
     # -- time evolution -----------------------------------------------------
 
@@ -286,8 +281,7 @@ class Engine:
         labels = _per_element(pi.n, labels)
         if not 1 <= j <= len(pi):
             raise ValueError("block index out of range")
-        at = self.atoms(labels)
-        phi = lru_cache(maxsize=None)(lambda w: self._phi_word(w, at))
+        phi = self._memo_phi(self.atoms(labels))
         ts = [Poly.sym(time_symbol(i)) for i in range(1, len(pi) + 1)]
         lhs = _ideal_sum(pi.word, phi, ts).diff(time_symbol(j))
         pj = pi.blocks[j - 1]
@@ -380,6 +374,14 @@ def _as_scale(x):
     if isinstance(x, Poly) or x is _LINEAR:
         return x
     return Fraction(exact(x))
+
+
+def _block_scales(pi, scales):
+    """The scales through _as_scale, one per block of pi at least."""
+    scales = [_as_scale(s) for s in scales]
+    if len(scales) < len(pi):
+        raise ValueError("need one scale per block")
+    return scales
 
 
 class _CLTAtoms:
@@ -679,8 +681,8 @@ def _mu_tilde_table(phis):
 
     Each phi is flattened once into (monomial id, coefficient) rows, one id
     per distinct monomial of the table.  Each K_v adds the integers c k,
-    with k from K.mu_tilde_scaled(v), into a dict keyed by id, and is
-    divided by its D once.
+    with D mu~ = k read off the weight rows of v's ideal, into a dict keyed
+    by id, and is divided by its D once.
     """
     ids = {}
     rows = {w: [(ids.setdefault(mono, len(ids)), c)
@@ -688,10 +690,11 @@ def _mu_tilde_table(phis):
     monos = list(ids)
     table = {}
     for v in phis:
-        d, ks = K.mu_tilde_scaled(v)
+        words, types = K.typed_ideal(v)
+        d, weights = _weight_rows(K.mu_tilde_type, types)
         acc = {}
         get = acc.get
-        for w, k in zip(K.typed_ideal(v)[0], ks):
+        for w, ((_, k),) in zip(words, weights):
             for i, c in rows[w]:
                 old = get(i)
                 acc[i] = c * k if old is None else old + c * k
@@ -709,8 +712,8 @@ def _weight_rows(weight, types):
     the type's weight over the least common denominator D.  The weight is
     K.mu_tilde_type(t) or K.zeta_tilde_type(t), or prod_j binom(weight[j],
     t[j]) for a parameter tuple, where a _LINEAR slot gives [x^1]
-    binom(x, k) = (-1)^(k-1)/k.  Ints carry no type, so the equal keys 2,
-    Fraction(2) and Poly.const(2) may share a table."""
+    binom(x, k) = (-1)^(k-1)/k, mu~ on the type (k,).  Ints carry no type,
+    so the equal keys 2, Fraction(2) and Poly.const(2) may share a table."""
     terms = {}  # {(type, scale monomial): exact}
     for t in set(types):
         if callable(weight):
@@ -718,7 +721,7 @@ def _weight_rows(weight, types):
             continue
         w = ONE
         for x, k in zip(weight, t):
-            w = w * (Fraction((-1) ** (k - 1), k) if x is _LINEAR
+            w = w * (K.mu_tilde_type((k,)) if x is _LINEAR
                      else generalized_binomial(x, k))
         terms.update(((t, s), c) for s, c in w.terms.items())
     denom, ints = K.cleared(terms)
@@ -748,11 +751,10 @@ def _ideal_sum(v, value, weight):
                 part = parts[smono]
                 for vmono, c in terms:
                     part[vmono] = part.get(vmono, 0) + c * k
-    # d > 1 only for values with Fraction coefficients
-    d, ints = K.cleared(add_into(parts.pop((), {}), (
+    # exact, and integers unless a value has Fraction coefficients
+    out = K.divided(add_into(parts.pop((), {}), (
         (_mono_mul(vmono, smono), c) for smono, part in parts.items()
-        for vmono, c in part.items())))
-    out = K.divided(ints, d * denom)
+        for vmono, c in part.items())), denom)
     poly = isinstance(x, Poly) or any(isinstance(y, Poly) for y in params)
     return Poly(out) if poly else sum(out.values())
 
@@ -862,8 +864,10 @@ def mixed_cumulant_moment(pi, eta, eng, labels):
 
 
 def mixed_cumulant_cumulant(pi, eta, eng, labels):
-    """K_pi of copy-indexed entries via Goldberg coefficients over cumulants."""
-    return _mixed_sum(pi, eta, eng.cumulant_table(pi.n, labels).__getitem__,
+    """K_pi of copy-indexed entries via Goldberg coefficients over cumulants:
+    K_sigma over pi's ideal only, all from one memo of phi."""
+    phi = eng._memo_phi(eng.atoms(_per_element(pi.n, labels)))
+    return _mixed_sum(pi, eta, lambda w: _ideal_sum(w, phi, K.mu_tilde_type),
                       goldberg3)
 
 

@@ -10,6 +10,7 @@ from ospart import incidence as I
 from ospart import partitions as P
 from ospart._kernels import _pure
 from ospart.symbolic import Poly, scalar_symbol
+from ospart.systems import _weight_rows
 
 o = P.osp
 
@@ -465,17 +466,18 @@ def test_typed_ideal_builds_rows_once_per_block_sizes():
 
 
 def test_scaled_ideal_weights_match_closed_forms():
-    # (D, ks): ks[i] / D is the weight of the i-th sigma of typed_ideal(v),
-    # and no smaller D makes every ks[i] an integer
+    # systems._weight_rows is the one cleared weight table: (D, rows), the
+    # i-th row (((), k),) with k / D the weight of the i-th sigma of
+    # typed_ideal(v), and no smaller D makes every k an integer
     for n in range(1, 6):
         for v in K.osp_words(n):
             ideal, types = K.typed_ideal(v)
-            for scaled, weight, by_words in (
-                    (K.mu_tilde_scaled, K.mu_tilde_type, K.mu_tilde_words),
-                    (K.zeta_tilde_scaled, K.zeta_tilde_type,
-                     K.zeta_tilde_words)):
-                d, ks = scaled(v)
-                assert len(ks) == len(types), v
+            for weight, by_words in ((K.mu_tilde_type, K.mu_tilde_words),
+                                     (K.zeta_tilde_type, K.zeta_tilde_words)):
+                d, rows = _weight_rows(weight, types)
+                assert len(rows) == len(types), v
+                ks = [k for ((mono, k),) in rows if mono == ()]
+                assert len(ks) == len(rows), v
                 assert all(type(k) is int for k in ks), v
                 for w, t, k in zip(ideal, types, ks):
                     assert F(k, d) == weight(t) == by_words(w, v), (v, w)

@@ -400,6 +400,21 @@ def test_cleared_and_divided_round_trip(values):
             assert third[k1] is third[k2]
 
 
+def test_divided_takes_fraction_numerators():
+    # the one exact division: an integral quotient is an int for Fraction
+    # numerators too, d = 1 included, and the zeros are dropped
+    from fractions import Fraction as F
+    one = K.divided({"a": F(-1, 1), "b": F(3, 2), "c": F(0), "d": 4}, 1)
+    assert one == {"a": -1, "b": F(3, 2), "d": 4}
+    assert [type(x) for x in one.values()] == [int, F, int]
+    six = K.divided({"a": F(12, 1), "b": F(-3, 2), "c": F(9, 1), "d": -6,
+                     "e": F(-3, 2)}, 6)
+    assert six == {"a": 2, "b": F(-1, 4), "c": F(3, 2), "d": -1,
+                   "e": F(-1, 4)}
+    assert [type(x) for x in six.values()] == [int, F, F, int, F]
+    assert six["b"] is six["e"]
+
+
 def test_segments():
     assert K.segments((3, 1, 4, 1, 5), (2, 0, 3)) == [(3, 1), (), (4, 1, 5)]
     with pytest.raises(ValueError):

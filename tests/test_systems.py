@@ -1293,6 +1293,37 @@ def test_cumulant_table_evaluates_each_phi_once(monkeypatch):
                     assert _typed(table[v]) == _typed(want), (eng.name, v)
 
 
+def test_nested_ideal_sums_evaluate_each_phi_once(monkeypatch):
+    # cumulant_dilated and dilate_iterated dilate every sigma of pi's ideal,
+    # and mixed_cumulant_cumulant takes K_sigma over it: each evaluates
+    # phi once per distinct word it reads, all of them in pi's ideal
+    real = S.TensorEngine._phi_word
+    calls = []
+
+    def counting(self, word, atoms):
+        calls.append(word)
+        return real(self, word, atoms)
+
+    monkeypatch.setattr(S.TensorEngine, "_phi_word", counting)
+    for w, eta in (("1111", "1212"), ("11111", "12112"), ("12121", "11221"),
+                   ("1234", "1122")):
+        pi, eta = o(w), o(eta)
+        labels = S._default_labels(pi.n)
+        ideal = K.ideal_words(pi.word)
+        for run, whole in (
+                (lambda: S.TENSOR.cumulant_dilated(pi, labels,
+                                                   ["N"] * len(pi)), True),
+                (lambda: S.TENSOR.dilate_iterated(pi, labels, "N", "M"), True),
+                (lambda: S.mixed_cumulant_cumulant(pi, eta, S.TENSOR, labels),
+                 False)):
+            del calls[:]
+            run()
+            assert len(calls) == len(set(calls)), w
+            assert set(calls) <= set(ideal), w
+            if whole:
+                assert sorted(calls) == sorted(ideal), w
+
+
 def test_floats_are_refused_by_the_exact_layer():
     # a float holds no exact value: every entry that turns a number into an
     # exact coefficient refuses it, and ints and Fractions keep their values

@@ -18,7 +18,6 @@ from . import partitions as parts
 from . import systems
 
 ENUMERATE_CAP = 8
-CBH_CAP = 7
 # bound on the words of length 1..degree over the letters (sum of L^k);
 # the slowest `--route all` it allows, `abcd` at degree 7, takes about
 # 0.9 s and 32 MB on a 2-core host
@@ -188,9 +187,9 @@ def cmd_cbh(args):
     if args.degree < 1:
         raise UsageError("degree must be >= 1")
     if not args.force:
-        if args.degree > CBH_CAP:
-            raise CapError(
-                f"cbh degree cap is {CBH_CAP}; pass --force to override")
+        if args.degree > fl.DEFAULT_DEGREE_CAP:
+            raise CapError(f"cbh degree cap is {fl.DEFAULT_DEGREE_CAP}; "
+                           "pass --force to override")
         words = sum(len(letters) ** k for k in range(1, args.degree + 1))
         if words > CBH_WORD_CAP:
             raise CapError(

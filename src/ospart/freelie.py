@@ -11,7 +11,7 @@ through descent statistics and homogeneous Eulerian polynomials.
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import itemgetter, mul
 
 from . import _kernels as K
@@ -32,10 +32,6 @@ class NCPoly(SparseSum):
         return cls({tuple(letters): c}) if c else cls()
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({(): 1})
 
@@ -54,13 +50,6 @@ class NCPoly(SparseSum):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def graded(self):
-        """{degree: {word: coeff}}."""
-        out = {}
-        for w, c in self.terms.items():
-            out.setdefault(len(w), {})[w] = c
-        return out
 
     def degree_part(self, d):
         return NCPoly({w: c for w, c in self.terms.items() if len(w) == d})
@@ -142,8 +131,8 @@ def pi_projector(letters) -> NCPoly:
 
 def pi_on_poly(p: NCPoly) -> NCPoly:
     """Linear extension of the projector to polynomials (unit killed)."""
-    return NCPoly.sum([pi_projector(w).scale(c)
-                       for w, c in p.terms.items() if w])
+    d, ints = K.cleared(p.terms)
+    return _project(ints, d)
 
 
 def nct_cumulant(elements):
@@ -177,18 +166,9 @@ def nct_cumulant(elements):
          for order, coeff in _projector_terms(n, 1)])
 
 
-@lru_cache(maxsize=None)
-def _order_getters(n: int, k: int = 1):
-    """One tuple-valued getter per order of the (n, k) projector table
-    (itemgetter of one index would return the item, not a 1-tuple)."""
-    return tuple(itemgetter(*order) if n > 1 else tuple
-                 for order, _ in _projector_terms(n, k))
-
-
 def _nct_expand(elements):
     """nct_cumulant of two or more NCPolys, by term choice in integers."""
-    den, weights = _projector_scaled(len(elements), 1)
-    getters = _order_getters(len(elements))
+    den, rows = _projector_rows(len(elements), 1)
     choices = []
     for e in elements:
         d, ints = K.cleared(e.terms)
@@ -199,7 +179,7 @@ def _nct_expand(elements):
     for picked in product(*choices):
         words = tuple(w for w, _ in picked)
         c = prod(c for _, c in picked)
-        for take, wt in zip(getters, weights):
+        for take, wt in rows:
             key = sum(take(words), ())
             acc[key] = get(key, 0) + c * wt
     return NCPoly(K.divided(acc, den))
@@ -265,32 +245,45 @@ def pi_convolution_oracle(letters) -> NCPoly:
 
 
 @lru_cache(maxsize=None)
-def _projector_scaled(n: int, k: int):
-    """(D, weights): D the common denominator of the (n, k) projector
-    table and the integers D * coefficient, in table order."""
-    d, ints = K.cleared(dict(enumerate(c for _, c in _projector_terms(n, k))))
-    return d, tuple(ints.values())
+def _projector_rows(n: int, k: int = 1):
+    """(D, ((getter, weight), ...)): D the common denominator of the
+    (n, k) projector table, and per order a tuple-valued getter (itemgetter
+    of one index would return the item, not a 1-tuple) with the integer
+    D * coefficient, in table order."""
+    d, ints = K.cleared(dict(_projector_terms(n, k)))
+    return d, tuple((itemgetter(*order) if n > 1 else tuple, wt)
+                    for order, wt in ints.items())
+
+
+def _project(ints, d, k=1):
+    """The k-th Eulerian piece of the polynomial {word: int} / d, unit
+    dropped.  Words are grouped by degree m; each word adds its integer
+    times each row's weight of the (m, k) table to its rearranged word,
+    and the words of degree m are divided once, by D_m * d."""
+    by_degree = {}
+    for w, c in ints.items():
+        if w:
+            by_degree.setdefault(len(w), []).append((w, c))
+    out = {}
+    for m, words in by_degree.items():
+        den, rows = _projector_rows(m, k)
+        acc = {}
+        get = acc.get
+        for w, c in words:
+            for take, wt in rows:
+                key = take(w)
+                acc[key] = get(key, 0) + c * wt
+        out.update(K.divided(acc, den * d))
+    return NCPoly(out)
 
 
 def pi_k(letters, k: int) -> NCPoly:
     """Degree-k piece of the dilated word: (1/k!) sum of K_pi over |pi|=k,
-    the k-th Eulerian idempotent, summed over the descent table.
-
-    Every permutation is visited: its integer weight over the table's
-    common denominator is added to its rearranged word, and each word is
-    divided once.
-    """
+    the k-th Eulerian idempotent, summed over the descent table."""
     letters = tuple(letters)
-    n = len(letters)
-    if not 1 <= k <= n:
+    if not 1 <= k <= len(letters):
         raise ValueError("k out of range")
-    scale, weights = _projector_scaled(n, k)
-    acc = {}
-    get = acc.get
-    for take, c in zip(_order_getters(n, k), weights):
-        w = take(letters)
-        acc[w] = get(w, 0) + c
-    return NCPoly(K.divided(acc, scale))
+    return _project({letters: 1}, 1, k)
 
 
 def dilation_coefficients(letters):
@@ -447,17 +440,17 @@ def _check_cbh_args(letters, order, cap):
             f"degree {order} above the cap {cap}; pass cap=None to force")
 
 
-def cbh_direct(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
-    """log of the product of the letter exponentials.
+def _exp_product(letters, order):
+    """(order!, {word: int}): the product of the letter exponentials up to
+    the order, as integers over order!.
 
     The letters are distinct, so the product is the sum of the words
     a^p b^q ... up to the order, each with coefficient 1/(p! q! ...), whose
     denominator divides order!.  The prefix product is kept as integers over
     order!: the next letter a extends each word w by a^k with w's integer
     // k!, exactly.  Words of full length are set aside, since no later
-    letter extends them, and every word is divided once before the log.
+    letter extends them.
     """
-    _check_cbh_args(letters, order, cap)
     scale = factorial(order)
     full = {}
     grow = {(): scale}
@@ -471,48 +464,27 @@ def cbh_direct(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
                 (full if len(w) == order else nxt)[w] = c
         grow = nxt
     full.update(grow)
-    return log_trunc(TruncatedNCSeries(NCPoly(K.divided(full, scale)), order))
+    return scale, full
+
+
+def cbh_direct(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
+    """log of the product of the letter exponentials, divided once."""
+    _check_cbh_args(letters, order, cap)
+    scale, ints = _exp_product(letters, order)
+    return log_trunc(TruncatedNCSeries(NCPoly(K.divided(ints, scale)), order))
 
 
 def cbh_cumulant(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
     """CBH as the cumulant sum over multi-powers of the letters: the
     projector of each word a^p b^q ... divided by p! q! ....
 
-    Each total degree m is walked once, placing a positive power on each
-    letter after the last one placed until no power is left, so every
-    node is a multi-power's prefix.  Every permutation of the (m, 1)
-    projector table adds its integer weight times the multinomial
-    m!/(p! q! ...) to its rearranged word in one int dict, and each word
-    is divided once, by the table's denominator times m!.
+    That sum is the projector of the product of the letter exponentials
+    with its unit removed, since the log of a group-like element is its
+    projector (Reutenauer, Free Lie Algebras, ch. 3).
     """
     _check_cbh_args(letters, order, cap)
-    letters = tuple(letters)
-    n = len(letters)
-    out = {(a,): 1 for a in letters}
-    for m in range(2, order + 1):
-        scale, weights = _projector_scaled(m, 1)
-        getters = _order_getters(m)
-        acc = {}
-        get = acc.get
-        word = []
-
-        def place(start, remaining, multinomial):
-            if remaining == 0:
-                for take, wt in zip(getters, weights):
-                    key = take(word)
-                    acc[key] = get(key, 0) + wt * multinomial
-                return
-            for i in range(start, n):
-                a = letters[i]
-                for p in range(1, remaining + 1):
-                    word.append(a)
-                    place(i + 1, remaining - p,
-                          multinomial * comb(remaining, p))
-                del word[-remaining:]
-
-        place(0, m, 1)
-        out.update(K.divided(acc, scale * factorial(m)))
-    return TruncatedNCSeries(NCPoly(out), order)
+    scale, ints = _exp_product(letters, order)
+    return TruncatedNCSeries(_project(ints, scale), order)
 
 
 def goldberg_word_coefficient(monomial) -> Fraction:

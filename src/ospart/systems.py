@@ -326,7 +326,7 @@ class Engine:
 
     # -- structural checks ----------------------------------------------
 
-    def check_independence(self, indices, n=None, labels=None):
+    def check_independence(self, indices, labels=None):
         """Verify phi_pi = phi_{pi qm kernel} over the engine's own copies.
 
         Variables X_k live in copy indices[k]; the left side evaluates
@@ -334,10 +334,7 @@ class Engine:
         expectations inside the engine, the right side quasi-meets first.
         """
         indices = tuple(indices)
-        if n is None:
-            n = len(indices)
-        if len(indices) != n:
-            raise ValueError("need one copy index per element")
+        n = len(indices)
         labels = _labels_or_default(n, labels)
         inner = _CopyAtoms(self, labels, indices)
         plain = self.atoms(labels)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ospart import _kernels as K
@@ -152,6 +152,27 @@ def test_projector_idempotent_words_up_to_5():
             assert FL.pi_on_poly(pw) == pw, w
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.dictionaries(
+    st.lists(st.sampled_from("abc"), max_size=5).map(tuple),
+    st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(5, 6), F(3), F(-7, 4)]),
+    max_size=6))
+@example({})
+@example({(): F(1, 2), ("a", "a", "b", "c"): F(2, 3), ("c",): F(1, 5),
+          ("b", "a"): F(-3, 4)})
+def test_pi_on_poly_is_the_sum_of_word_projectors(terms):
+    # mixed denominators, repeated letters and several degrees per
+    # polynomial, the unit word and the zero polynomial included
+    p = FL.NCPoly(terms)
+    want = FL.NCPoly(add_into({}, [
+        (u, c * cu) for w, c in p.terms.items() if w
+        for u, cu in FL.pi_projector(w).terms.items()]))
+    got = FL.pi_on_poly(p)
+    assert got == want, terms
+    assert all(type(c) is int or (type(c) is F and c.denominator > 1)
+               for c in got.terms.values()), terms
+
+
 def test_projector_convolution_oracle():
     for w in [("a",), ("a", "b"), ("a", "a"), ("a", "b", "c"), ("a", "b", "a"),
               ("a", "a", "b"), ("a", "b", "c", "d"), ("a", "b", "a", "b"),
@@ -225,8 +246,10 @@ def test_pi_k_adds_integer_weights_per_word():
         n = len(letters)
         for k in range(1, n + 1):
             table = FL._projector_terms(n, k)
-            scale, weights = FL._projector_scaled(n, k)
-            assert [F(x, scale) for x in weights] == [c for _, c in table]
+            scale, rows = FL._projector_rows(n, k)
+            assert [F(x, scale) for _, x in rows] == [c for _, c in table]
+            assert [take(tuple(range(n))) for take, _ in rows] == [
+                order for order, _ in table]
             want = FL.NCPoly(add_into({}, [
                 (tuple(letters[i] for i in order), coeff)
                 for order, coeff in table]))
@@ -447,21 +470,23 @@ def test_cbh_cumulant_visits_each_projector_term_of_each_multi_power(
     # the permutations of one multi-power word are not grouped by image:
     # each table term of each word is applied exactly once
     calls = collections.Counter()
-    getters = FL._order_getters
+    rows = FL._projector_rows
 
-    def counted(m):
+    def counted(m, k=1):
         def take(word, get):
             calls[m] += 1
             return get(word)
-        return tuple(functools.partial(take, get=g) for g in getters(m))
+        den, table = rows(m, k)
+        return den, tuple((functools.partial(take, get=g), wt)
+                          for g, wt in table)
 
-    monkeypatch.setattr(FL, "_order_getters", counted)
+    monkeypatch.setattr(FL, "_projector_rows", counted)
     letters, order = "abc", 5
     FL.cbh_cumulant(letters, order)
     powers = _multi_powers(len(letters), order)
     assert calls == {m: sum(sum(p) == m for p in powers)
                      * len(FL._projector_terms(m, 1))
-                     for m in range(2, order + 1)}
+                     for m in range(1, order + 1)}
 
 
 @pytest.mark.parametrize("count, order", [(60, 2), (12, 3)])

@@ -9,10 +9,10 @@ through descent statistics and homogeneous Eulerian polynomials.
 """
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import _kernels as K
 from .coefficients import goldberg_from_stats, goldberg_from_word
@@ -136,34 +136,26 @@ def pi_on_poly(p: NCPoly) -> NCPoly:
 
 
 def nct_cumulant(elements):
-    """Shuffle-system cumulant of ring elements.
+    """Shuffle-system cumulant of NCPoly elements; the order of the factors
+    inside a block follows the positions.
 
-    Works for any type with *, Fraction scalar multiplication and a
-    classmethod sum(list) (NCPoly, RationalMatrix); the order of the
-    factors inside a block follows the positions.
-
-    NCPoly elements expand multilinearly.  Each element is cleared to
+    The elements expand multilinearly.  Each element is cleared to
     integers over its own denominator; each choice of one term per element
     gives one integer product c, and each permutation of the projector
     table adds c times its integer weight to the concatenation of the
     chosen words in its order.  Every output word is then divided once,
     by the table's denominator times the elements' denominators.
-
-    Other rings have no terms to expand: the cumulant is its definition,
-    the sum over the (n, 1) projector table of each order's product of
-    the elements times the order's coefficient.
     """
     elements = tuple(elements)
-    n = len(elements)
-    if n == 0:
+    if not elements:
         raise ValueError("need at least one element")
-    if n == 1:
+    for e in elements:
+        if not isinstance(e, NCPoly):
+            raise TypeError(f"nct_cumulant takes NCPoly elements, not "
+                            f"{type(e).__name__}")
+    if len(elements) == 1:
         return elements[0] * 1
-    if all(isinstance(e, NCPoly) for e in elements):
-        return _nct_expand(elements)
-    return type(elements[0]).sum(
-        [reduce(mul, map(elements.__getitem__, order)) * coeff
-         for order, coeff in _projector_terms(n, 1)])
+    return _nct_expand(elements)
 
 
 def _nct_expand(elements):
@@ -561,117 +553,3 @@ def dynkin(p: NCPoly) -> NCPoly:
         raise ValueError("the Dynkin map is not defined on the unit")
     return NCPoly.sum([_dynkin_word(w).scale(Fraction(c, len(w)))
                        for w, c in p.terms.items()])
-
-
-# ---------------------------------------------------------------------------
-# rational matrices (commutation witnesses)
-# ---------------------------------------------------------------------------
-
-class RationalMatrix:
-    """Dense small matrix over Fraction supporting +, * and scalar scaling."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        m = len(self.rows)
-        if m == 0 or any(len(r) != m for r in self.rows):
-            raise ValueError("need a nonempty square matrix")
-
-    @classmethod
-    def identity(cls, m):
-        return cls([[1 if i == j else 0 for j in range(m)] for i in range(m)])
-
-    @classmethod
-    def sum(cls, summands):
-        """Entrywise sum of a nonempty sequence of same-size matrices."""
-        summands = list(summands)
-        if not summands:
-            raise ValueError("need at least one matrix")
-        for s in summands[1:]:
-            summands[0]._check_size(s)
-        return cls([[sum(col) for col in zip(*rows)]
-                    for rows in zip(*(s.rows for s in summands))])
-
-    @property
-    def size(self):
-        return len(self.rows)
-
-    def _check_size(self, other):
-        if other.size != self.size:
-            raise ValueError(
-                f"matrix sizes differ: {self.size} and {other.size}")
-
-    def __add__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        self._check_size(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.rows, other.rows)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return RationalMatrix([[x * c for x in r] for r in self.rows])
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        self._check_size(other)
-        m = self.size
-        return RationalMatrix(
-            [[sum(self.rows[i][k] * other.rows[k][j] for k in range(m))
-              for j in range(m)] for i in range(m)])
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __sub__(self, other):
-        return self + other * Fraction(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def is_zero(self):
-        return all(x == 0 for r in self.rows for x in r)
-
-    def __repr__(self):
-        return f"RationalMatrix({[list(r) for r in self.rows]})"
-
-
-def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    na, nb = a.size, b.size
-    return RationalMatrix(
-        [[a.rows[i // nb][j // nb] * b.rows[i % nb][j % nb]
-          for j in range(na * nb)] for i in range(na * nb)])
-
-
-def nct_commuting_split_check(n, split, seed=0) -> bool:
-    """Cumulant vanishing for a family split into two commuting halves.
-
-    Elements with index in the split act on the left Kronecker factor,
-    the rest on the right, so the two families commute elementwise while
-    staying noncommutative internally.  Returns True when the degree-n
-    cumulant of the family vanishes.
-    """
-    import random
-    split = set(split)
-    if not split or split >= set(range(1, n + 1)):
-        raise ValueError("split must be a proper nonempty subset of 1..n")
-    rng = random.Random(seed)
-
-    def rand2():
-        return RationalMatrix(
-            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-              for _ in range(2)] for _ in range(2)])
-
-    eye = RationalMatrix.identity(2)
-    elems = []
-    for k in range(1, n + 1):
-        m = rand2()
-        elems.append(kron(m, eye) if k in split else kron(eye, m))
-    return nct_cumulant(elems).is_zero()

@@ -605,17 +605,8 @@ def test_dynkin_divides_int_coefficients_exactly():
 
 
 # ---------------------------------------------------------------------------
-# generic cumulant over matrices
+# shuffle cumulants
 # ---------------------------------------------------------------------------
-
-def test_nct_cumulant_matrix_commutator():
-    X = FL.RationalMatrix([[0, 1], [0, 0]])
-    Y = FL.RationalMatrix([[0, 0], [1, 0]])
-    assert FL.nct_cumulant([X, Y]) == (X * Y - Y * X) * F(1, 2)
-    D1 = FL.RationalMatrix([[1, 0], [0, 2]])
-    D2 = FL.RationalMatrix([[3, 0], [0, 4]])
-    assert FL.nct_cumulant([D1, D2]).is_zero()
-
 
 def test_nct_cumulant_on_letters_is_projector():
     for letters in ("abc", "abcd", "abcde"):
@@ -623,10 +614,10 @@ def test_nct_cumulant_on_letters_is_projector():
         assert FL.nct_cumulant(elems) == FL.pi_projector(letters), letters
 
 
-def _projector_fold(elements):
-    """Left fold over the projector table: every product from scratch."""
+def _projector_fold(elements, terms=FL._projector_terms):
+    """Left fold over an (order, coeff) table: every product from scratch."""
     total = None
-    for order, coeff in FL._projector_terms(len(elements)):
+    for order, coeff in terms(len(elements)):
         term = functools.reduce(operator.mul, [elements[i] for i in order])
         term = term * coeff
         total = term if total is None else total + term
@@ -659,61 +650,70 @@ def test_nct_cumulant_expands_mixed_denominators_with_collisions():
                for c in got.terms.values())
 
 
-def test_nct_cumulant_single_element_and_matrices():
-    x = FL.NCPoly({("a",): F(2), ("a", "b"): F(-1, 3)})
-    assert FL.nct_cumulant([x]) == x
-    m = FL.RationalMatrix([[1, F(1, 2)], [3, -1]])
-    assert FL.nct_cumulant([m]) == m
-    elems = [FL.RationalMatrix([[1, 2], [0, -1]]),
-             FL.RationalMatrix([[0, 1], [F(1, 2), 3]]),
-             FL.RationalMatrix([[2, 0], [1, 1]]),
-             FL.RationalMatrix([[F(-1, 3), 1], [1, 0]])]
-    got = FL.nct_cumulant(elems)
-    assert got == _projector_fold(elems) and not got.is_zero()
+_MIXED = [FL.NCPoly({("a",): F(2), ("a", "b"): F(-1, 3)}),
+          FL.NCPoly({("b",): F(1, 2), ("b", "a"): 3}),
+          FL.NCPoly({("a", "a"): -1, ("b",): F(2, 5)}),
+          FL.NCPoly({("b", "b"): F(-1, 3), ("a",): 1})]
 
 
-def test_nct_cumulant_matrices_match_osp_fold():
-    elems = [FL.RationalMatrix([[1, 2], [0, -1]]),
-             FL.RationalMatrix([[0, 1], [F(1, 2), 3]]),
-             FL.RationalMatrix([[2, 0], [1, 1]])]
-    total = None
-    for order, coeff in _osp_projector_terms(len(elems)):
-        term = functools.reduce(operator.mul, [elems[i] for i in order])
-        term = term * coeff
-        total = term if total is None else total + term
-    got = FL.nct_cumulant(elems)
-    assert got == total and not got.is_zero()
+def test_nct_cumulant_single_element_and_projector_fold():
+    assert FL.nct_cumulant(_MIXED[:1]) == _MIXED[0]
+    got = FL.nct_cumulant(_MIXED)
+    assert got == _projector_fold(_MIXED) and got
 
 
-def test_rational_matrix_sizes_must_match():
-    one = FL.RationalMatrix([[2]])
-    two = FL.RationalMatrix.identity(2)
-    assert FL.RationalMatrix.sum([two, two, two]) == two * 3
-    for op in (operator.add, operator.mul, operator.sub):
-        for x, y in ((two, one), (one, two)):
-            with pytest.raises(ValueError):
-                op(x, y)
+def test_nct_cumulant_matches_osp_fold():
+    got = FL.nct_cumulant(_MIXED[1:])
+    assert got == _projector_fold(_MIXED[1:], _osp_projector_terms) and got
+
+
+def test_nct_cumulant_commutator():
+    x, y = _MIXED[:2]
+    assert FL.nct_cumulant([x, y]) == (x * y - y * x) * F(1, 2)
+    # powers of one letter commute
+    p = FL.NCPoly({("a",): 1, ("a", "a"): F(2, 3)})
+    q = FL.NCPoly({("a", "a", "a"): F(-1, 2), ("a",): 3})
+    assert not FL.nct_cumulant([p, q])
+
+
+def test_nct_cumulant_takes_ncpoly_only():
+    for bad in ([F(1)], [_MIXED[0], 2], [2, _MIXED[0]], [1, 2]):
+        with pytest.raises(TypeError):
+            FL.nct_cumulant(bad)
     with pytest.raises(ValueError):
-        FL.RationalMatrix.sum([two, one])
-    with pytest.raises(ValueError):
-        FL.RationalMatrix.sum([])
-    with pytest.raises(TypeError):
-        two + 1
+        FL.nct_cumulant([])
 
 
-def test_commuting_split_check():
-    assert FL.nct_commuting_split_check(2, {1})
-    assert FL.nct_commuting_split_check(3, {1, 3})
-    assert FL.nct_commuting_split_check(3, {2})
-    assert FL.nct_commuting_split_check(4, {2, 3})
-    with pytest.raises(ValueError):
-        FL.nct_commuting_split_check(3, set())
-    with pytest.raises(ValueError):
-        FL.nct_commuting_split_check(3, {1, 2, 3})
+def _split_image(poly, left):
+    """poly under the ring map of the free algebra into free(left) (x)
+    free(rest): each word goes to the pair (its letters in left, its other
+    letters), each kept in order.  The two families commute in the image,
+    and each stays noncommutative."""
+    return add_into({}, [((tuple(x for x in w if x in left),
+                           tuple(x for x in w if x not in left)), c)
+                         for w, c in poly.terms.items()])
+
+
+def test_nct_cumulant_vanishes_on_commuting_split():
+    for n in range(2, 6):
+        got = FL.nct_cumulant([FL.NCPoly.word((i,)) for i in range(n)])
+        for size in range(1, n):
+            for left in itertools.combinations(range(n), size):
+                assert not _split_image(got, set(left)), (n, left)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=4).filter(
+    lambda sides: len(set(sides)) == 2), st.data())
+def test_nct_cumulant_vanishes_on_commuting_split_polys(sides, data):
+    # elements over ab on one side of the split, over xy on the other
+    elements = [data.draw(_small_ncpolys("ab" if s else "xy", 2))
+                for s in sides]
+    assert not _split_image(FL.nct_cumulant(elements), set("ab"))
 
 
 def test_noncommuting_witness():
-    X = FL.RationalMatrix([[0, 1], [0, 0]])
-    Y = FL.RationalMatrix([[0, 0], [1, 0]])
-    Z = FL.RationalMatrix([[1, 1], [0, 1]])
-    assert not FL.nct_cumulant([X, Y, Z]).is_zero()
+    # the empty split maps each word w to ((), w): the image stays nonzero
+    got = FL.nct_cumulant([FL.NCPoly.word((i,)) for i in range(3)])
+    assert got and _split_image(got, ()) == {((), w): c
+                                             for w, c in got.terms.items()}

@@ -7,15 +7,13 @@ series over a free algebra.  All arithmetic is exact.
 """
 
 from ._kernels import BACKEND
-from .partitions import (OrderedPseudoPartition, OrderedSetPartition,
-                         SetPartition, enumerate_partitions, fubini, kernel,
-                         osp)
+from .partitions import (OrderedSetPartition, SetPartition,
+                         enumerate_partitions, fubini, kernel, osp)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "OrderedPseudoPartition",
     "OrderedSetPartition",
     "SetPartition",
     "enumerate_partitions",

@@ -29,21 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_CLASS_CHOICES = {
-    "all": parts.ALL,
-    "sp": parts.SP,
-    "nc": parts.NC,
-    "ip": parts.IP,
-    "onc": parts.ONC,
-    "oi": parts.OI,
-    "monotone": parts.MONOTONE,
-    "pair": parts.PAIR,
-    "pair-nc": parts.PAIR_NC,
-    "pair-ip": parts.PAIR_IP,
-    "monotone-pair": parts.PAIR_MONOTONE,
-}
-
-
 class CapError(Exception):
     pass
 
@@ -86,7 +71,6 @@ def _parse_partition(text):
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args):
-    cls = _CLASS_CHOICES[args.klass]
     if args.n < 1:
         raise UsageError("n must be >= 1")
     if args.n > ENUMERATE_CAP and not args.force:
@@ -94,14 +78,14 @@ def cmd_enumerate(args):
             f"enumeration cap is n = {ENUMERATE_CAP} (Fubini growth); "
             "pass --force to override")
     if args.count_only:
-        count = parts.class_count(args.n, cls)
+        count = parts.class_count(args.n, args.klass)
         return {
             "json": {"command": "enumerate", "n": args.n, "class": args.klass,
                      "count": count},
             "csv": [("n", "class", "count"), (args.n, args.klass, count)],
             "text": [str(count)],
         }
-    items = list(parts.enumerate_block_strings(args.n, cls))
+    items = list(parts.enumerate_block_strings(args.n, args.klass))
     return {
         "json": {"command": "enumerate", "n": args.n, "class": args.klass,
                  "count": len(items), "items": items},
@@ -264,7 +248,7 @@ def build_parser():
                        help="list partitions of a class")
     e.add_argument("-n", type=int, required=True)
     e.add_argument("--class", dest="klass", default="all",
-                   choices=sorted(_CLASS_CHOICES))
+                   choices=sorted(parts.CLASSES))
     e.add_argument("--count-only", action="store_true")
     e.add_argument("--force", action="store_true")
     e.set_defaults(fn=cmd_enumerate)

@@ -90,22 +90,31 @@ def runs(word, kind) -> RunDecomposition:
     return RunDecomposition(kind, segs, tuple(len(r) for r in segs))
 
 
-@lru_cache(maxsize=None)
 def stirling2(q: int, k: int) -> int:
-    """Stirling numbers of the second kind."""
+    """Stirling numbers of the second kind: S(q, k) is the entry k! S(q, k)
+    of eulerian_poly(q) divided by k!."""
     if q < 0 or k < 0:
         raise ValueError("q, k must be >= 0")
     if k == 0 or k > q:
         return 1 if q == k else 0
-    return k * stirling2(q - 1, k) + stirling2(q - 1, k - 1)
+    return eulerian_poly(q)[k - 1] // factorial(k)
 
 
 @lru_cache(maxsize=None)
 def eulerian_poly(q: int) -> tuple:
-    """Coefficients of P_q(x) = sum_k k! S(q,k) x^(k-1), low degree first."""
+    """Coefficients of P_q(x) = sum_k k! S(q,k) x^(k-1), low degree first.
+
+    k! S(m, k) = f(m, k) counts the surjections of [m] onto [k]; the rows
+    m = 0..q follow f(m, k) = k (f(m-1, k) + f(m-1, k-1)) from f(0, 0) = 1,
+    in a loop, so no q is too deep.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
-    return tuple(factorial(k) * stirling2(q, k) for k in range(1, q + 1))
+    row = [1]
+    for _ in range(q):
+        row = [0] + [k * (a + b) for k, a, b
+                     in zip(range(1, len(row) + 1), row[1:] + [0], row)]
+    return tuple(row[1:])
 
 
 def poly_mul(a, b):

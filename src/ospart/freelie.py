@@ -16,7 +16,6 @@ from operator import itemgetter
 
 from . import _kernels as K
 from .coefficients import goldberg_from_stats, goldberg_from_word
-from .partitions import iter_pseudo_partitions
 from .symbolic import SparseSum, add_into, exact
 
 
@@ -209,15 +208,17 @@ def phi_word_partition(letters, word) -> NCPoly:
 def coproduct_k(letters, k: int) -> dict:
     """k-fold coproduct of a word: {tuple of k words: coefficient}.
 
-    Sums over ordered pseudopartitions with k (possibly empty) blocks;
-    the term count is k**len(letters).
+    Sums over the slot words of the letters: each letter picks one of k
+    slots, the i-th factor keeping the letters in slot i in order, so the
+    term count is k**len(letters).
     """
     letters = tuple(letters)
     if k < 1:
         raise ValueError("k must be >= 1")
     out = {}
-    for opp in iter_pseudo_partitions(len(letters), k):
-        key = tuple(tuple(letters[x - 1] for x in blk) for blk in opp.blocks)
+    for slots in product(range(k), repeat=len(letters)):
+        key = tuple(tuple(a for a, s in zip(letters, slots) if s == i)
+                    for i in range(k))
         out[key] = out.get(key, 0) + Fraction(1)
     return out
 

@@ -21,7 +21,7 @@ MONOTONE = "monotone"
 PAIR = "pair"
 PAIR_NC = "pair-nc"
 PAIR_IP = "pair-ip"
-PAIR_MONOTONE = "pair-monotone"
+PAIR_MONOTONE = "monotone-pair"
 
 CLASSES = (ALL, SP, NC, IP, ONC, OI, MONOTONE, PAIR, PAIR_NC, PAIR_IP,
            PAIR_MONOTONE)
@@ -29,12 +29,12 @@ CLASSES = (ALL, SP, NC, IP, ONC, OI, MONOTONE, PAIR, PAIR_NC, PAIR_IP,
 fubini = K.fubini
 
 
-def _cover_word(n, blocks, allow_empty=False):
+def _cover_word(n, blocks):
     """Word of blocks that must cover {1,...,n} exactly once each."""
     w = [0] * n
     for k, blk in enumerate(blocks, start=1):
         blk = tuple(blk)
-        if not blk and not allow_empty:
+        if not blk:
             raise ValueError("empty block")
         for x in blk:
             if not isinstance(x, int) or x < 1 or x > n:
@@ -550,60 +550,3 @@ def intmax(subset, n):
     if len(blocks) > 1 and blocks[0][0] == 1 and blocks[-1][-1] == n:
         blocks[0] = blocks.pop() + blocks[0]
     return tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
-
-
-# ---------------------------------------------------------------------------
-# ordered pseudopartitions (empty blocks allowed)
-# ---------------------------------------------------------------------------
-
-class OrderedPseudoPartition:
-    """Ordered sequence of disjoint, possibly empty blocks covering [n]."""
-
-    __slots__ = ("n", "blocks")
-
-    def __init__(self, n, blocks):
-        blocks = tuple(tuple(sorted(blk)) for blk in blocks)
-        _cover_word(n, blocks, allow_empty=True)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedPseudoPartition is immutable")
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __eq__(self, other):
-        return (isinstance(other, OrderedPseudoPartition)
-                and self.n == other.n and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
-    def __repr__(self):
-        inner = format_blocks(self.blocks) or "-"
-        return f"OrderedPseudoPartition({self.n}, {inner!r})"
-
-
-def iter_pseudo_partitions(n, parts):
-    """All ordered pseudopartitions of [n] with exactly `parts` blocks.
-
-    Each of the n elements independently picks a slot, so there are
-    parts**n of them.
-    """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    slots = [0] * n
-
-    def rec(k):
-        if k == n:
-            blocks = [[] for _ in range(parts)]
-            for x in range(n):
-                blocks[slots[x]].append(x + 1)
-            yield OrderedPseudoPartition(n, blocks)
-            return
-        for s in range(parts):
-            slots[k] = s
-            yield from rec(k + 1)
-
-    yield from rec(0)

@@ -235,7 +235,10 @@ class Poly(SparseSum):
             term = Poly.const(c)
             for sym, e in mono:
                 rep = fn(sym)
-                term = term * (Poly.sym(sym) if rep is None else rep) ** e
+                if rep is None:
+                    rep = Poly.sym(sym)
+                for _ in range(e):
+                    term = term * rep
             add_into(out, term.terms.items())
         return Poly(out)
 

@@ -37,8 +37,8 @@ from .partitions import (NC, OrderedSetPartition, _nesting_parents,
                          enumerate_partitions, iter_pair_set_words,
                          iter_pair_words)
 from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, _mono_mul,
-                       add_into, exact, free_cumulant_symbol,
-                       psi_moment_symbol, scalar_symbol, time_symbol)
+                       add_into, exact, free_cumulant_symbol, scalar_symbol,
+                       time_symbol)
 
 ONE = Poly.const(1)
 ZERO = Poly()
@@ -54,24 +54,21 @@ class Atoms:
     free cumulants.  `term(factors)` is the product over (family, run)
     pairs of mixed families (MOMENT, PSI_MOMENT or FREE_CUMULANT); the
     c-monotone engine asks for it once per distinct signed term of its
-    rule-V expansion, so it forms no Poly product either.  Here a product
-    is one monomial in the symbols of the runs' labels, built once per
-    distinct list of factors.  The c-monotone recursion asks a provider
-    whose `term` is None or missing (CLT_ATOMS, the copy atoms of
-    check_independence) for single atoms through `moment` and
-    `psi_moment` and multiplies them in its ring instead, where a zero
-    atom skips the terms it multiplies.  A custom provider subclasses
-    Atoms or supplies the same methods: `product`, `term`, `moment`,
-    `psi_moment` and `sum`.  These products and `sum` name the ring the
-    engine evaluates into, here Poly, so atoms of another ring (CLT_ATOMS:
-    the integers) give values in that ring.  The one sum over an ideal
-    (cumulants, dilations, moments from cumulants), _ideal_sum, adds the
-    values' terms in integers outside the atoms.
+    rule-V expansion, so it forms no Poly product either.  A product is
+    one monomial in the symbols of the runs' labels, built once per
+    distinct list of factors; labels range(n) name each atom by its
+    positions, as check_independence does.
 
-    The c-monotone recursion keeps its values (its signed terms, on atoms
-    with `term`) in `_rule_v`, keyed by syllable sequence, so the words of
-    one atoms object share them; atoms without `_rule_v` get a memo per
-    word.
+    The other provider, CLT_ATOMS, gives plain integers: its products and
+    `sum` name the ring the engine evaluates into, and it has no `term`,
+    so c-monotone multiplies its single atoms and skips the terms a zero
+    atom multiplies.  The one sum over an ideal (cumulants, dilations,
+    moments from cumulants), _ideal_sum, adds the values' terms in
+    integers outside the atoms.
+
+    The c-monotone recursion keeps its signed terms in `_rule_v`, keyed by
+    syllable sequence, so the words of one atoms object share them;
+    CLT_ATOMS get a memo per word.
     """
 
     sum = staticmethod(Poly.sum)
@@ -82,9 +79,6 @@ class Atoms:
         self._products = {}
         self._rule_v = {}
 
-    def _labels_at(self, pos):
-        return tuple(self.labels[i] for i in pos)
-
     def product(self, runs, family=MOMENT):
         """The product over runs of the family's atoms, as one monomial."""
         return self.term(tuple((family, tuple(run)) for run in runs))
@@ -94,17 +88,11 @@ class Atoms:
         monomial, built once per distinct factors tuple."""
         val = self._products.get(factors)
         if val is None:
-            kind = self.moment_kind
+            kind, labels = self.moment_kind, self.labels
             val = self._products[factors] = Poly.monomial(
-                (kind if family == MOMENT else family, self._labels_at(run))
-                for family, run in factors)
+                (kind if family == MOMENT else family,
+                 tuple(labels[i] for i in run)) for family, run in factors)
         return val
-
-    def moment(self, pos):
-        return Poly.sym((self.moment_kind, self._labels_at(pos)))
-
-    def psi_moment(self, pos):
-        return Poly.sym(psi_moment_symbol(self._labels_at(pos)))
 
 
 def _positions_by_block(word):
@@ -329,19 +317,21 @@ class Engine:
     def check_independence(self, indices, labels=None):
         """Verify phi_pi = phi_{pi qm kernel} over the engine's own copies.
 
-        Variables X_k live in copy indices[k]; the left side evaluates
-        phi_pi treating them as atomic and expanding the primitive
-        expectations inside the engine, the right side quasi-meets first.
+        Variables X_k live in copy indices[k].  The left side evaluates
+        phi_pi on atoms named by their positions, then substitutes the
+        engine's value on the copies for each atom (_copy_values); the
+        right side quasi-meets first.
         """
         indices = tuple(indices)
         n = len(indices)
         labels = _labels_or_default(n, labels)
-        inner = _CopyAtoms(self, labels, indices)
+        copies = _copy_values(self, labels, indices)
+        positions = Atoms(range(n))
         plain = self.atoms(labels)
         eta_w = K.kernel_word(indices)
         failures = []
         for w in K.osp_words(n):
-            lhs = self._phi_word(w, inner)
+            lhs = self._phi_word(w, positions).substitute(copies)
             rhs = self._phi_word(K.quasi_meet(w, eta_w), plain)
             if lhs != rhs:
                 failures.append(OrderedSetPartition._raw(n, w))
@@ -414,64 +404,25 @@ class _CLTAtoms:
 CLT_ATOMS = _CLTAtoms()
 
 
-class _CopyAtoms(Atoms):
-    """Primitive expectations of tagged copies, expanded inside the engine.
+def _copy_values(engine, labels, tags):
+    """The map from a position symbol (family, positions) to the value of
+    its atom on the tagged copies, each symbol evaluated once.
 
-    A joint moment of a sub-tuple is the engine's own evaluation of the
-    kernel word of its copy tags; a free cumulant of a sub-tuple vanishes
-    across distinct tags; psi moments evaluate in the monotone psi system.
-    Each (family, positions) is evaluated once per object and kept in
-    `_evaluated`.
+    A joint moment is the engine's own evaluation of the kernel word of
+    the tags at its positions, a psi moment the monotone evaluation of it
+    in the psi family, and a free cumulant vanishes across distinct tags.
     """
-
-    def __init__(self, engine, labels, tags):
-        super().__init__(labels)
-        self.engine = engine
-        self.tags = tuple(tags)
-        self._evaluated = {}
-
-    # no `term`: c-monotone multiplies the evaluated atoms, whose products
-    # are Polys of many terms, and skips the terms a zero atom multiplies
-    term = None
-
-    def product(self, runs, family=MOMENT):
-        """The product of the runs' evaluations, one Poly product each."""
-        atom = self.free_cumulant if family == FREE_CUMULANT else self.moment
-        total = ONE
-        for run in runs:
-            total = total * atom(tuple(run))
-        return total
-
-    def _sub(self, pos):
-        return (tuple(self.labels[i] for i in pos),
-                tuple(self.tags[i] for i in pos))
-
-    def moment(self, pos):
-        return self._atom(MOMENT, pos)
-
-    def psi_moment(self, pos):
-        return self._atom(PSI_MOMENT, pos)
-
-    def _atom(self, kind, pos):
-        key = (kind, tuple(pos))
-        val = self._evaluated.get(key)
-        if val is None:
-            val = self._evaluated[key] = self._evaluate(*key)
-        return val
-
-    def _evaluate(self, kind, pos):
-        """The kernel word of the tags at pos, evaluated by the engine
-        (moments) or by the monotone system (psi moments)."""
-        sub_labels, sub_tags = self._sub(pos)
-        engine = self.engine if kind == MOMENT else MONOTONE
-        return engine._phi_word(K.kernel_word(sub_tags),
-                                Atoms(sub_labels, moment_kind=kind))
-
-    def free_cumulant(self, pos):
-        sub_labels, sub_tags = self._sub(pos)
-        if len(set(sub_tags)) > 1:
-            return ZERO
-        return Poly.sym(free_cumulant_symbol(sub_labels))
+    @lru_cache(maxsize=None)
+    def value(sym):
+        kind, pos = sym
+        sub_labels = tuple(labels[i] for i in pos)
+        sub_tags = tuple(tags[i] for i in pos)
+        if kind == FREE_CUMULANT:
+            return (Poly.sym(free_cumulant_symbol(sub_labels))
+                    if len(set(sub_tags)) == 1 else ZERO)
+        return (engine if kind == MOMENT else MONOTONE)._phi_word(
+            K.kernel_word(sub_tags), Atoms(sub_labels, moment_kind=kind))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +550,7 @@ class CMonotoneEngine(Engine):
         # keep a memo per word, since one shared over the pair words of
         # clt_moment(10) costs more than it saves
         memo = getattr(atoms, "_rule_v", {})
-        term = getattr(atoms, "term", None)
+        term = atoms.term
         if term is None:
             # multiply in the provider's ring, which collapses as it goes:
             # CLT_ATOMS skip every term a zero atom multiplies

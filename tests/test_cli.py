@@ -44,12 +44,12 @@ def test_enumerate_count_only():
 
 
 def test_enumerate_count_only_equals_listing_length():
-    for name, cls in cli._CLASS_CHOICES.items():
+    for cls in P.CLASSES:
         for n in range(1, 8):
-            doc = run_json("enumerate", "-n", str(n), "--class", name,
+            doc = run_json("enumerate", "-n", str(n), "--class", cls,
                            "--count-only")
             assert doc["count"] == sum(
-                1 for _ in P.enumerate_block_strings(n, cls)), (name, n)
+                1 for _ in P.enumerate_block_strings(n, cls)), (cls, n)
 
 
 def test_enumerate_listing_roundtrips():
@@ -103,6 +103,16 @@ def test_coeff_with_pi():
     doc = run_json("coeff", "goldberg", "--tau", "12", "--eta", "12",
                    "--pi", "1|2")
     assert Fraction(doc["value"]) == 1
+
+
+def test_coeff_goldberg_on_600_singletons_in_one_block():
+    # the a^n coefficient of log(e^a) = a, zero for n >= 2; its Eulerian
+    # polynomial of degree 599 is built by a loop, not a recursion
+    n = 600
+    code, out = run("coeff", "goldberg",
+                    "--tau", "|".join(map(str, range(1, n + 1))),
+                    "--eta", ",".join(map(str, range(1, n + 1))))
+    assert code == 0 and '"value": "0"' in out
 
 
 def test_coeff_usage_errors():
@@ -246,7 +256,7 @@ _FLAG = (None, None)
 _OPTIONS = {  # name: (value in range, value wrong in kind)
     "enumerate": {
         "-n": (st.integers(1, 5).map(str), st.integers(-2, 0).map(str)),
-        "--class": (st.sampled_from(sorted(cli._CLASS_CHOICES)),
+        "--class": (st.sampled_from(sorted(P.CLASSES)),
                     st.just("pairs")),
         "--count-only": _FLAG, "--force": _FLAG},
     "coeff": {"--tau": (st.sampled_from(["12", "1|2", "2,1|3", "21"]), _JUNK),

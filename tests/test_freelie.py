@@ -197,6 +197,28 @@ def test_coproduct_examples():
         assert total == k ** n
 
 
+def test_coproduct_is_the_slot_word_sum():
+    # each letter picks one of k slots: the letters are primitive, so the
+    # k-fold coproduct is the product over the letters of the sums of the
+    # letter in each slot, and splitting the first factor of the
+    # (k-1)-fold one in two gives it (coassociativity)
+    for letters in ("", "a", "ab", "aba", "abca", "abcab"):
+        for k in range(1, 5):
+            fold = {((),) * k: 1}
+            for a in letters:
+                fold = add_into({}, ((key[:i] + (key[i] + (a,),) + key[i + 1:],
+                                      c) for key, c in fold.items()
+                                     for i in range(k)))
+            got = FL.coproduct_k(letters, k)
+            assert got == fold and sum(got.values()) == k ** len(letters)
+            assert {type(c) for c in got.values()} == {F}, (letters, k)
+            if k > 1:
+                assert got == add_into({}, (
+                    (head + key[1:], c * h)
+                    for key, c in FL.coproduct_k(letters, k - 1).items()
+                    for head, h in FL.coproduct_k(key[0], 2).items()))
+
+
 # ---------------------------------------------------------------------------
 # graded pieces and the dilation identity
 # ---------------------------------------------------------------------------

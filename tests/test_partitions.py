@@ -672,20 +672,3 @@ def test_quasimeet_kernel_shift_invariance(full_mode):
                     moved = tuple(v + shift if (i + 1) in blk else v
                                   for i, v in enumerate(idx))
                     assert P.quasi_meet(pi, P.kernel(moved)) == base
-
-
-# ---------------------------------------------------------------------------
-# pseudopartitions
-# ---------------------------------------------------------------------------
-
-def test_pseudo_partitions():
-    got = list(P.iter_pseudo_partitions(2, 2))
-    assert len(got) == 4
-    assert len(set(got)) == 4
-    assert all(len(x) == 2 for x in got)
-    for n, k in ((1, 3), (3, 2)):
-        assert sum(1 for _ in P.iter_pseudo_partitions(n, k)) == k ** n
-    opp = P.OrderedPseudoPartition(2, [[], [1, 2]])
-    assert len(opp) == 2
-    with pytest.raises(ValueError):
-        P.OrderedPseudoPartition(2, [[1], [1, 2]])

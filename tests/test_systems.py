@@ -830,21 +830,18 @@ def test_phi_word_matches_per_factor_fold():
     labels = ("X", "Y", "X", "Z", "Y")
     for n in range(1, 6):
         ls = labels[:n]
-        plain, psi = S.Atoms(ls), S.Atoms(ls, moment_kind=PSI_MOMENT)
-        for w in K.osp_words(n):
-            for name in PRODUCT_ENGINES:
-                eng = S.ENGINES[name]
-                for at, moment in ((plain, lambda pos: m(*map(ls.__getitem__,
-                                                             pos))),
-                                   (psi, lambda pos: pm(*map(ls.__getitem__,
-                                                             pos)))):
+        for kind in (MOMENT, PSI_MOMENT):
+            at = S.Atoms(ls, moment_kind=kind)
+            moment, psi_moment = _symbols(ls, kind)
+            for w in K.osp_words(n):
+                for name in PRODUCT_ENGINES:
                     want = _folded_phi(name, w, moment,
                                        lambda pos: c(*map(ls.__getitem__,
                                                           pos)))
-                    assert eng._phi_word(w, at) == want, (name, w)
-            for at in (plain, psi):
-                want = _cmonotone_unmemoized(_syllables(w), at, [])
-                assert S.CMONOTONE._phi_word(w, at) == want, w
+                    assert S.ENGINES[name]._phi_word(w, at) == want, (name, w)
+                want = _cmonotone_unmemoized(_syllables(w), moment,
+                                             psi_moment, [])
+                assert S.CMONOTONE._phi_word(w, at) == want, (kind, w)
 
 
 def test_clt_atoms_match_per_factor_fold():
@@ -867,47 +864,82 @@ def test_clt_atoms_match_per_factor_fold():
             # the c-monotone recursion skips the factors a zero multiplies,
             # so only the words whose fold raises nothing compare
             try:
-                want = _cmonotone_unmemoized(_syllables(w), at, [])
+                want = _cmonotone_unmemoized(_syllables(w), at.moment,
+                                             at.psi_moment, [])
             except ValueError:
                 continue
             assert S.CMONOTONE._phi_word(w, at) == want, w
 
 
-def test_copy_atoms_match_per_factor_fold():
+def _recorded_copy_values(monkeypatch):
+    """The list that collects each map check_independence makes."""
+    made = []
+    real = S._copy_values
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(S, "_copy_values", recording)
+    return made
+
+
+def test_copy_symbols_match_per_factor_fold(monkeypatch):
+    # phi_w on position symbols, then each symbol replaced by its value on
+    # the copies, is the fold of those values over the engine's factors
+    made = _recorded_copy_values(monkeypatch)
     for tags in ((1, 2, 1), (2, 1, 1, 2), (1, 2, 1, 2), (1, 2, 2, 1, 1)):
         n = len(tags)
-        labels = S._default_labels(n)
+        positions = S.Atoms(range(n))
         for name in PRODUCT_ENGINES:
             eng = S.ENGINES[name]
             assert eng.check_independence(tags) == [], (name, tags)
-            inner = S._CopyAtoms(eng, labels, tags)
+            value = made.pop()
             for w in K.osp_words(n):
-                want = _folded_phi(name, w, inner.moment, inner.free_cumulant)
-                assert eng._phi_word(w, inner) == want, (name, tags, w)
+                want = _folded_phi(name, w,
+                                   lambda pos: value((MOMENT, pos)),
+                                   lambda pos: value((FREE_CUMULANT, pos)))
+                got = eng._phi_word(w, positions).substitute(value)
+                assert got == want, (name, tags, w)
 
 
-def test_copy_atoms_evaluate_each_tuple_once(monkeypatch):
-    real = S._CopyAtoms._evaluate
-    evaluated = []
-
-    def counting(self, kind, pos):
-        evaluated.append((kind, pos))
-        return real(self, kind, pos)
-
+def test_copy_symbols_are_evaluated_once_per_call(monkeypatch):
+    made = _recorded_copy_values(monkeypatch)
     for eng in S.ENGINES.values():
         for tags, labels in (((1, 2, 1, 2, 1), None), ((1, 2, 2, 1), "XYXY")):
-            # the oracle: every atom evaluated afresh at every request
-            with monkeypatch.context() as m:
-                m.setattr(S._CopyAtoms, "_atom",
-                          lambda self, kind, pos: real(self, kind, tuple(pos)))
-                want = eng.check_independence(tags, labels=labels)
-            evaluated.clear()
-            with monkeypatch.context() as m:
-                m.setattr(S._CopyAtoms, "_evaluate", counting)
-                assert eng.check_independence(tags, labels=labels) == want
+            n = len(tags)
+            assert eng.check_independence(tags, labels=labels) == []
+            (value,) = made
+            made.clear()
+            positions = S.Atoms(range(n))
+            symbols = set().union(*(eng._phi_word(w, positions).symbols()
+                                    for w in K.osp_words(n)))
+            info = value.cache_info()
+            assert info.misses == info.currsize == len(symbols), eng.name
+            assert info.hits, eng.name
             # the free engine reads only free cumulants of its copies
-            assert evaluated or eng is S.FREE, (eng.name, tags)
-            assert len(set(evaluated)) == len(evaluated), (eng.name, tags)
+            families = {kind for kind, _ in symbols}
+            assert families == ({FREE_CUMULANT} if eng is S.FREE else
+                                {MOMENT, PSI_MOMENT} if eng is S.CMONOTONE
+                                else {MOMENT}), eng.name
+
+
+class _SwitchingEngine(S.Engine):
+    """Tensor on words of at most two blocks, Boolean above: its copies are
+    not independent in either sense."""
+
+    name = "switching"
+
+    def _phi_word(self, word, atoms):
+        eng = S.TENSOR if max(word) <= 2 else S.BOOLEAN
+        return eng._phi_word(word, atoms)
+
+
+def test_independence_check_reports_failures():
+    eng = _SwitchingEngine()
+    assert [str(pi) for pi in eng.check_independence((1, 1, 1, 2))] == [
+        "1,3,4|2", "1,3|2,4", "2,4|1,3", "2|1,3,4"]
+    assert eng.check_independence((1, 2, 1)) == []
 
 
 def test_product_engines_form_no_poly_products(monkeypatch):
@@ -938,9 +970,10 @@ def test_cmonotone_forms_no_poly_products(monkeypatch):
     expect = {}
     for n in range(1, 6):
         for kind in kinds:
-            at = S.Atoms(labels[:n], moment_kind=kind)
+            atoms = _symbols(labels[:n], kind)
             for w in K.osp_words(n):
-                expect[kind, w] = _cmonotone_unmemoized(_syllables(w), at, [])
+                expect[kind, w] = _cmonotone_unmemoized(_syllables(w),
+                                                        *atoms, [])
 
     def product(*args):
         raise AssertionError("c-monotone multiplied two Polys")
@@ -997,30 +1030,37 @@ def _syllables(word):
     return tuple((v, tuple(ps)) for v, ps in syls)
 
 
-def _cmonotone_unmemoized(syls, at, calls):
-    """The rule-V recursion without a memo; calls records every sequence."""
+def _symbols(labels, kind=MOMENT):
+    """(family atom, psi atom): the single atoms of the labels as symbols,
+    each a function of a position tuple."""
+    def atom(family):
+        return lambda pos: Poly.sym((family, tuple(labels[i] for i in pos)))
+    return atom(kind), atom(PSI_MOMENT)
+
+
+def _cmonotone_unmemoized(syls, moment, psi_moment, calls):
+    """The rule-V recursion without a memo on single atoms moment(pos) and
+    psi_moment(pos); calls records every sequence."""
+    def rec(syls):
+        return _cmonotone_unmemoized(syls, moment, psi_moment, calls)
+
     calls.append(syls)
     if len(syls) == 1:
-        return at.moment(syls[0][1])
+        return moment(syls[0][1])
     if syls[0][0] > syls[1][0]:
-        return at.moment(syls[0][1]) * _cmonotone_unmemoized(syls[1:], at,
-                                                             calls)
+        return moment(syls[0][1]) * rec(syls[1:])
     if syls[-1][0] > syls[-2][0]:
-        return (_cmonotone_unmemoized(syls[:-1], at, calls)
-                * at.moment(syls[-1][1]))
+        return rec(syls[:-1]) * moment(syls[-1][1])
     j = next(j for j in range(1, len(syls) - 1)
              if syls[j - 1][0] < syls[j][0] > syls[j + 1][0])
     left, mid, right = syls[:j], syls[j][1], syls[j + 1:]
-    direct = (_cmonotone_unmemoized(left, at, calls)
-              * (at.moment(mid) - at.psi_moment(mid))
-              * _cmonotone_unmemoized(right, at, calls))
+    direct = rec(left) * (moment(mid) - psi_moment(mid)) * rec(right)
     if left[-1][0] == right[0][0]:
         joined = (left[-1][0], tuple(sorted(left[-1][1] + right[0][1])))
         merged = left[:-1] + (joined,) + right[1:]
     else:
         merged = left + right
-    return direct + at.psi_moment(mid) * _cmonotone_unmemoized(merged, at,
-                                                              calls)
+    return direct + psi_moment(mid) * rec(merged)
 
 
 def test_cmonotone_memo_computes_each_sequence_once(monkeypatch):
@@ -1033,14 +1073,14 @@ def test_cmonotone_memo_computes_each_sequence_once(monkeypatch):
 
     monkeypatch.setattr(S.CMonotoneEngine, "_compute", counting)
     labels = ("X", "Y", "Z", "X", "W")
-    at = S.Atoms(labels)
+    atoms = _symbols(labels)
     memo_total = plain_total = 0
     for w in K.osp_words(5):
         computed.append([])
         got = S.CMONOTONE.phi_pi(P.OrderedSetPartition._raw(5, w), labels)
         assert len(computed[-1]) == len(set(computed[-1])), w
         plain = []
-        assert got == _cmonotone_unmemoized(_syllables(w), at, plain), w
+        assert got == _cmonotone_unmemoized(_syllables(w), *atoms, plain), w
         memo_total += len(computed[-1])
         plain_total += len(plain)
     assert memo_total < plain_total
@@ -1066,11 +1106,11 @@ def test_cmonotone_table_shares_its_memo_across_words(monkeypatch):
         table = S.CMONOTONE.cumulant_table(n, labels)
         keys = [(id(at), syls) for at, syls in computed]
         assert len(keys) == len(set(keys)), n
-        at = S.Atoms(labels)
+        atoms = _symbols(labels)
         phis, per_word = {}, 0
         for w in K.osp_words(n):
             calls = []
-            phis[w] = _cmonotone_unmemoized(_syllables(w), at, calls)
+            phis[w] = _cmonotone_unmemoized(_syllables(w), *atoms, calls)
             per_word += len(set(calls))
         if n >= 4:
             assert len(keys) < per_word, n
@@ -1168,7 +1208,8 @@ def test_dilation_sums_match_the_binomial_product_route():
     # every dilation method and the [t_j^1] and [s^1] readers, all five
     # engines, int/Fraction/Poly/string scales (a scale of 1 zeroes every
     # class with a part >= 2; Poly.const(2) after 2 shares its table),
-    # n <= 4, on Atoms, copy atoms and (pair partitions) the CLT atoms
+    # n <= 4, on Atoms of both moment families and (pair partitions) the
+    # CLT atoms
     from ospart import incidence as I
     from ospart.symbolic import time_symbol
     N, M = Poly.sym(scalar_symbol("N")), Poly.sym(scalar_symbol("M"))
@@ -1232,7 +1273,7 @@ def test_dilation_sums_match_the_binomial_product_route():
             assert eng.diffeq_residuals(pi, labels, j) == (
                 lhs - rhs[0], lhs - rhs[1]), where
             # the same route in the other rings
-            rings = [S._CopyAtoms(eng, labels, (1, 2, 1, 1)[:n])]
+            rings = [S.Atoms(labels, moment_kind=PSI_MOMENT)]
             if pair:
                 rings.append(S.CLT_ATOMS)
             for ring in rings:

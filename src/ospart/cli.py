@@ -97,7 +97,7 @@ def cmd_enumerate(args):
 def cmd_coeff(args):
     tau = _parse_partition(args.tau)
     eta = _parse_partition(args.eta)
-    pi = _parse_partition(args.pi) if args.pi else None
+    pi = _parse_partition(args.pi) if args.pi is not None else None
     ns = {tau.n, eta.n} | ({pi.n} if pi else set())
     if len(ns) != 1:
         raise UsageError("tau, eta (and pi) must share a ground set")

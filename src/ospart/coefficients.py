@@ -265,19 +265,17 @@ def goldberg3(tau, eta, pi) -> Fraction:
 # brute-force oracles
 # ---------------------------------------------------------------------------
 
-def _check_bound(n, bound):
-    if n > bound:
-        raise ValueError(
-            f"oracle refused at n = {n} (bound {bound}); raise the bound "
-            "explicitly if you really want this")
+def _check_bound(n):
+    if n > ORACLE_BOUND:
+        raise ValueError(f"oracle refused at n = {n} (bound {ORACLE_BOUND})")
 
 
-def weisner_oracle(tau, eta, bound=ORACLE_BOUND) -> Fraction:
+def weisner_oracle(tau, eta) -> Fraction:
     """Definition-level sum over all of OP_n."""
     if tau.n != eta.n:
         raise ValueError("mismatched ground sets")
     n = tau.n
-    _check_bound(n, bound)
+    _check_bound(n)
     total = Fraction(0)
     for w in K.osp_words(n):
         if K.quasi_meet(w, eta.word) == tau.word:
@@ -286,28 +284,28 @@ def weisner_oracle(tau, eta, bound=ORACLE_BOUND) -> Fraction:
     return total
 
 
-def goldberg_oracle(tau, eta, bound=ORACLE_BOUND) -> Fraction:
+def goldberg_oracle(tau, eta) -> Fraction:
     """Definition-level sum g = sum_{sigma >= tau} zeta~(tau,sigma) w(sigma,eta)."""
     if tau.n != eta.n:
         raise ValueError("mismatched ground sets")
     n = tau.n
-    _check_bound(n, bound)
+    _check_bound(n)
     total = Fraction(0)
     for w in K.osp_words(n):
         if K.leq_words(tau.word, w):
             total += K.zeta_tilde_words(tau.word, w) * weisner_oracle(
-                OrderedSetPartition._raw(n, w), eta, bound)
+                OrderedSetPartition._raw(n, w), eta)
     return total
 
 
-def weisner_oracle_table(n: int, bound=ORACLE_BOUND) -> dict:
+def weisner_oracle_table(n: int) -> dict:
     """All w(tau,eta) at once: {eta word: {tau word: value}}, zeros omitted."""
-    _check_bound(n, bound)
+    _check_bound(n)
     return K.weisner_oracle_table(n)
 
 
-def goldberg_oracle_table(n: int, bound=ORACLE_BOUND) -> dict:
-    _check_bound(n, bound)
+def goldberg_oracle_table(n: int) -> dict:
+    _check_bound(n)
     return K.goldberg_oracle_table(n)
 
 

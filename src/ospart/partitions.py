@@ -228,10 +228,12 @@ class OrderedSetPartition(_Partition):
         if not text:
             raise ValueError("empty partition text")
         if "|" in text or "," in text:
-            blocks = []
-            for part in text.split("|"):
-                blk = [int(tok) for tok in part.split(",") if tok.strip() != ""]
-                blocks.append(blk)
+            # an empty part is an empty block, which cls refuses
+            blocks = [part.split(",") if part.strip() else []
+                      for part in text.split("|")]
+            if any(not tok.strip() for blk in blocks for tok in blk):
+                raise ValueError(f"empty element in {text!r}")
+            blocks = [[int(tok) for tok in blk] for blk in blocks]
             n = sum(len(b) for b in blocks)
             return cls(n, blocks)
         if not text.isdigit():

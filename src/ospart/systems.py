@@ -47,28 +47,24 @@ ZERO = Poly()
 class Atoms:
     """Primitive expectations handed to an engine during evaluation.
 
-    Engines ask for the product of the atoms of one family over a list of
-    runs, each an ascending tuple of 0-based positions of the current word:
-    `product(runs)` for the moment family (the psi family when
-    `moment_kind` is PSI_MOMENT) and `product(runs, FREE_CUMULANT)` for
-    free cumulants.  `term(factors)` is the product over (family, run)
-    pairs of mixed families (MOMENT, PSI_MOMENT or FREE_CUMULANT); the
-    c-monotone engine asks for it once per distinct signed term of its
-    rule-V expansion, so it forms no Poly product either.  A product is
-    one monomial in the symbols of the runs' labels, built once per
-    distinct list of factors; labels range(n) name each atom by its
-    positions, as check_independence does.
+    Every engine speaks one protocol to its atoms: `product(runs, family)`,
+    the product of one family's atoms over a list of runs, each an
+    ascending tuple of 0-based positions of the current word, and `sum`,
+    which adds the values of such products.  The family is MOMENT (the
+    psi family when `moment_kind` is PSI_MOMENT), PSI_MOMENT or
+    FREE_CUMULANT.  Here a product is one monomial in the symbols of the
+    runs' labels, built once per distinct list of factors; labels range(n)
+    name each atom by its positions, as check_independence does.
 
-    The other provider, CLT_ATOMS, gives plain integers: its products and
-    `sum` name the ring the engine evaluates into, and it has no `term`,
-    so c-monotone multiplies its single atoms and skips the terms a zero
-    atom multiplies.  The one sum over an ideal (cumulants, dilations,
-    moments from cumulants), _ideal_sum, adds the values' terms in
-    integers outside the atoms.
-
-    The c-monotone recursion keeps its signed terms in `_rule_v`, keyed by
-    syllable sequence, so the words of one atoms object share them;
-    CLT_ATOMS get a memo per word.
+    The other provider, CLT_ATOMS, gives plain integers.  c-monotone
+    evaluates its rule V in the provider's ring when the provider has no
+    `term`, so on CLT_ATOMS it skips the terms a zero atom multiplies.
+    On Atoms it expands rule V in its private ring _Terms, which answers
+    the same protocol, and asks `term(factors)`, the product over
+    (family, run) pairs of mixed families, once per distinct signed term,
+    keeping those terms in `_rule_v` by syllable sequence so the words of
+    one atoms object share them.  The one sum over an ideal, _ideal_sum,
+    adds the values' terms in integers outside the atoms.
     """
 
     sum = staticmethod(Poly.sum)
@@ -122,13 +118,31 @@ def _labels_or_default(n, labels):
     return _default_labels(n) if labels is None else _per_element(n, labels)
 
 
-def _interval_runs(positions):
-    runs = [[positions[0]]]
-    for x in positions[1:]:
-        if x == runs[-1][-1] + 1:
-            runs[-1].append(x)
+def _syllables(word):
+    """The maximal runs of equal letters of word, as (letter, positions)."""
+    syls = []
+    for pos, v in enumerate(word):
+        if syls and syls[-1][0] == v:
+            syls[-1][1].append(pos)
         else:
-            runs.append([x])
+            syls.append((v, [pos]))
+    return tuple([(v, tuple(ps)) for v, ps in syls])
+
+
+def _monotone_runs(word):
+    """The positions of each block that no smaller value separates
+    (peeling the maximal-value runs yields the same runs).  The open runs
+    form a stack, values increasing upwards."""
+    runs = []
+    stack = []
+    for pos, v in enumerate(word):
+        while stack and stack[-1][0] > v:
+            runs.append(stack.pop()[1])
+        if stack and stack[-1][0] == v:
+            stack[-1][1].append(pos)
+        else:
+            stack.append((v, [pos]))
+    runs.extend(run for _, run in stack)
     return runs
 
 
@@ -138,9 +152,6 @@ class Engine:
     name = "abstract"
     # phi_pi depends only on the underlying set partition of pi
     exchangeable = False
-
-    def atoms(self, labels):
-        return Atoms(labels)
 
     def _phi_word(self, word, atoms):
         raise NotImplementedError
@@ -154,21 +165,21 @@ class Engine:
     def phi_pi(self, pi, labels, atoms=None):
         """phi_pi(X_1,...,X_n) as a polynomial in primitive symbols."""
         labels = _per_element(pi.n, labels)
-        return self._phi_word(pi.word, atoms or self.atoms(labels))
+        return self._phi_word(pi.word, atoms or Atoms(labels))
 
     def phi_pi_indexed(self, pi, labels, indices):
         """phi_pi of upper-indexed copies: evaluates at pi quasi-meet kernel."""
         indices = _per_element(pi.n, indices, "index")
         labels = _per_element(pi.n, labels)
         w = K.quasi_meet(pi.word, K.kernel_word(indices))
-        return self._phi_word(w, self.atoms(labels))
+        return self._phi_word(w, Atoms(labels))
 
     # -- cumulants ----------------------------------------------------------
 
     def cumulant(self, pi, labels, atoms=None):
         """K_pi = sum over sigma <= pi of phi_sigma mu~(sigma,pi)."""
         labels = _per_element(pi.n, labels)
-        at = atoms or self.atoms(labels)
+        at = atoms or Atoms(labels)
         return _ideal_sum(pi.word, lambda w: self._phi_word(w, at),
                           K.mu_tilde_type)
 
@@ -184,13 +195,13 @@ class Engine:
         indices = _per_element(pi.n, indices, "index")
         labels = _per_element(pi.n, labels)
         eta_w = K.kernel_word(indices)
-        at = self.atoms(labels)
+        at = Atoms(labels)
         return _ideal_sum(pi.word, lambda w: self._phi_word(
             K.quasi_meet(w, eta_w), at), K.mu_tilde_type)
 
     def cumulant_table(self, n, labels=None):
         """{word: K_pi} over all of OP_n."""
-        at = self.atoms(_labels_or_default(n, labels))
+        at = Atoms(_labels_or_default(n, labels))
         return _mu_tilde_table({w: self._phi_word(w, at)
                                 for w in K.osp_words(n)})
 
@@ -214,7 +225,7 @@ class Engine:
     def dilate_blockwise(self, pi, labels, scales, atoms=None):
         """phi_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n) with one scale per block."""
         labels = _per_element(pi.n, labels)
-        at = atoms or self.atoms(labels)
+        at = atoms or Atoms(labels)
         return _ideal_sum(pi.word, lambda w: self._phi_word(w, at),
                           _block_scales(pi, scales))
 
@@ -222,7 +233,7 @@ class Engine:
         """K_pi(N_{pi(1)}.X_1, ..., N_{pi(n)}.X_n)."""
         labels = _per_element(pi.n, labels)
         scales = _block_scales(pi, scales)
-        phi = self._memo_phi(self.atoms(labels))
+        phi = self._memo_phi(Atoms(labels))
         # each sigma-block dilates by the scale of the pi-block holding it
         return _ideal_sum(pi.word, lambda w: _ideal_sum(w, phi, [
             scales[b - 1] for b in K.relative_word(w, pi.word)]),
@@ -231,7 +242,7 @@ class Engine:
     def dilate_iterated(self, pi, labels, inner, outer):
         """phi_pi(M.(N.X_1), ..., M.(N.X_n)) via the two-step expansion."""
         labels = _per_element(pi.n, labels)
-        phi = self._memo_phi(self.atoms(labels))
+        phi = self._memo_phi(Atoms(labels))
         inner, outer = _as_scale(inner), _as_scale(outer)
         return _ideal_sum(pi.word, lambda w: _ideal_sum(
             w, phi, repeat(inner)), repeat(outer))
@@ -269,7 +280,7 @@ class Engine:
         labels = _per_element(pi.n, labels)
         if not 1 <= j <= len(pi):
             raise ValueError("block index out of range")
-        phi = self._memo_phi(self.atoms(labels))
+        phi = self._memo_phi(Atoms(labels))
         ts = [Poly.sym(time_symbol(i)) for i in range(1, len(pi) + 1)]
         lhs = _ideal_sum(pi.word, phi, ts).diff(time_symbol(j))
         pj = pi.blocks[j - 1]
@@ -327,7 +338,7 @@ class Engine:
         labels = _labels_or_default(n, labels)
         copies = _copy_values(self, labels, indices)
         positions = Atoms(range(n))
-        plain = self.atoms(labels)
+        plain = Atoms(labels)
         eta_w = K.kernel_word(indices)
         failures = []
         for w in K.osp_words(n):
@@ -394,12 +405,6 @@ class _CLTAtoms:
                 value = 0
         return value
 
-    @classmethod
-    def moment(cls, pos):
-        return cls.product([pos])
-
-    psi_moment = moment
-
 
 CLT_ATOMS = _CLTAtoms()
 
@@ -442,30 +447,16 @@ class BooleanEngine(Engine):
     exchangeable = True
 
     def _phi_word(self, word, atoms):
-        # maximal interval partition dominated by the underlying partition
-        return atoms.product([run for positions
-                              in _positions_by_block(word).values()
-                              for run in _interval_runs(positions)])
+        # the maximal interval partition below the word's partition has the
+        # word's syllables for blocks
+        return atoms.product([run for _, run in _syllables(word)])
 
 
 class MonotoneEngine(Engine):
     name = "monotone"
 
     def _phi_word(self, word, atoms):
-        # one moment per run: the positions of a block that no smaller value
-        # separates (peeling the maximal-value runs yields the same runs).
-        # The open runs form a stack, values increasing upwards.
-        runs = []
-        stack = []
-        for pos, v in enumerate(word):
-            while stack and stack[-1][0] > v:
-                runs.append(stack.pop()[1])
-            if stack and stack[-1][0] == v:
-                stack[-1][1].append(pos)
-            else:
-                stack.append((v, [pos]))
-        runs.extend(run for _, run in stack)
-        return atoms.product(runs)
+        return atoms.product(_monotone_runs(word))
 
 
 class FreeEngine(Engine):
@@ -501,9 +492,21 @@ class FreeEngine(Engine):
 
 class _Terms(dict):
     """A sum of signed products of atoms, {factors: integer}: factors is
-    a sorted tuple of (family, run) pairs, one per atom of the product."""
+    a sorted tuple of (family, run) pairs, one per atom of the product.
+    The class answers the atoms protocol itself, so c-monotone expands
+    rule V in it: a product is the one-factor sum of its single run."""
 
     __slots__ = ()
+
+    @classmethod
+    def product(cls, runs, family=MOMENT):
+        (run,) = runs
+        return cls({((family, run),): 1})
+
+    @classmethod
+    def sum(cls, summands):
+        return add_into(cls(), chain.from_iterable(
+            s.items() for s in summands))
 
     def __mul__(self, other):
         # rule V multiplies terms on disjoint positions, so every pair of
@@ -515,35 +518,11 @@ class _Terms(dict):
         return add_into(_Terms(self), [(key, -c) for key, c in other.items()])
 
 
-class _TermAtoms:
-    """The ring in which c-monotone expands rule V on atoms with `term`:
-    each atom is the one-factor term sum of its (family, run)."""
-
-    @staticmethod
-    def moment(pos):
-        return _Terms({((MOMENT, pos),): 1})
-
-    @staticmethod
-    def psi_moment(pos):
-        return _Terms({((PSI_MOMENT, pos),): 1})
-
-    @staticmethod
-    def sum(summands):
-        return add_into(_Terms(), chain.from_iterable(
-            s.items() for s in summands))
-
-
 class CMonotoneEngine(Engine):
     name = "cmonotone"
 
     def _phi_word(self, word, atoms):
-        syls = []
-        for pos, v in enumerate(word):
-            if syls and syls[-1][0] == v:
-                syls[-1][1].append(pos)
-            else:
-                syls.append((v, [pos]))
-        syls = tuple([(v, tuple(ps)) for v, ps in syls])
+        syls = _syllables(word)
         # the rule-V branches share their sub-sequences, and so do the words
         # of one Atoms object.  The word itself is computed, not stored: the
         # recursion of no other word meets all of its positions.  CLT_ATOMS
@@ -556,7 +535,7 @@ class CMonotoneEngine(Engine):
             # CLT_ATOMS skip every term a zero atom multiplies
             return self._compute(syls, atoms, memo)
         # expand into signed terms, then ask the atoms once per term
-        terms = self._compute(syls, _TermAtoms, memo)
+        terms = self._compute(syls, _Terms, memo)
         return Poly(add_into({}, ((mono, c * k) for f, k in terms.items()
                                   for mono, c in term(f).terms.items())))
 
@@ -573,18 +552,18 @@ class CMonotoneEngine(Engine):
         # every singleton moment and every moment - psi gap is 0, and the
         # skips cut c-monotone clt_moment(10) about fourfold
         if len(syls) == 1:
-            return atoms.moment(syls[0][1])
+            return atoms.product((syls[0][1],))
         if syls[0][0] > syls[1][0]:
-            head = atoms.moment(syls[0][1])
+            head = atoms.product((syls[0][1],))
             return head * self._eval(syls[1:], atoms, memo) if head else head
         if syls[-1][0] > syls[-2][0]:
-            tail = atoms.moment(syls[-1][1])
+            tail = atoms.product((syls[-1][1],))
             return self._eval(syls[:-1], atoms, memo) * tail if tail else tail
         for j in range(1, len(syls) - 1):
             if syls[j - 1][0] < syls[j][0] > syls[j + 1][0]:
                 left, mid, right = syls[:j], syls[j][1], syls[j + 1:]
-                psi = atoms.psi_moment(mid)
-                gap = atoms.moment(mid) - psi
+                psi = atoms.product((mid,), PSI_MOMENT)
+                gap = atoms.product((mid,)) - psi
                 terms = []
                 if gap:
                     terms.append(self._eval(left, atoms, memo) * gap
@@ -722,21 +701,15 @@ def monotone_mc_defect(n, labels=None):
     return lhs - _monotone_cumulant_sum(labels)
 
 
-class _PositionRuns:
-    """Atoms that keep positions in place of labels: a product is the Poly
-    keyed by its runs, a sorted tuple of position tuples, so an engine's
-    cumulant on these atoms serves every label tuple of that length."""
-
-    @staticmethod
-    def product(runs):
-        return Poly({tuple(sorted(map(tuple, runs))): 1})
-
-
 @lru_cache(maxsize=None)
 def _monotone_block_rows(k):
     """(D, rows): D K_k of the monotone engine on positions 0..k-1 as
-    (runs, int) rows, its mu~ sum over OP_k evaluated once per size k."""
-    d, rows = K.cleared(MONOTONE.cumulant_n(range(k), _PositionRuns).terms)
+    (runs, int) rows, its mu~ sum over OP_k evaluated once per size k.
+    Each phi is the Poly keyed by its runs, a sorted tuple of position
+    tuples, so the rows serve every label tuple of length k."""
+    d, rows = K.cleared(_ideal_sum((1,) * k, lambda w: Poly(
+        {tuple(sorted(map(tuple, _monotone_runs(w)))): 1}),
+        K.mu_tilde_type).terms)
     return d, tuple(rows.items())
 
 
@@ -807,14 +780,14 @@ def _mixed_sum(pi, eta, value, coefficient):
 
 def mixed_cumulant_moment(pi, eta, eng, labels):
     """K_pi of copy-indexed entries via Weisner coefficients over moments."""
-    at = eng.atoms(_per_element(pi.n, labels))
+    at = Atoms(_per_element(pi.n, labels))
     return _mixed_sum(pi, eta, lambda w: eng._phi_word(w, at), weisner3)
 
 
 def mixed_cumulant_cumulant(pi, eta, eng, labels):
     """K_pi of copy-indexed entries via Goldberg coefficients over cumulants:
     K_sigma over pi's ideal only, all from one memo of phi."""
-    phi = eng._memo_phi(eng.atoms(_per_element(pi.n, labels)))
+    phi = eng._memo_phi(Atoms(_per_element(pi.n, labels)))
     return _mixed_sum(pi, eta, lambda w: _ideal_sum(w, phi, K.mu_tilde_type),
                       goldberg3)
 

@@ -120,6 +120,10 @@ def test_coeff_usage_errors():
     assert code == cli.EXIT_USAGE
     code, _ = run("coeff", "goldberg", "--tau", "12", "--eta", "123")
     assert code == cli.EXIT_USAGE
+    code, _ = run("coeff", "weisner", "--tau", "1,,2", "--eta", "11")
+    assert code == cli.EXIT_USAGE
+    code, _ = run("coeff", "weisner", "--tau", "12", "--eta", "11", "--pi", "")
+    assert code == cli.EXIT_USAGE
 
 
 def test_cumulants_m2c():

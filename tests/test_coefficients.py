@@ -308,9 +308,8 @@ def test_oracle_bound_refusal():
         C.weisner_oracle(big_tau, big_eta)
     with pytest.raises(ValueError):
         C.goldberg_oracle_table(7)
-    # explicit override is allowed
     assert C.weisner_oracle(P.OrderedSetPartition.singletons(2),
-                            P.OrderedSetPartition.one_block(2), bound=7) == F(-1, 2)
+                            P.OrderedSetPartition.one_block(2)) == F(-1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,9 @@ def test_construction_validation():
         P.SetPartition(0, [])
     with pytest.raises(ValueError):
         P.OrderedSetPartition.from_word((1, 3))     # gap in block indices
+    for text in ("1,,2", "1,|2", ",1|2"):           # empty element
+        with pytest.raises(ValueError):
+            P.OrderedSetPartition.parse(text)
 
 
 def test_parse_and_format_roundtrip():

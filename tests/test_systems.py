@@ -495,11 +495,48 @@ def test_ideal_sums_stay_in_the_ring_of_the_atoms():
 
 def test_clt_atoms_refuse_longer_atoms():
     at = S.CLT_ATOMS
-    for family in (at.moment, at.psi_moment,
+    for family in (lambda run: at.product([run]),
+                   lambda run: at.product([run], PSI_MOMENT),
                    lambda run: at.product([run], FREE_CUMULANT)):
         assert (family((3,)), family((0, 5))) == (0, 1)
         with pytest.raises(ValueError):
             family((0, 1, 2))
+
+
+def _table_value(sym):
+    """A fixed nonzero integer for each (family, labels) atom."""
+    return 2 + int(hashlib.sha256(repr(sym).encode()).hexdigest(), 16) % 89
+
+
+class _TableAtoms:
+    """Atoms that answer only `product` and `sum`, in the integers: each
+    atom is its _table_value.  Any other attribute an engine asks for
+    raises AttributeError."""
+
+    __slots__ = ("labels",)
+    term = None
+    sum = staticmethod(sum)
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def product(self, runs, family=MOMENT):
+        return math.prod(_table_value((family, tuple(self.labels[i]
+                                                     for i in run)))
+                         for run in runs)
+
+
+def test_engines_need_only_product_and_sum():
+    # every engine evaluates on a provider of product and sum alone, to
+    # the value of its phi on Atoms with the table values substituted
+    for n in range(1, 6):
+        for labels in ("XYXZY"[:n], "VWXYZ"[:n]):
+            at, table = S.Atoms(labels), _TableAtoms(labels)
+            for w in K.osp_words(n):
+                for eng in S.ENGINES.values():
+                    want = eng._phi_word(w, at).substitute(_table_value)
+                    got = eng._phi_word(w, table)
+                    assert got == want and type(got) is int, (eng.name, w)
 
 
 def test_arcsine_via_mc_formula():
@@ -651,7 +688,7 @@ def test_mixed_cumulant_routes_agree_n4(full_mode):
     elems = list(P.enumerate_partitions(n))
     engines = (S.MONOTONE, S.TENSOR, S.CMONOTONE) if full_mode else (S.MONOTONE,)
     for eng in engines:
-        at = eng.atoms(labels)
+        at = S.Atoms(labels)
         phis = {w: eng._phi_word(w, at) for w in K.osp_words(n)}
         ktab = eng.cumulant_table(n, labels)
         for eta in elems:
@@ -853,7 +890,7 @@ def test_clt_atoms_match_per_factor_fold():
                 eng = S.ENGINES[name]
                 try:
                     want = _folded_phi(
-                        name, w, at.moment,
+                        name, w, lambda run: at.product([run]),
                         lambda run: at.product([run], FREE_CUMULANT))
                 except ValueError:
                     with pytest.raises(ValueError):
@@ -864,8 +901,9 @@ def test_clt_atoms_match_per_factor_fold():
             # the c-monotone recursion skips the factors a zero multiplies,
             # so only the words whose fold raises nothing compare
             try:
-                want = _cmonotone_unmemoized(_syllables(w), at.moment,
-                                             at.psi_moment, [])
+                want = _cmonotone_unmemoized(
+                    _syllables(w), lambda run: at.product([run]),
+                    lambda run: at.product([run], PSI_MOMENT), [])
             except ValueError:
                 continue
             assert S.CMONOTONE._phi_word(w, at) == want, w

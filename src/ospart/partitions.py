@@ -223,22 +223,31 @@ class OrderedSetPartition(_Partition):
 
     @classmethod
     def parse(cls, text):
-        """Parse block syntax "2,4|3,5|1" or word syntax "31212"."""
+        """Parse block syntax "2,4|3,5|1" or word syntax "31212".
+
+        Elements are ASCII digits: any other character, a Unicode digit
+        included, raises ValueError naming the element that holds it."""
         text = text.strip()
         if not text:
             raise ValueError("empty partition text")
+
+        def element(tok):
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(
+                    f"bad element {tok!r}: elements are ASCII digits")
+            return int(tok)
+
         if "|" in text or "," in text:
             # an empty part is an empty block, which cls refuses
             blocks = [part.split(",") if part.strip() else []
                       for part in text.split("|")]
             if any(not tok.strip() for blk in blocks for tok in blk):
                 raise ValueError(f"empty element in {text!r}")
-            blocks = [[int(tok) for tok in blk] for blk in blocks]
+            blocks = [[element(tok.strip()) for tok in blk]
+                      for blk in blocks]
             n = sum(len(b) for b in blocks)
             return cls(n, blocks)
-        if not text.isdigit():
-            raise ValueError(f"not a partition literal: {text!r}")
-        return cls.from_word(int(ch) for ch in text)
+        return cls.from_word(map(element, text))
 
 
 def format_blocks(blocks):

@@ -19,9 +19,12 @@ Tensor, free and Boolean independence are exchangeable: their phi_pi
 depends only on the underlying set partition of pi, never on the order of
 its blocks (Lehner, Math. Z. 248, 2004).  Monotone and c-monotone
 independence are only spreadable, which is why every engine works on
-ordered set partitions.  Engines marked `exchangeable` sum central-limit
-moments over set partitions; every other method, exchangeability_check
-included, evaluates on ordered ones.
+ordered set partitions.  Engines marked `exchangeable` evaluate their
+cumulant tables once per set partition and sum central-limit moments over
+pair set partitions; the monotone engine sums its central-limit moments
+over noncrossing pair set partitions, weighted by tree factorials.  Every
+other method, exchangeability_check included, evaluates on ordered set
+partitions.
 """
 
 from collections import defaultdict
@@ -200,7 +203,24 @@ class Engine:
             K.quasi_meet(w, eta_w), at), K.mu_tilde_type)
 
     def cumulant_table(self, n, labels=None):
-        """{word: K_pi} over all of OP_n."""
+        """{word: K_pi} over all of OP_n.
+
+        An exchangeable engine evaluates phi and the mu~ sum once per set
+        partition, at its restricted growth string u, and gives every word
+        the K_u of its set partition.  That is exact: relabelling v's blocks by h maps
+        ideal(v) onto ideal(v o h), keeping the set partition of each sigma
+        and its interval type up to the order of the parts.
+        """
+        if not self.exchangeable:
+            return self._ordered_table(n, labels)
+        at = Atoms(_labels_or_default(n, labels))
+        classes = {w: K.rgs_word(w) for w in K.osp_words(n)}
+        table = _mu_tilde_table({u: self._phi_word(u, at) for u in
+                                 dict.fromkeys(classes.values())}, classes)
+        return {w: table[u] for w, u in classes.items()}
+
+    def _ordered_table(self, n, labels):
+        """cumulant_table from every word's own phi and mu~ sum."""
         at = Atoms(_labels_or_default(n, labels))
         return _mu_tilde_table({w: self._phi_word(w, at)
                                 for w in K.osp_words(n)})
@@ -307,15 +327,23 @@ class Engine:
         [n].  When the engine is exchangeable, the |pi|! block orders of a
         pair set partition share one phi_pi and cancel the 1/|pi|!, so the
         sum runs over the pair set partitions with weight 1: 105 words
-        instead of 2,520 at n = 8.  Each phi_pi is evaluated on CLT_ATOMS,
+        instead of 2,520 at n = 8.  The monotone engine sums over the
+        noncrossing pair set partitions (_clt_sum there); c-monotone sums
+        over the ordered ones.  Each phi_pi is evaluated on CLT_ATOMS,
         straight into the integers: no symbol is formed or substituted.
         """
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"n must be an int: got {n!r}")
         if n < 0:
             raise ValueError(f"n must be >= 0: got {n}")
         if n % 2:
             return Fraction(0)
         if n == 0:
             return Fraction(1)  # the empty product, in every engine
+        return self._clt_sum(n)
+
+    def _clt_sum(self, n):
+        """clt_moment at an even n >= 2."""
         if self.exchangeable:
             words, weight = iter_pair_set_words(n), 1
         else:
@@ -351,7 +379,8 @@ class Engine:
     def exchangeability_check(self, n, labels=None):
         """Block-permutation invariance of K_pi; returns the witnesses."""
         from itertools import permutations
-        table = self.cumulant_table(n, labels)
+        # each word's own K: the table must not assume what it tests
+        table = self._ordered_table(n, labels)
         failures = []
         for w, kval in table.items():
             pi = OrderedSetPartition._raw(n, w)
@@ -457,6 +486,15 @@ class MonotoneEngine(Engine):
 
     def _phi_word(self, word, atoms):
         return atoms.product(_monotone_runs(word))
+
+    def _clt_sum(self, n):
+        # phi is 1 on the monotone pair words and 0 on the others, and a
+        # noncrossing pair set partition pi underlies |pi|!/tau(pi)! of them
+        # (_monotone_cumulant_sum), a crossing one none: 14 words, not
+        # 2,520, at n = 8
+        weight = factorial(n // 2)
+        return Fraction(sum(weight // _tree_factorial(w)
+                            for w in _nc_pair_words(n)), weight)
 
 
 class FreeEngine(Engine):
@@ -602,9 +640,11 @@ def engine(name: str) -> Engine:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def _mu_tilde_table(phis):
-    """{v: K_v} for every word v of phis, which holds a Poly for each word
-    of OP_n: K_v is the sum of phis[sigma] mu~(sigma, v) over sigma <= v.
+def _mu_tilde_table(phis, classes=None):
+    """{v: K_v} for every word v of phis: K_v is the sum of phi_sigma
+    mu~(sigma, v) over sigma <= v.  phis holds a Poly for each word of
+    OP_n, or, given classes, which maps each word of OP_n to a word of
+    phis, for each class: sigma reads phis[classes[sigma]].
 
     Each phi is flattened once into (monomial id, coefficient) rows, one id
     per distinct monomial of the table.  Each K_v adds the integers c k,
@@ -614,6 +654,8 @@ def _mu_tilde_table(phis):
     ids = {}
     rows = {w: [(ids.setdefault(mono, len(ids)), c)
                 for mono, c in x.terms.items()] for w, x in phis.items()}
+    if classes is not None:
+        rows = {w: rows[u] for w, u in classes.items()}
     monos = list(ids)
     table = {}
     for v in phis:
@@ -713,6 +755,38 @@ def _monotone_block_rows(k):
     return d, tuple(rows.items())
 
 
+def _tree_factorial(w):
+    """tau(pi)! of the noncrossing restricted growth string w: the product
+    over the blocks B of h(B), the number of blocks in the subtree of pi's
+    nesting forest rooted at B."""
+    parent = _nesting_parents(w)
+    # a restricted growth string opens each block after its parent
+    h = [1] * len(parent)
+    for b in range(len(parent) - 1, 0, -1):
+        h[parent[b]] += h[b]
+    return prod(h[1:])
+
+
+def _nc_pair_words(n):
+    """The noncrossing pair set partitions of [n], n even, as restricted
+    growth strings: scanning left to right, each position opens a pair or
+    closes the innermost open one."""
+    word = [0] * n
+
+    def scan(i, opened, stack):
+        if i == n:
+            yield tuple(word)
+            return
+        if len(stack) < n - i - 1:  # room left to close every open pair
+            word[i] = opened + 1
+            yield from scan(i + 1, opened + 1, stack + [opened + 1])
+        if stack:
+            word[i] = stack[-1]
+            yield from scan(i + 1, opened, stack[:-1])
+
+    return scan(0, 0, [])
+
+
 @lru_cache(maxsize=None)
 def _monotone_partition_rows(n):
     """(L, rows): one row (f, blocks) per noncrossing set partition pi of
@@ -720,19 +794,14 @@ def _monotone_partition_rows(n):
     and f / L = 1 / (tau(pi)! prod_B D_|B|) with the integer L the least
     common denominator.
 
-    tau(pi)! is the tree factorial of pi's nesting forest: the product over
-    the blocks B of h(B), the number of blocks in the subtree rooted at B.
+    tau(pi)! is the tree factorial of pi's nesting forest
+    (_tree_factorial).
     """
     rows = []
     for pi in enumerate_partitions(n, NC):
-        parent = _nesting_parents(pi.word)
-        # a restricted growth string opens each block after its parent
-        h = [1] * len(parent)
-        for b in range(len(parent) - 1, 0, -1):
-            h[parent[b]] += h[b]
         blocks = tuple(map(tuple, _positions_by_block(pi.word).values()))
-        rows.append((prod(h[1:]) * prod(_monotone_block_rows(len(blk))[0]
-                                        for blk in blocks), blocks))
+        rows.append((_tree_factorial(pi.word) * prod(
+            _monotone_block_rows(len(blk))[0] for blk in blocks), blocks))
     denom = lcm(*(d for d, _ in rows))
     return denom, tuple((denom // d, blocks) for d, blocks in rows)
 

@@ -126,6 +126,20 @@ def test_coeff_usage_errors():
     assert code == cli.EXIT_USAGE
 
 
+def test_non_ascii_digits_are_usage_errors():
+    # a full-width 1 or a superscript 2 exits 2 with one message naming the
+    # element, no traceback and nothing on stdout
+    for tau in ("\uff11,2", "1\u00b2", "\uff11\uff12"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["coeff", "goldberg", "--tau", tau,
+                             "--eta", "12"])
+        assert code == cli.EXIT_USAGE, tau
+        assert out.getvalue() == "", tau
+        assert "Traceback" not in err.getvalue(), tau
+        assert "elements are ASCII digits" in err.getvalue(), tau
+
+
 def test_cumulants_m2c():
     doc = run_json("cumulants", "--system", "monotone", "-n", "2",
                    "--direction", "m2c")

@@ -37,6 +37,20 @@ def test_construction_validation():
             P.OrderedSetPartition.parse(text)
 
 
+def test_parse_takes_ascii_digits_only():
+    # a Unicode digit, a superscript, a sign or an underscore is not an
+    # element: one ValueError names it, never int()'s own message
+    for text, bad in (("\uff11,2", "\uff11"), ("1\u00b2", "\u00b2"),
+                      ("\uff11\uff12", "\uff11"), ("1,+2", "+2"),
+                      ("-1,2", "-1"), ("1_0,2", "1_0"), ("12 1", " "),
+                      ("1,\u0663", "\u0663"), ("x", "x")):
+        with pytest.raises(ValueError) as exc:
+            P.OrderedSetPartition.parse(text)
+        assert str(exc.value) == (
+            f"bad element {bad!r}: elements are ASCII digits"), text
+    assert P.OrderedSetPartition.parse(" 2, 4|3,5 |1 ") == o("31212")
+
+
 def test_parse_and_format_roundtrip():
     for text in ("2,4|3,5|1", "1", "1,2,3", "3|2|1", "1,3|2"):
         pi = P.OrderedSetPartition.parse(text)

@@ -457,6 +457,35 @@ def test_clt_moment_matches_ordered_sum():
             assert got == total and type(got) is F, (eng.name, n)
 
 
+def test_monotone_clt_sums_noncrossing_pairs():
+    # the tree-factorial sum over noncrossing pair set partitions equals
+    # the ordered route, 1/|pi|! phi_pi over every ordered pair word, and
+    # the arcsine moments binom(2k, k)/2^k
+    for n in range(1, 11):
+        got = S.MONOTONE.clt_moment(n)
+        if n % 2:
+            assert got == 0
+            continue
+        ordered = F(sum(S.MONOTONE._phi_word(w, S.CLT_ATOMS)
+                        for w in P.iter_pair_words(n)), math.factorial(n // 2))
+        assert got == ordered and type(got) is F, n
+    for k in range(1, 9):
+        got = S.MONOTONE.clt_moment(2 * k)
+        assert got == F(math.comb(2 * k, k), 2 ** k) and type(got) is F, k
+    # every noncrossing pair set partition, once each, and no other
+    for n in (2, 4, 6, 8, 10):
+        want = [w for w in P.iter_pair_set_words(n)
+                if P._nesting_parents(w) is not None]
+        assert sorted(S._nc_pair_words(n)) == sorted(want), n
+
+
+def test_clt_moment_refuses_a_non_int_n():
+    for eng in S.ENGINES.values():
+        for n in (3.0, F(3), 0.0, 2.0, F(2), True, False, "2", None):
+            with pytest.raises(TypeError, match="n must be an int"):
+                eng.clt_moment(n)
+
+
 def test_clt_moment_refuses_negative_n():
     for eng in S.ENGINES.values():
         for n in (-1, -2, -3):
@@ -1346,8 +1375,10 @@ def _typed(poly):
 
 
 def test_cumulant_table_evaluates_each_phi_once(monkeypatch):
-    # the table evaluates phi_w once per word of OP_n and sums the same
-    # values as the per-v ideal sum, coefficient types included
+    # the table evaluates phi_w once per word of OP_n, an exchangeable
+    # engine once per restricted growth string and on no other word, and
+    # sums the same values as the per-v ideal sum over each word's own phi,
+    # coefficient types included
     for eng in S.ENGINES.values():
         real = type(eng)._phi_word
         calls = []
@@ -1358,11 +1389,17 @@ def test_cumulant_table_evaluates_each_phi_once(monkeypatch):
 
         monkeypatch.setattr(type(eng), "_phi_word", counting)
         for n in range(1, 6):
+            rgs = sorted({K.rgs_word(w) for w in K.osp_words(n)})
+            assert len(rgs) == _bell(n)
             for labels in (S._default_labels(n), "XYXZY"[:n], "X" * n):
                 del calls[:]
                 table = eng.cumulant_table(n, labels)
-                assert len(calls) == K.fubini(n), (eng.name, n)
-                assert sorted(calls) == sorted(K.osp_words(n)), (eng.name, n)
+                if eng.exchangeable:
+                    assert sorted(calls) == rgs, (eng.name, n)
+                else:
+                    assert len(calls) == K.fubini(n), (eng.name, n)
+                    assert sorted(calls) == sorted(K.osp_words(n)), (
+                        eng.name, n)
                 at = S.Atoms(labels)
                 phis = {w: real(eng, w, at) for w in K.osp_words(n)}
                 assert list(table) == list(K.osp_words(n))
@@ -1370,6 +1407,40 @@ def test_cumulant_table_evaluates_each_phi_once(monkeypatch):
                     want = S._ideal_sum(v, phis.__getitem__,
                                         K.mu_tilde_type)
                     assert _typed(table[v]) == _typed(want), (eng.name, v)
+
+
+def _bell(n):
+    return sum(1 for _ in P.enumerate_partitions(n, P.SP))
+
+
+def test_exchangeable_table_matches_the_ordered_route(full_mode):
+    # one K per set partition, given to each of its block orders, equals
+    # the mu~ sum of every ordered word over its own ideal: values,
+    # coefficient types and key order
+    for eng in (S.TENSOR, S.FREE, S.BOOLEAN):
+        for n in range(1, 7 if full_mode else 6):
+            for labels in (None, "X" * n, "XYXZYX"[:n], "XXYYXZ"[:n]):
+                at = S.Atoms(S._labels_or_default(n, labels))
+                want = S._mu_tilde_table({w: eng._phi_word(w, at)
+                                          for w in K.osp_words(n)})
+                got = eng.cumulant_table(n, labels)
+                assert list(got) == list(want), (eng.name, n)
+                for w in want:
+                    assert _typed(got[w]) == _typed(want[w]), (
+                        eng.name, labels, w)
+
+
+def test_exchangeability_check_keeps_the_ordered_table():
+    # an engine that reads block order but claims exchangeability: its
+    # own table shares K across block orders, yet the check evaluates each
+    # word and finds the monotone witnesses
+    class Claims(S.MonotoneEngine):
+        exchangeable = True
+
+    wit = Claims().exchangeability_check(3)
+    assert wit and wit == S.MONOTONE.exchangeability_check(3)
+    assert Claims().exchangeability_check(3, "XYX") == (
+        S.MONOTONE.exchangeability_check(3, "XYX"))
 
 
 def test_nested_ideal_sums_evaluate_each_phi_once(monkeypatch):

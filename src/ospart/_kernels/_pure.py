@@ -24,16 +24,20 @@ def fubini(n: int) -> int:
     return row[n]
 
 
+OSP_WORDS_CAP = 7
+
+
 @lru_cache(maxsize=None)
 def osp_words(n: int) -> tuple:
     """All ordered-set-partition words of [n], by block count then lex.
 
-    Materialized and cached, so capped at n = 7 (stream with iter_osp_words).
+    Materialized and cached, so capped at OSP_WORDS_CAP; stream beyond it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 7:
-        raise ValueError("osp_words is capped at n = 7; stream instead")
+    if n > OSP_WORDS_CAP:
+        raise ValueError(f"osp_words is capped at n = {OSP_WORDS_CAP}; "
+                         "stream instead")
     return tuple(iter_osp_words(n))
 
 

@@ -16,6 +16,7 @@ from . import coefficients as coeffs
 from . import freelie as fl
 from . import partitions as parts
 from . import systems
+from ._kernels import OSP_WORDS_CAP
 
 ENUMERATE_CAP = 8
 # bound on the words of length 1..degree over the letters (sum of L^k);
@@ -127,6 +128,9 @@ def cmd_coeff(args):
 def cmd_cumulants(args):
     if args.n < 1:
         raise UsageError("n must be >= 1")
+    if args.n > OSP_WORDS_CAP:  # every table holds all of OP_n
+        raise UsageError(f"cumulants stops at n = {OSP_WORDS_CAP}, even "
+                         f"with --force: got {args.n}")
     if args.n > CUMULANTS_CAP and not args.force:
         raise CapError(f"cumulants cap is n = {CUMULANTS_CAP}; "
                        "pass --force to override")

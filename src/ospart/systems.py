@@ -20,11 +20,11 @@ depends only on the underlying set partition of pi, never on the order of
 its blocks (Lehner, Math. Z. 248, 2004).  Monotone and c-monotone
 independence are only spreadable, which is why every engine works on
 ordered set partitions.  Engines marked `exchangeable` evaluate their
-cumulant tables once per set partition and sum central-limit moments over
-pair set partitions; the monotone engine sums its central-limit moments
-over noncrossing pair set partitions, weighted by tree factorials.  Every
-other method, exchangeability_check included, evaluates on ordered set
-partitions.
+cumulant tables once per set partition; every other method,
+exchangeability_check included, evaluates on ordered set partitions.
+Each engine names its `pair_class`, the pair partitions on which phi_pi of
+centered unit-variance atoms is 1 (it is 0 on the others), so its
+central-limit moments count that class by closed form.
 """
 
 from collections import defaultdict
@@ -36,9 +36,9 @@ from math import factorial, lcm, prod
 from . import _kernels as K
 from .coefficients import goldberg3, weisner3
 from .incidence import generalized_binomial
-from .partitions import (NC, OrderedSetPartition, _nesting_parents,
-                         enumerate_partitions, iter_pair_set_words,
-                         iter_pair_words)
+from .partitions import (NC, PAIR, PAIR_IP, PAIR_MONOTONE, PAIR_NC,
+                         OrderedSetPartition, _nesting_parents, class_count,
+                         enumerate_partitions)
 from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, _mono_mul,
                        add_into, exact, free_cumulant_symbol, scalar_symbol,
                        time_symbol)
@@ -55,19 +55,19 @@ class Atoms:
     ascending tuple of 0-based positions of the current word, and `sum`,
     which adds the values of such products.  The family is MOMENT (the
     psi family when `moment_kind` is PSI_MOMENT), PSI_MOMENT or
-    FREE_CUMULANT.  Here a product is one monomial in the symbols of the
-    runs' labels, built once per distinct list of factors; labels range(n)
-    name each atom by its positions, as check_independence does.
+    FREE_CUMULANT.  Atoms is the one provider: a product is one monomial
+    in the symbols of the runs' labels, built once per distinct list of
+    factors; labels range(n) name each atom by its positions, as
+    check_independence does.
 
-    The other provider, CLT_ATOMS, gives plain integers.  c-monotone
-    evaluates its rule V in the provider's ring when the provider has no
-    `term`, so on CLT_ATOMS it skips the terms a zero atom multiplies.
-    On Atoms it expands rule V in its private ring _Terms, which answers
-    the same protocol, and asks `term(factors)`, the product over
-    (family, run) pairs of mixed families, once per distinct signed term,
-    keeping those terms in `_rule_v` by syllable sequence so the words of
-    one atoms object share them.  The one sum over an ideal, _ideal_sum,
-    adds the values' terms in integers outside the atoms.
+    An integer provider of the tests has no `term`, and c-monotone
+    multiplies its rule V in that provider's ring.  On Atoms it expands
+    rule V in its private ring _Terms, which answers the same protocol,
+    and asks `term(factors)`, the product over (family, run) pairs of mixed
+    families, once per distinct signed term, keeping those terms in
+    `_rule_v` by syllable sequence so the words of one atoms object share
+    them.  The one sum over an ideal, _ideal_sum, adds the values' terms in
+    integers outside the atoms.
     """
 
     sum = staticmethod(Poly.sum)
@@ -116,6 +116,14 @@ def _check_size(n):
         raise ValueError(f"n must be >= 1: got {n}")
 
 
+def _check_index(name, value, top):
+    """TypeError unless value is an int, ValueError unless in 1..top."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int")
+    if not 1 <= value <= top:
+        raise ValueError(f"{name} must be in 1..{top}: got {value}")
+
+
 def _labels_or_default(n, labels):
     """One label per element of [n]: X1..Xn when labels is None."""
     return _default_labels(n) if labels is None else _per_element(n, labels)
@@ -155,6 +163,9 @@ class Engine:
     name = "abstract"
     # phi_pi depends only on the underlying set partition of pi
     exchangeable = False
+    # the pair partitions on which phi_pi of centered unit-variance atoms
+    # is 1; it is 0 on every other pair partition
+    pair_class = None
 
     def _phi_word(self, word, atoms):
         raise NotImplementedError
@@ -282,8 +293,7 @@ class Engine:
         """d/dt_j at t_j = 0 of phi^t_pi, a polynomial in the other t's:
         its [t_j^1] coefficient, read off the weight rows with slot j
         _LINEAR, so no Poly in t_j is formed."""
-        if not 1 <= j <= len(pi):
-            raise ValueError("block index out of range")
+        _check_index("j", j, len(pi))
         params = [Poly.sym(time_symbol(i)) for i in range(1, len(pi) + 1)]
         params[j - 1] = _LINEAR
         return self.phi_t(pi, labels, params)
@@ -298,8 +308,7 @@ class Engine:
         identically for the product engines.
         """
         labels = _per_element(pi.n, labels)
-        if not 1 <= j <= len(pi):
-            raise ValueError("block index out of range")
+        _check_index("j", j, len(pi))
         phi = self._memo_phi(Atoms(labels))
         ts = [Poly.sym(time_symbol(i)) for i in range(1, len(pi) + 1)]
         lhs = _ideal_sum(pi.word, phi, ts).diff(time_symbol(j))
@@ -323,14 +332,13 @@ class Engine:
     def clt_moment(self, n) -> Fraction:
         """Limit moment of the normalized sum with phi(X)=0, phi(X^2)=1.
 
-        The sum of 1/|pi|! phi_pi over the ordered pair partitions pi of
-        [n].  When the engine is exchangeable, the |pi|! block orders of a
-        pair set partition share one phi_pi and cancel the 1/|pi|!, so the
-        sum runs over the pair set partitions with weight 1: 105 words
-        instead of 2,520 at n = 8.  The monotone engine sums over the
-        noncrossing pair set partitions (_clt_sum there); c-monotone sums
-        over the ordered ones.  Each phi_pi is evaluated on CLT_ATOMS,
-        straight into the integers: no symbol is formed or substituted.
+        The sum of phi_pi / |pi|! over the ordered pair partitions pi of
+        [n], where phi_pi is 1 on pair_class and 0 on every other pair
+        partition: class_count(n, pair_class) / (n/2)!.  That is (n-1)!!
+        for tensor (Gaussian), Catalan(n/2) for free (semicircle), 1 for
+        Boolean (Bernoulli) and binom(n, n/2) / 2^(n/2) for monotone and
+        c-monotone (arcsine; Hasebe-Saigo, Ann. IHP 47, 2011).  The tests
+        keep the phi-sum as the oracle.
         """
         if isinstance(n, bool) or not isinstance(n, int):
             raise TypeError(f"n must be an int: got {n!r}")
@@ -340,16 +348,7 @@ class Engine:
             return Fraction(0)
         if n == 0:
             return Fraction(1)  # the empty product, in every engine
-        return self._clt_sum(n)
-
-    def _clt_sum(self, n):
-        """clt_moment at an even n >= 2."""
-        if self.exchangeable:
-            words, weight = iter_pair_set_words(n), 1
-        else:
-            words, weight = iter_pair_words(n), factorial(n // 2)
-        return Fraction(sum(self._phi_word(w, CLT_ATOMS) for w in words),
-                        weight)
+        return Fraction(class_count(n, self.pair_class), factorial(n // 2))
 
     # -- structural checks ----------------------------------------------
 
@@ -411,33 +410,6 @@ def _block_scales(pi, scales):
     return scales
 
 
-class _CLTAtoms:
-    """Centered atoms of unit variance, as plain integers.
-
-    Every family gives 0 on one position and 1 on two, the same for all
-    labels; a pair partition never asks for a longer atom.  There is no
-    `term`: c-monotone multiplies single atoms here, where a zero atom
-    skips the terms it multiplies.
-    """
-
-    sum = staticmethod(sum)
-    term = None
-
-    @staticmethod
-    def product(runs, family=MOMENT):
-        value = 1
-        for run in runs:
-            if len(run) != 2:
-                if len(run) > 2:
-                    raise ValueError(
-                        "pair partitions cannot produce longer atoms")
-                value = 0
-        return value
-
-
-CLT_ATOMS = _CLTAtoms()
-
-
 def _copy_values(engine, labels, tags):
     """The map from a position symbol (family, positions) to the value of
     its atom on the tagged copies, each symbol evaluated once.
@@ -466,6 +438,7 @@ def _copy_values(engine, labels, tags):
 class TensorEngine(Engine):
     name = "tensor"
     exchangeable = True
+    pair_class = PAIR
 
     def _phi_word(self, word, atoms):
         return atoms.product(_positions_by_block(word).values())
@@ -474,6 +447,7 @@ class TensorEngine(Engine):
 class BooleanEngine(Engine):
     name = "boolean"
     exchangeable = True
+    pair_class = PAIR_IP
 
     def _phi_word(self, word, atoms):
         # the maximal interval partition below the word's partition has the
@@ -483,23 +457,16 @@ class BooleanEngine(Engine):
 
 class MonotoneEngine(Engine):
     name = "monotone"
+    pair_class = PAIR_MONOTONE
 
     def _phi_word(self, word, atoms):
         return atoms.product(_monotone_runs(word))
-
-    def _clt_sum(self, n):
-        # phi is 1 on the monotone pair words and 0 on the others, and a
-        # noncrossing pair set partition pi underlies |pi|!/tau(pi)! of them
-        # (_monotone_cumulant_sum), a crossing one none: 14 words, not
-        # 2,520, at n = 8
-        weight = factorial(n // 2)
-        return Fraction(sum(weight // _tree_factorial(w)
-                            for w in _nc_pair_words(n)), weight)
 
 
 class FreeEngine(Engine):
     name = "free"
     exchangeable = True
+    pair_class = PAIR_NC
 
     def _phi_word(self, word, atoms):
         # sum of free-cumulant products over the noncrossing refinements of
@@ -558,19 +525,17 @@ class _Terms(dict):
 
 class CMonotoneEngine(Engine):
     name = "cmonotone"
+    pair_class = PAIR_MONOTONE
 
     def _phi_word(self, word, atoms):
         syls = _syllables(word)
         # the rule-V branches share their sub-sequences, and so do the words
         # of one Atoms object.  The word itself is computed, not stored: the
-        # recursion of no other word meets all of its positions.  CLT_ATOMS
-        # keep a memo per word, since one shared over the pair words of
-        # clt_moment(10) costs more than it saves
+        # recursion of no other word meets all of its positions.  A
+        # provider without _rule_v keeps a memo per word
         memo = getattr(atoms, "_rule_v", {})
         term = atoms.term
-        if term is None:
-            # multiply in the provider's ring, which collapses as it goes:
-            # CLT_ATOMS skip every term a zero atom multiplies
+        if term is None:  # multiply in the provider's own ring
             return self._compute(syls, atoms, memo)
         # expand into signed terms, then ask the atoms once per term
         terms = self._compute(syls, _Terms, memo)
@@ -586,36 +551,26 @@ class CMonotoneEngine(Engine):
         return val
 
     def _compute(self, syls, atoms, memo):
-        # a zero factor skips the evaluation it would multiply; on CLT_ATOMS
-        # every singleton moment and every moment - psi gap is 0, and the
-        # skips cut c-monotone clt_moment(10) about fourfold
         if len(syls) == 1:
             return atoms.product((syls[0][1],))
         if syls[0][0] > syls[1][0]:
-            head = atoms.product((syls[0][1],))
-            return head * self._eval(syls[1:], atoms, memo) if head else head
+            return (atoms.product((syls[0][1],))
+                    * self._eval(syls[1:], atoms, memo))
         if syls[-1][0] > syls[-2][0]:
-            tail = atoms.product((syls[-1][1],))
-            return self._eval(syls[:-1], atoms, memo) * tail if tail else tail
+            return (self._eval(syls[:-1], atoms, memo)
+                    * atoms.product((syls[-1][1],)))
         for j in range(1, len(syls) - 1):
             if syls[j - 1][0] < syls[j][0] > syls[j + 1][0]:
                 left, mid, right = syls[:j], syls[j][1], syls[j + 1:]
                 psi = atoms.product((mid,), PSI_MOMENT)
                 gap = atoms.product((mid,)) - psi
-                terms = []
-                if gap:
-                    terms.append(self._eval(left, atoms, memo) * gap
-                                 * self._eval(right, atoms, memo))
-                if psi:
-                    if left[-1][0] == right[0][0]:
-                        merged = left[:-1] + (
-                            (left[-1][0],
-                             tuple(sorted(left[-1][1] + right[0][1]))),
-                        ) + right[1:]
-                    else:
-                        merged = left + right
-                    terms.append(psi * self._eval(merged, atoms, memo))
-                return atoms.sum(terms)
+                merged = left + right
+                if left[-1][0] == right[0][0]:  # the two syllables join
+                    merged = left[:-1] + ((left[-1][0], tuple(sorted(
+                        left[-1][1] + right[0][1]))),) + right[1:]
+                return atoms.sum([self._eval(left, atoms, memo) * gap
+                                  * self._eval(right, atoms, memo),
+                                  psi * self._eval(merged, atoms, memo)])
         raise AssertionError("no local maximum in a non-monotone word")
 
 
@@ -767,26 +722,6 @@ def _tree_factorial(w):
     return prod(h[1:])
 
 
-def _nc_pair_words(n):
-    """The noncrossing pair set partitions of [n], n even, as restricted
-    growth strings: scanning left to right, each position opens a pair or
-    closes the innermost open one."""
-    word = [0] * n
-
-    def scan(i, opened, stack):
-        if i == n:
-            yield tuple(word)
-            return
-        if len(stack) < n - i - 1:  # room left to close every open pair
-            word[i] = opened + 1
-            yield from scan(i + 1, opened + 1, stack + [opened + 1])
-        if stack:
-            word[i] = stack[-1]
-            yield from scan(i + 1, opened, stack[:-1])
-
-    return scan(0, 0, [])
-
-
 @lru_cache(maxsize=None)
 def _monotone_partition_rows(n):
     """(L, rows): one row (f, blocks) per noncrossing set partition pi of
@@ -868,8 +803,7 @@ def singleton_defect(eng, pi, labels, k):
     symbol families are centered; the two-state system needs both).
     """
     labels = _per_element(pi.n, labels)
-    if not 1 <= k <= pi.n:
-        raise ValueError(f"k must be in 1..{pi.n}: got {k}")
+    _check_index("k", k, pi.n)
     target = (labels[k - 1],)
 
     def subst(sym):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,39 @@ def test_clt_cap():
                     "--force")["value"] == "0"
     code, _ = run("clt", "--system", "free", "-n", "0")
     assert code == cli.EXIT_USAGE
+
+
+def test_clt_force_far_above_the_cap():
+    # the moments are closed forms, so a forced n far above the cap runs
+    # in every system
+    proc = subprocess.run(
+        [sys.executable, "-m", "ospart.cli", "clt", "--system", "monotone",
+         "-n", "2000", "--force"],
+        capture_output=True, text=True, env=_ENV, timeout=60)
+    assert proc.returncode == cli.EXIT_OK and proc.stderr == ""
+    assert Fraction(json.loads(proc.stdout)["value"]) == Fraction(
+        comb(2000, 1000), 2 ** 1000)
+    arcsine = Fraction(comb(400, 200), 2 ** 200)
+    want = {"tensor": prod(range(1, 400, 2)), "boolean": 1,
+            "free": Fraction(comb(400, 200), 201), "monotone": arcsine,
+            "cmonotone": arcsine}
+    for system in sorted(cli.systems.ENGINES):
+        doc = run_json("clt", "--system", system, "-n", "400", "--force")
+        assert Fraction(doc["value"]) == want[system], system
+
+
+def test_cumulants_refuse_n_above_the_word_cap_in_their_own_words():
+    # the tables hold every word of OP_n, so --force does not lift n = 7
+    for direction in ("m2c", "c2m"):
+        for force in ((), ("--force",)):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["cumulants", "--system", "tensor", "-n", "8",
+                                 "--direction", direction, *force])
+            assert code == cli.EXIT_USAGE and out.getvalue() == ""
+            message = err.getvalue()
+            assert "cumulants" in message and "7" in message, message
+            assert "osp_words" not in message, message
 
 
 def test_determinism():

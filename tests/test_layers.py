@@ -50,3 +50,28 @@ def test_modules_import_only_lower_layers():
             assert below or (target[1] == layer and len(parts) > 1), (
                 f"{'/'.join(parts)} imports {name}, not a lower layer")
     assert seen == set(LAYERS)
+
+
+def _loads(node):
+    """The names a subtree loads: Name and Attribute loads, not imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
+def test_private_helpers_are_loaded_outside_their_definition():
+    # a private module-level function or class that nothing in src loads,
+    # apart from its own body, is dead code; the tests do not count
+    defined, loaded = [], set()
+    for path in sorted((SRC / "ospart").rglob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.append((path.name, own))
+            loaded.update(name for name in _loads(stmt) if name != own)
+    unused = [(file, name) for file, name in defined if name not in loaded]
+    assert defined and not unused, unused

@@ -16,6 +16,8 @@ from ospart.symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly,
                              free_cumulant_symbol, moment_symbol,
                              psi_moment_symbol, scalar_symbol)
 
+from conftest import FULL
+
 o = P.osp
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -441,42 +443,59 @@ def _centered_unit(sym):
     return {1: 0, 2: 1}[len(payload)]
 
 
+def _clt_phi(eng, pi):
+    """phi_pi on symbolic atoms, substituted 0 on one position and 1 on
+    two: the Poly route of a central-limit term."""
+    return eng.phi_pi(pi, ("X",) * pi.n).substitute(
+        _centered_unit).constant_value()
+
+
 def test_clt_moment_matches_ordered_sum():
-    # the oracle is the Poly route: 1/|pi|! phi_pi over symbolic atoms,
-    # substituted 0 on one position and 1 on two, summed over every
-    # ordered pair partition; each numeric phi_pi must match its term
+    # the oracle is the Poly route: phi_pi / |pi|! over every ordered pair
+    # partition, where phi_pi is 1 on the engine's pair class and 0 on
+    # every other pair partition
     for eng in S.ENGINES.values():
         for n in (2, 4, 6, 8):
             total = F(0)
             for pi in P.enumerate_partitions(n, P.PAIR):
-                val = eng.phi_pi(pi, ("X",) * n).substitute(_centered_unit)
-                assert eng._phi_word(pi.word, S.CLT_ATOMS) == (
-                    val.constant_value()), (eng.name, pi)
-                total += F(1, math.factorial(len(pi))) * val.constant_value()
+                val = _clt_phi(eng, pi)
+                assert val == int(P.is_class(pi, eng.pair_class)), (
+                    eng.name, pi)
+                total += F(val, math.factorial(len(pi)))
             got = eng.clt_moment(n)
             assert got == total and type(got) is F, (eng.name, n)
 
 
 def test_monotone_clt_sums_noncrossing_pairs():
-    # the tree-factorial sum over noncrossing pair set partitions equals
-    # the ordered route, 1/|pi|! phi_pi over every ordered pair word, and
-    # the arcsine moments binom(2k, k)/2^k
-    for n in range(1, 11):
+    # the ordered route, phi_pi / |pi|! over every ordered pair word on
+    # the Poly route, and the arcsine moments binom(2k, k)/2^k
+    for n in range(1, 11 if FULL else 9):
         got = S.MONOTONE.clt_moment(n)
         if n % 2:
             assert got == 0
             continue
-        ordered = F(sum(S.MONOTONE._phi_word(w, S.CLT_ATOMS)
-                        for w in P.iter_pair_words(n)), math.factorial(n // 2))
+        ordered = sum(F(_clt_phi(S.MONOTONE, pi), math.factorial(len(pi)))
+                      for pi in P.enumerate_partitions(n, P.PAIR))
         assert got == ordered and type(got) is F, n
     for k in range(1, 9):
         got = S.MONOTONE.clt_moment(2 * k)
         assert got == F(math.comb(2 * k, k), 2 ** k) and type(got) is F, k
-    # every noncrossing pair set partition, once each, and no other
-    for n in (2, 4, 6, 8, 10):
-        want = [w for w in P.iter_pair_set_words(n)
-                if P._nesting_parents(w) is not None]
-        assert sorted(S._nc_pair_words(n)) == sorted(want), n
+
+
+def test_clt_moments_are_the_limit_laws():
+    # written out here, not read from class_count: Gaussian (n-1)!!,
+    # semicircle Catalan(n/2), Bernoulli 1 and arcsine binom(n, n/2)/2^(n/2)
+    # moments, c-monotone with psi = phi equal to monotone
+    for n in range(41):
+        m = n // 2
+        want = {"tensor": F(math.prod(range(1, n, 2))),
+                "free": F(math.comb(n, m), m + 1), "boolean": F(1),
+                "monotone": F(math.comb(n, m), 2 ** m)}
+        want["cmonotone"] = want["monotone"]
+        for name, eng in S.ENGINES.items():
+            got = eng.clt_moment(n)
+            assert got == (0 if n % 2 else want[name]), (name, n)
+            assert type(got) is F, (name, n)
 
 
 def test_clt_moment_refuses_a_non_int_n():
@@ -496,17 +515,14 @@ def test_clt_moment_refuses_negative_n():
 
 
 def test_ideal_sums_stay_in_the_ring_of_the_atoms():
-    # CLT_ATOMS evaluate into the integers; an ideal sum over a pair
-    # partition adds and scales there and equals the Poly route with the
-    # atoms substituted afterwards
-    at = S.CLT_ATOMS
-    cases = [(n, w) for n in (2, 4) for w in P.iter_pair_words(n)]
-    cases += [(6, w) for w in itertools.islice(P.iter_pair_words(6), 0,
-                                               90, 7)]
+    # _TableAtoms evaluate into the integers; an ideal sum adds and scales
+    # there and equals the Poly route with the atoms substituted afterwards
+    cases = [(n, w) for n in (1, 2, 3, 4) for w in K.osp_words(n)]
     for n, w in cases:
         pi = P.OrderedSetPartition._raw(n, w)
-        labels = ("X",) * n
-        blockwise = [2, "N", 3][:len(pi)]
+        labels = ("X", "Y", "X", "Z")[:n]
+        at = _TableAtoms(labels)
+        blockwise = [2, "N", 3, F(1, 2)][:len(pi)]
         for eng in S.ENGINES.values():
             # numeric scales give numbers, symbolic ones a Poly in them
             for method, args, number in (
@@ -515,25 +531,18 @@ def test_ideal_sums_stay_in_the_ring_of_the_atoms():
                     (eng.dilate_blockwise, (blockwise,), None),
                     (eng.phi_t, (), False)):
                 got = method(pi, labels, *args, atoms=at)
-                want = method(pi, labels, *args).substitute(_centered_unit)
+                want = method(pi, labels, *args).substitute(_table_value)
                 where = (eng.name, w, method.__name__, args)
                 assert got == want, where
                 if number is not None:
                     assert isinstance(got, (int, F)) == number, where
 
 
-def test_clt_atoms_refuse_longer_atoms():
-    at = S.CLT_ATOMS
-    for family in (lambda run: at.product([run]),
-                   lambda run: at.product([run], PSI_MOMENT),
-                   lambda run: at.product([run], FREE_CUMULANT)):
-        assert (family((3,)), family((0, 5))) == (0, 1)
-        with pytest.raises(ValueError):
-            family((0, 1, 2))
-
-
 def _table_value(sym):
-    """A fixed nonzero integer for each (family, labels) atom."""
+    """A fixed nonzero integer for each (family, labels) atom; scalar and
+    time symbols stay."""
+    if sym[0] not in (MOMENT, FREE_CUMULANT, PSI_MOMENT):
+        return None
     return 2 + int(hashlib.sha256(repr(sym).encode()).hexdigest(), 16) % 89
 
 
@@ -600,6 +609,25 @@ def test_singleton_defect_refuses_a_variable_out_of_range():
         for k in (0, -1, 4):
             with pytest.raises(ValueError):
                 S.singleton_defect(eng, pi, labels, k)
+
+
+def test_indices_must_be_ints():
+    # a bool or a float is refused before the range check, not read as an
+    # index (True as 1) or passed to list indexing
+    labels = ("X", "Y", "Z")
+    pi = o("1|2,3")
+    for eng in S.ENGINES.values():
+        for name, call, top in (
+                ("j", lambda j: eng.partial_cumulant(pi, labels, j), 2),
+                ("j", lambda j: eng.diffeq_residuals(pi, labels, j), 2),
+                ("k", lambda k: S.singleton_defect(eng, pi, labels, k), 3)):
+            for bad in (True, False, 1.0, F(1), "1", None):
+                with pytest.raises(TypeError, match=f"^{name} must be an int"):
+                    call(bad)
+            for bad in (0, top + 1):
+                with pytest.raises(ValueError, match=f"^{name} must be in"):
+                    call(bad)
+            call(top)
 
 
 # ---------------------------------------------------------------------------
@@ -910,34 +938,6 @@ def test_phi_word_matches_per_factor_fold():
                 assert S.CMONOTONE._phi_word(w, at) == want, (kind, w)
 
 
-def test_clt_atoms_match_per_factor_fold():
-    # the fold raises on an atom longer than two; so must the product
-    at = S.CLT_ATOMS
-    for n in range(1, 6):
-        for w in K.osp_words(n):
-            for name in PRODUCT_ENGINES:
-                eng = S.ENGINES[name]
-                try:
-                    want = _folded_phi(
-                        name, w, lambda run: at.product([run]),
-                        lambda run: at.product([run], FREE_CUMULANT))
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        eng._phi_word(w, at)
-                    continue
-                got = eng._phi_word(w, at)
-                assert got == want and type(got) is int, (name, w)
-            # the c-monotone recursion skips the factors a zero multiplies,
-            # so only the words whose fold raises nothing compare
-            try:
-                want = _cmonotone_unmemoized(
-                    _syllables(w), lambda run: at.product([run]),
-                    lambda run: at.product([run], PSI_MOMENT), [])
-            except ValueError:
-                continue
-            assert S.CMONOTONE._phi_word(w, at) == want, w
-
-
 def _recorded_copy_values(monkeypatch):
     """The list that collects each map check_independence makes."""
     made = []
@@ -1151,8 +1151,6 @@ def test_cmonotone_memo_computes_each_sequence_once(monkeypatch):
         memo_total += len(computed[-1])
         plain_total += len(plain)
     assert memo_total < plain_total
-    computed.append([])
-    assert S.CMONOTONE.clt_moment(8) == F(35, 8)
 
 
 def test_cmonotone_table_shares_its_memo_across_words(monkeypatch):
@@ -1275,8 +1273,8 @@ def test_dilation_sums_match_the_binomial_product_route():
     # every dilation method and the [t_j^1] and [s^1] readers, all five
     # engines, int/Fraction/Poly/string scales (a scale of 1 zeroes every
     # class with a part >= 2; Poly.const(2) after 2 shares its table),
-    # n <= 4, on Atoms of both moment families and (pair partitions) the
-    # CLT atoms
+    # n <= 4, on Atoms of both moment families and on the integer
+    # _TableAtoms
     from ospart import incidence as I
     from ospart.symbolic import time_symbol
     N, M = Poly.sym(scalar_symbol("N")), Poly.sym(scalar_symbol("M"))
@@ -1297,7 +1295,6 @@ def test_dilation_sums_match_the_binomial_product_route():
         blockwise = [scales[(i + n) % len(scales)] for i in range(p)]
         params = [as_param(x) for x in blockwise]
         ideal = list(zip(*K.typed_ideal(pi.word)))
-        pair = n % 2 == 0 and {len(b) for b in pi.blocks} == {2}
         for eng in S.ENGINES.values():
             at = S.Atoms(labels)
             where = (eng.name, pi)
@@ -1340,10 +1337,8 @@ def test_dilation_sums_match_the_binomial_product_route():
             assert eng.diffeq_residuals(pi, labels, j) == (
                 lhs - rhs[0], lhs - rhs[1]), where
             # the same route in the other rings
-            rings = [S.Atoms(labels, moment_kind=PSI_MOMENT)]
-            if pair:
-                rings.append(S.CLT_ATOMS)
-            for ring in rings:
+            for ring in (S.Atoms(labels, moment_kind=PSI_MOMENT),
+                         _TableAtoms(labels)):
                 for scale in (3, F(-1, 2), 1, 0, "N", Poly.const(2)):
                     got = eng.dilate(pi, labels, scale, atoms=ring)
                     want = _binomial_route(eng, pi, ring,

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import coefficients as coeffs
@@ -24,7 +25,11 @@ ENUMERATE_CAP = 8
 # 0.9 s and 32 MB on a 2-core host
 CBH_WORD_CAP = 25_000
 CUMULANTS_CAP = 5
-CLT_CAP = 10
+# a CLT moment is a closed count, so the cap bounds the printed number: at
+# n = 10,000 the slowest system, tensor, prints its 17,880 digits of
+# (n-1)!! in about 0.12 s and 18 MB from a fresh process on a 2-core host,
+# against 0.07 s for n = 10,001 (odd, so 0); n = 20,000 takes 0.25 s
+CLT_CAP = 10_000
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,7 +48,11 @@ def _default_format():
 
 
 def _rat(x) -> str:
-    return str(Fraction(x))
+    """x as "p/q", or "p" when integral, at any size: a Decimal prints an
+    int exactly, past the interpreter's digit limit on str(int)."""
+    x = Fraction(x)
+    p = str(Decimal(x.numerator))
+    return p if x.denominator == 1 else f"{p}/{Decimal(x.denominator)}"
 
 
 def _emit(doc, fmt, out):

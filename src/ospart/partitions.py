@@ -352,14 +352,21 @@ def _word_interval(w):
 
 
 def _word_monotone(w):
-    """Noncrossing, and every block comes before the blocks nested in it.
-
-    Checking the innermost outer block suffices: the stack of open blocks
-    stays increasing while each new block exceeds its top.
-    """
-    parent = _nesting_parents(w)
-    return parent is not None and all(
-        parent[b] < b for b in range(1, len(parent)))
+    """No smaller letter lies between two letters of one block: noncrossing,
+    and every block before the blocks nested in it.  The open blocks form a
+    stack, values increasing upwards; a smaller letter closes the blocks
+    above it, and a closed block seen again fails."""
+    seen = set()
+    stack = []
+    for b in w:
+        while stack and stack[-1] > b:
+            stack.pop()
+        if not stack or stack[-1] != b:
+            if b in seen:
+                return False
+            seen.add(b)
+            stack.append(b)
+    return True
 
 
 def inner_block_indices(pi):

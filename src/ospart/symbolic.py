@@ -172,18 +172,27 @@ class SparseSum:
 
     def scale(self, c):
         """Every coefficient times c: one product per distinct
-        coefficient, shared by the keys that carry it.  The scale is the
-        left operand, so a Fraction scale multiplies an int coefficient
-        by its own __mul__, not through int's fallback to __rmul__."""
+        coefficient, shared by the keys that carry it.  An int coefficient
+        times a Fraction scale p/q is one divmod(coefficient * p, q), an
+        int when q divides and a Fraction otherwise; any other pair is
+        exact(c * coefficient), the scale the left operand, so a Fraction
+        multiplies by its own __mul__."""
         c = exact(c)
         if not c:
             return type(self)()
+        num, den = c.numerator, c.denominator
         products = {}
         out = {}
         for k, cc in self.terms.items():
             p = products.get(cc)
             if p is None:
-                p = products[cc] = exact(c * cc)
+                if den != 1 and type(cc) is int:
+                    p, r = divmod(cc * num, den)
+                    if r:
+                        p = Fraction(cc * num, den)
+                else:
+                    p = exact(c * cc)
+                products[cc] = p
             out[k] = p
         return type(self)(out)
 

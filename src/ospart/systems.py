@@ -25,6 +25,15 @@ exchangeability_check included, evaluates on ordered set partitions.
 Each engine names its `pair_class`, the pair partitions on which phi_pi of
 centered unit-variance atoms is 1 (it is 0 on the others), so its
 central-limit moments count that class by closed form.
+
+Each engine also names its `support`, the class off which K_pi vanishes:
+every partition for tensor, the noncrossing ones for free (Speicher, Math.
+Ann. 298, 1994), the interval ones for Boolean and the monotone ones for
+monotone and c-monotone (Hasebe-Saigo, Ann. IHP 47, 2011).  cumulant_table
+and cumulant on the default atoms give ZERO off the support without a mu~
+sum; caller-given atoms, copies (cumulant_indexed), the dilations and
+exchangeability_check, which tests an invariance and must not assume it,
+sum over the whole ideal.
 """
 
 from collections import defaultdict
@@ -36,8 +45,9 @@ from math import factorial, lcm, prod
 from . import _kernels as K
 from .coefficients import goldberg3, weisner3
 from .incidence import generalized_binomial
-from .partitions import (NC, PAIR, PAIR_IP, PAIR_MONOTONE, PAIR_NC,
-                         OrderedSetPartition, _nesting_parents, class_count,
+from .partitions import (ALL, MONOTONE as MONOTONE_CLASS, NC, OI, ONC, PAIR,
+                         PAIR_IP, PAIR_MONOTONE, PAIR_NC, OrderedSetPartition,
+                         _class_test, _nesting_parents, class_count,
                          enumerate_partitions)
 from .symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly, _mono_mul,
                        add_into, exact, free_cumulant_symbol, scalar_symbol,
@@ -166,6 +176,8 @@ class Engine:
     # the pair partitions on which phi_pi of centered unit-variance atoms
     # is 1; it is 0 on every other pair partition
     pair_class = None
+    # the class off which K_pi vanishes on every atoms
+    support = ALL
 
     def _phi_word(self, word, atoms):
         raise NotImplementedError
@@ -191,8 +203,15 @@ class Engine:
     # -- cumulants ----------------------------------------------------------
 
     def cumulant(self, pi, labels, atoms=None):
-        """K_pi = sum over sigma <= pi of phi_sigma mu~(sigma,pi)."""
+        """K_pi = sum over sigma <= pi of phi_sigma mu~(sigma,pi).
+
+        On the default atoms, K_pi off the engine's support is ZERO with no
+        phi evaluated; caller-given atoms, which may live in another ring,
+        always take the sum.
+        """
         labels = _per_element(pi.n, labels)
+        if atoms is None and not _on_support(self.support, pi.word):
+            return ZERO
         at = atoms or Atoms(labels)
         return _ideal_sum(pi.word, lambda w: self._phi_word(w, at),
                           K.mu_tilde_type)
@@ -214,27 +233,32 @@ class Engine:
             K.quasi_meet(w, eta_w), at), K.mu_tilde_type)
 
     def cumulant_table(self, n, labels=None):
-        """{word: K_pi} over all of OP_n.
+        """{word: K_pi} over all of OP_n, ZERO off the engine's support.
 
-        An exchangeable engine evaluates phi and the mu~ sum once per set
+        Every phi is evaluated, since the ideals of the supported words
+        cover OP_n, but only the supported words take a mu~ sum.  An
+        exchangeable engine evaluates phi and the mu~ sum once per set
         partition, at its restricted growth string u, and gives every word
         the K_u of its set partition.  That is exact: relabelling v's blocks by h maps
         ideal(v) onto ideal(v o h), keeping the set partition of each sigma
-        and its interval type up to the order of the parts.
+        and its interval type up to the order of the parts; the exchangeable
+        supports (ALL, ONC, OI) are unions of set partition classes too.
         """
         if not self.exchangeable:
-            return self._ordered_table(n, labels)
+            return self._ordered_table(n, labels, self.support)
         at = Atoms(_labels_or_default(n, labels))
         classes = {w: K.rgs_word(w) for w in K.osp_words(n)}
         table = _mu_tilde_table({u: self._phi_word(u, at) for u in
-                                 dict.fromkeys(classes.values())}, classes)
+                                 dict.fromkeys(classes.values())}, classes,
+                                self.support)
         return {w: table[u] for w, u in classes.items()}
 
-    def _ordered_table(self, n, labels):
-        """cumulant_table from every word's own phi and mu~ sum."""
+    def _ordered_table(self, n, labels, support=ALL):
+        """cumulant_table from every word's own phi, and the mu~ sum of
+        each word of support over its ideal."""
         at = Atoms(_labels_or_default(n, labels))
         return _mu_tilde_table({w: self._phi_word(w, at)
-                                for w in K.osp_words(n)})
+                                for w in K.osp_words(n)}, support=support)
 
     def multiplicative_cumulant(self, pi, labels):
         """K_(pi): product of one-block cumulants over the blocks of pi."""
@@ -378,7 +402,8 @@ class Engine:
     def exchangeability_check(self, n, labels=None):
         """Block-permutation invariance of K_pi; returns the witnesses."""
         from itertools import permutations
-        # each word's own K: the table must not assume what it tests
+        # each word's own K, every word's sum: the table must not assume
+        # what it tests
         table = self._ordered_table(n, labels)
         failures = []
         for w, kval in table.items():
@@ -448,6 +473,7 @@ class BooleanEngine(Engine):
     name = "boolean"
     exchangeable = True
     pair_class = PAIR_IP
+    support = OI
 
     def _phi_word(self, word, atoms):
         # the maximal interval partition below the word's partition has the
@@ -458,6 +484,7 @@ class BooleanEngine(Engine):
 class MonotoneEngine(Engine):
     name = "monotone"
     pair_class = PAIR_MONOTONE
+    support = MONOTONE_CLASS
 
     def _phi_word(self, word, atoms):
         return atoms.product(_monotone_runs(word))
@@ -467,6 +494,7 @@ class FreeEngine(Engine):
     name = "free"
     exchangeable = True
     pair_class = PAIR_NC
+    support = ONC
 
     def _phi_word(self, word, atoms):
         # sum of free-cumulant products over the noncrossing refinements of
@@ -526,6 +554,7 @@ class _Terms(dict):
 class CMonotoneEngine(Engine):
     name = "cmonotone"
     pair_class = PAIR_MONOTONE
+    support = MONOTONE_CLASS
 
     def _phi_word(self, word, atoms):
         syls = _syllables(word)
@@ -595,9 +624,16 @@ def engine(name: str) -> Engine:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def _mu_tilde_table(phis, classes=None):
+def _on_support(support, word):
+    """Whether word lies in the partition class support."""
+    test = _class_test(support)
+    return test is None or test(word)
+
+
+def _mu_tilde_table(phis, classes=None, support=ALL):
     """{v: K_v} for every word v of phis: K_v is the sum of phi_sigma
-    mu~(sigma, v) over sigma <= v.  phis holds a Poly for each word of
+    mu~(sigma, v) over sigma <= v for v in the class support, and ZERO,
+    with no ideal walked, for v off it.  phis holds a Poly for each word of
     OP_n, or, given classes, which maps each word of OP_n to a word of
     phis, for each class: sigma reads phis[classes[sigma]].
 
@@ -614,6 +650,9 @@ def _mu_tilde_table(phis, classes=None):
     monos = list(ids)
     table = {}
     for v in phis:
+        if not _on_support(support, v):
+            table[v] = ZERO
+            continue
         words, types = K.typed_ideal(v)
         d, weights = _weight_rows(K.mu_tilde_type, types)
         acc = {}

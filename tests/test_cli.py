@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, prod
 from pathlib import Path
@@ -215,27 +216,34 @@ def test_clt():
 
 
 def test_clt_cap():
-    # cap + 2, the first even n above the cap
-    for system in ("free", "monotone"):
-        code, out = run("clt", "--system", system, "-n", "12")
-        assert code == cli.EXIT_CAP and out == ""
+    # every system answers at the cap and refuses cap + 1 without --force
+    for system in sorted(cli.systems.ENGINES):
+        code, out = run("clt", "--system", system, "-n", str(cli.CLT_CAP + 1))
+        assert code == cli.EXIT_CAP and out == "", system
+        doc = run_json("clt", "--system", system, "-n", str(cli.CLT_CAP))
+        want = cli.systems.engine(system).clt_moment(cli.CLT_CAP)
+        # Decimal parses past the interpreter's digit limit on int(str)
+        p, _, q = doc["value"].partition("/")
+        assert (Decimal(p), Decimal(q or 1)) == (
+            want.numerator, want.denominator), system
     # odd moments vanish at once, so --force is checked without a long sum
-    assert run_json("clt", "--system", "free", "-n", "11",
+    assert run_json("clt", "--system", "free", "-n", str(cli.CLT_CAP + 1),
                     "--force")["value"] == "0"
     code, _ = run("clt", "--system", "free", "-n", "0")
     assert code == cli.EXIT_USAGE
 
 
 def test_clt_force_far_above_the_cap():
-    # the moments are closed forms, so a forced n far above the cap runs
-    # in every system
+    # the moments are closed forms, so a forced n above the cap runs in
+    # every system
+    n = cli.CLT_CAP + 2
     proc = subprocess.run(
         [sys.executable, "-m", "ospart.cli", "clt", "--system", "monotone",
-         "-n", "2000", "--force"],
+         "-n", str(n), "--force"],
         capture_output=True, text=True, env=_ENV, timeout=60)
     assert proc.returncode == cli.EXIT_OK and proc.stderr == ""
     assert Fraction(json.loads(proc.stdout)["value"]) == Fraction(
-        comb(2000, 1000), 2 ** 1000)
+        comb(n, n // 2), 2 ** (n // 2))
     arcsine = Fraction(comb(400, 200), 2 ** 200)
     want = {"tensor": prod(range(1, 400, 2)), "boolean": 1,
             "free": Fraction(comb(400, 200), 201), "monotone": arcsine,
@@ -243,6 +251,23 @@ def test_clt_force_far_above_the_cap():
     for system in sorted(cli.systems.ENGINES):
         doc = run_json("clt", "--system", system, "-n", "400", "--force")
         assert Fraction(doc["value"]) == want[system], system
+
+
+def test_clt_prints_every_digit_past_the_int_string_limit():
+    # (n-1)!! has 4,301 digits at n = 2,848, past the interpreter's limit
+    # of 4,300 on str(int); the CLI prints it exactly, in every format
+    n = 2848
+    want = prod(range(1, n, 2))
+    for fmt in ("json", "csv", "text"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ospart.cli", "clt", "--system", "tensor",
+             "-n", str(n), "--force", "--format", fmt],
+            capture_output=True, text=True, env=_ENV, timeout=60)
+        assert proc.returncode == cli.EXIT_OK and proc.stderr == "", fmt
+        # the value is the last field of the last line in csv and text
+        value = (json.loads(proc.stdout)["value"] if fmt == "json"
+                 else proc.stdout.splitlines()[-1].split(",")[-1])
+        assert len(value) == 4301 and Decimal(value) == want, fmt
 
 
 def test_cumulants_refuse_n_above_the_word_cap_in_their_own_words():

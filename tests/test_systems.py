@@ -16,7 +16,7 @@ from ospart.symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly,
                              free_cumulant_symbol, moment_symbol,
                              psi_moment_symbol, scalar_symbol)
 
-from conftest import FULL
+from conftest import definition_table
 
 o = P.osp
 XY = ("X", "Y")
@@ -306,15 +306,19 @@ def expected_pattern(eng, pi, labels):
 
 
 def test_cumulant_patterns(full_mode):
+    # cumulant skips the sum off the support, so the vanishing half also
+    # reads the definition route
     n_top = 4 if full_mode else 3
     for eng in S.ENGINES.values():
         for n in range(1, n_top + 1):
             labels = tuple(f"X{i}" for i in range(n))
+            definition = definition_table(eng, n, labels)
             for pi in P.enumerate_partitions(n):
                 got = eng.cumulant(pi, labels)
                 expect = expected_pattern(eng, pi, labels)
                 if expect is None:
                     assert got.is_zero(), (eng.name, pi)
+                    assert not definition[pi.word], (eng.name, pi)
                 else:
                     assert got == expect, (eng.name, pi)
 
@@ -450,12 +454,14 @@ def _clt_phi(eng, pi):
         _centered_unit).constant_value()
 
 
-def test_clt_moment_matches_ordered_sum():
+def test_clt_moment_matches_ordered_sum(full_mode):
     # the oracle is the Poly route: phi_pi / |pi|! over every ordered pair
     # partition, where phi_pi is 1 on the engine's pair class and 0 on
     # every other pair partition
     for eng in S.ENGINES.values():
-        for n in (2, 4, 6, 8):
+        # n = 10 takes about 3 s for monotone and a minute for all five
+        top = 10 if full_mode and eng is S.MONOTONE else 8
+        for n in range(2, top + 1, 2):
             total = F(0)
             for pi in P.enumerate_partitions(n, P.PAIR):
                 val = _clt_phi(eng, pi)
@@ -466,26 +472,40 @@ def test_clt_moment_matches_ordered_sum():
             assert got == total and type(got) is F, (eng.name, n)
 
 
+def _nc_pairings(points):
+    """Every noncrossing pairing of the sorted tuple `points`, as a list
+    of (opener, closer) pairs: the first point pairs with one at an odd
+    offset, and the points inside and outside pair among themselves."""
+    if not points:
+        yield []
+        return
+    for j in range(1, len(points), 2):
+        for inner in _nc_pairings(points[1:j]):
+            for outer in _nc_pairings(points[j + 1:]):
+                yield [(points[0], points[j])] + inner + outer
+
+
 def test_monotone_clt_sums_noncrossing_pairs():
-    # the ordered route, phi_pi / |pi|! over every ordered pair word on
-    # the Poly route, and the arcsine moments binom(2k, k)/2^k
-    for n in range(1, 11 if FULL else 9):
-        got = S.MONOTONE.clt_moment(n)
-        if n % 2:
-            assert got == 0
-            continue
-        ordered = sum(F(_clt_phi(S.MONOTONE, pi), math.factorial(len(pi)))
-                      for pi in P.enumerate_partitions(n, P.PAIR))
-        assert got == ordered and type(got) is F, n
-    for k in range(1, 9):
-        got = S.MONOTONE.clt_moment(2 * k)
-        assert got == F(math.comb(2 * k, k), 2 ** k) and type(got) is F, k
+    # the monotone orders of a noncrossing pairing are the linear extensions
+    # of its nesting forest, m!/prod(h) of the m! orders by the hook-length
+    # formula for forests, h a pair's count of pairs nested in it (itself
+    # included); so the moment is sum 1/prod(h) over noncrossing pairings
+    for n in range(17):
+        total = F(0)
+        for pairs in _nc_pairings(tuple(range(n))):
+            hooks = (sum(a <= c and d <= b for c, d in pairs)
+                     for a, b in pairs)
+            total += F(1, math.prod(hooks))
+        for eng in (S.MONOTONE, S.CMONOTONE):
+            got = eng.clt_moment(n)
+            assert got == total and type(got) is F, (eng.name, n)
 
 
 def test_clt_moments_are_the_limit_laws():
     # written out here, not read from class_count: Gaussian (n-1)!!,
     # semicircle Catalan(n/2), Bernoulli 1 and arcsine binom(n, n/2)/2^(n/2)
-    # moments, c-monotone with psi = phi equal to monotone
+    # moments, c-monotone with psi = phi equal to monotone; the odd moments
+    # vanish.  The arcsine moments binom(2k, k)/2^k, k <= 8, are among them
     for n in range(41):
         m = n // 2
         want = {"tensor": F(math.prod(range(1, n, 2))),
@@ -1438,6 +1458,87 @@ def test_exchangeability_check_keeps_the_ordered_table():
         S.MONOTONE.exchangeability_check(3, "XYX"))
 
 
+# ---------------------------------------------------------------------------
+# cumulants summed on the support only
+# ---------------------------------------------------------------------------
+
+def _supported(eng, n, w):
+    return P.is_class(P.OrderedSetPartition._raw(n, w), eng.support)
+
+
+def test_tables_are_the_definition_and_vanish_exactly_off_the_support(
+        full_mode):
+    # the table takes no mu~ sum off the engine's support; the definition
+    # takes every word's sum and assumes nothing.  The two agree in values,
+    # coefficient types and key order.  The definition vanishes off the
+    # support, and with distinct labels on no word of it, so the support is
+    # the exact vanishing class: one too small or too large fails here
+    for eng in S.ENGINES.values():
+        for n in range(1, 7 if full_mode else 6):
+            for labels in (None, "UVWXYZ"[:n], "XYXZYX"[:n]):
+                want = definition_table(eng, n, labels)
+                got = eng.cumulant_table(n, labels)
+                assert list(got) == list(want), (eng.name, n)
+                for v, terms in want.items():
+                    where = (eng.name, labels, v)
+                    assert _typed(got[v]) == {
+                        mono: (type(x), x) for mono, x in terms.items()
+                    }, where
+                    on = _supported(eng, n, v)
+                    assert on or not terms, where
+                    if len(set(labels or range(n))) == n:
+                        assert terms or not on, where
+
+
+def test_off_support_cumulants_evaluate_no_phi(monkeypatch):
+    # K_pi off the support is ZERO with no phi evaluated and no ideal
+    # walked; on the support it is the definition's sum
+    seen = []
+    real_ideal = K.typed_ideal
+    monkeypatch.setattr(K, "typed_ideal",
+                        lambda v: seen.append(v) or real_ideal(v))
+    for eng in S.ENGINES.values():
+        real = type(eng)._phi_word
+
+        def counting(self, word, atoms, real=real):
+            seen.append(word)
+            return real(self, word, atoms)
+
+        monkeypatch.setattr(type(eng), "_phi_word", counting)
+        for n in range(1, 6):
+            labels = "XYXZY"[:n]
+            want = definition_table(eng, n, labels)
+            for w in K.osp_words(n):
+                del seen[:]
+                got = eng.cumulant(P.OrderedSetPartition._raw(n, w), labels)
+                assert got.terms == want[w], (eng.name, w)
+                assert bool(seen) == _supported(eng, n, w), (eng.name, w)
+
+
+def test_full_sum_callers_walk_every_ideal(monkeypatch):
+    # caller-given atoms, copies and the exchangeability check assume no
+    # support: each walks the ideal of every word it is asked about
+    walked = []
+    real = K.typed_ideal
+    monkeypatch.setattr(K, "typed_ideal",
+                        lambda v: walked.append(v) or real(v))
+    labels = "XYXZ"
+    for eng in (S.FREE, S.BOOLEAN, S.MONOTONE, S.CMONOTONE):
+        off = [w for w in K.osp_words(4) if not _supported(eng, 4, w)]
+        assert off, eng.name
+        for w in off:
+            pi = P.OrderedSetPartition._raw(4, w)
+            del walked[:]
+            assert eng.cumulant(pi, labels, atoms=S.Atoms(labels)).is_zero()
+            assert walked == [w], (eng.name, w)
+            del walked[:]
+            eng.cumulant_indexed(pi, labels, (1, 2, 1, 1))
+            assert walked == [w], (eng.name, w)
+        del walked[:]
+        eng.exchangeability_check(3)
+        assert sorted(walked) == sorted(K.osp_words(3)), eng.name
+
+
 def test_nested_ideal_sums_evaluate_each_phi_once(monkeypatch):
     # cumulant_dilated and dilate_iterated dilate every sigma of pi's ideal,
     # and mixed_cumulant_cumulant takes K_sigma over it: each evaluates
@@ -1518,19 +1619,38 @@ def test_scale_is_the_per_term_product(monkeypatch):
         products.append(x)
         return exact(x)
 
+    divisions = []
+
+    def counting_divmod(a, b):
+        divisions.append((a, b))
+        return divmod(a, b)
+
     monkeypatch.setattr(Y, "exact", counting)
+    monkeypatch.setattr(Y, "divmod", counting_divmod, raising=False)
+    # int coefficients whose quotients by d are integral, and ones whose
+    # are not
+    sums += [Poly({**(m("X") * 6).terms, **(m("Y") * -12).terms,
+                   **(c("X") * 6).terms}),
+             m("X") * 6 + m("Y") * 4 + c("X") * -9 + c("Y") * 7 + pm("X")]
     for x in sums:
-        for s in (0, F(0), 1, -1, 3, F(1, 2), F(3, 2), F(-2, 3), F(4, 2)):
-            del products[:]
+        for s in (0, F(0), 1, -1, 3, F(1, 2), F(3, 2), F(-2, 3), F(4, 2),
+                  F(1, 3), F(1, 6)):
+            del products[:], divisions[:]
             got = x.scale(s)
             assert type(got) is type(x)
             want = {k: v * s for k, v in x.terms.items() if v * s}
             assert got.terms == want, (x, s)
             for v in got.terms.values():
                 assert type(v) is (int if F(v).denominator == 1 else F)
-            # exact(s), then one product per distinct coefficient
-            assert len(products) == 1 + (len(set(x.terms.values()))
-                                         if s else 0), (x, s)
+            # exact(s), then one product per distinct coefficient: an int
+            # coefficient under a non-integral scale by one divmod, any
+            # other by one exact product
+            distinct = set(x.terms.values()) if s else set()
+            divided = {v for v in distinct if type(v) is int
+                       and F(s).denominator > 1}
+            assert len(divisions) == len(divided), (x, s)
+            assert len(products) == 1 + len(distinct - divided), (x, s)
+            assert len(products) + len(divisions) == 1 + len(distinct)
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,15 @@ def cmd_cumulants(args):
     if args.direction == "m2c":
         # engine-evaluated cumulants in primitive moment symbols
         raw = eng.cumulant_table(args.n, labels)
+        # the words of one set partition share one K: render each once,
+        # keyed by id while raw holds the objects
+        rendered = {}
         for pi in parts.enumerate_partitions(args.n):
-            table[str(pi)] = raw[pi.word].render_map()
+            k = raw[pi.word]
+            out = rendered.get(id(k))
+            if out is None:
+                out = rendered[id(k)] = k.render_map()
+            table[str(pi)] = out
         head = "K"
         symbols = eng.name
     else:

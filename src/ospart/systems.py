@@ -19,19 +19,20 @@ Tensor, free and Boolean independence are exchangeable: their phi_pi
 depends only on the underlying set partition of pi, never on the order of
 its blocks (Lehner, Math. Z. 248, 2004).  Monotone and c-monotone
 independence are only spreadable, which is why every engine works on
-ordered set partitions.  Engines marked `exchangeable` evaluate their
-cumulant tables once per set partition; every other method,
-exchangeability_check included, evaluates on ordered set partitions.
-Each engine names its `pair_class`, the pair partitions on which phi_pi of
-centered unit-variance atoms is 1 (it is 0 on the others), so its
-central-limit moments count that class by closed form.
+ordered set partitions.  Each engine names its `pair_class`, the pair
+partitions on which phi_pi of centered unit-variance atoms is 1 (it is 0
+on the others), so its central-limit moments count that class by closed
+form.
 
 Each engine also names its `support`, the class off which K_pi vanishes:
 every partition for tensor, the noncrossing ones for free (Speicher, Math.
 Ann. 298, 1994), the interval ones for Boolean and the monotone ones for
-monotone and c-monotone (Hasebe-Saigo, Ann. IHP 47, 2011).  cumulant_table
-and cumulant on the default atoms give ZERO off the support without a mu~
-sum; caller-given atoms, copies (cumulant_indexed), the dilations and
+monotone and c-monotone (Hasebe-Saigo, Ann. IHP 47, 2011).  On its
+support every engine's K_pi depends only on the set partition of pi (on
+the monotone ones it is the product of one-block cumulants), so
+cumulant_table computes one K per set partition.  cumulant_table and
+cumulant on the default atoms give ZERO off the support without a sum;
+caller-given atoms, copies (cumulant_indexed), the dilations and
 exchangeability_check, which tests an invariance and must not assume it,
 sum over the whole ideal.
 """
@@ -122,6 +123,9 @@ def _per_element(n, values, what="variable label"):
 
 
 def _check_size(n):
+    """TypeError unless n is an int, ValueError unless n >= 1."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"n must be an int: got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1: got {n}")
 
@@ -176,7 +180,9 @@ class Engine:
     # the pair partitions on which phi_pi of centered unit-variance atoms
     # is 1; it is 0 on every other pair partition
     pair_class = None
-    # the class off which K_pi vanishes on every atoms
+    # the class off which K_pi vanishes on every atoms.  Any class but
+    # ALL, the default, also holds the restricted growth string of each
+    # of its words, and on it K_pi depends only on pi's set partition
     support = ALL
 
     def _phi_word(self, word, atoms):
@@ -235,30 +241,41 @@ class Engine:
     def cumulant_table(self, n, labels=None):
         """{word: K_pi} over all of OP_n, ZERO off the engine's support.
 
-        Every phi is evaluated, since the ideals of the supported words
-        cover OP_n, but only the supported words take a mu~ sum.  An
-        exchangeable engine evaluates phi and the mu~ sum once per set
+        An exchangeable engine evaluates phi and the mu~ sum once per set
         partition, at its restricted growth string u, and gives every word
-        the K_u of its set partition.  That is exact: relabelling v's blocks by h maps
-        ideal(v) onto ideal(v o h), keeping the set partition of each sigma
-        and its interval type up to the order of the parts; the exchangeable
-        supports (ALL, ONC, OI) are unions of set partition classes too.
-        """
-        if not self.exchangeable:
-            return self._ordered_table(n, labels, self.support)
-        at = Atoms(_labels_or_default(n, labels))
-        classes = {w: K.rgs_word(w) for w in K.osp_words(n)}
-        table = _mu_tilde_table({u: self._phi_word(u, at) for u in
-                                 dict.fromkeys(classes.values())}, classes,
-                                self.support)
-        return {w: table[u] for w, u in classes.items()}
+        the K_u of its set partition.  That is exact: relabelling v's
+        blocks by h maps ideal(v) onto ideal(v o h), keeping the set
+        partition of each sigma and its interval type up to the order of
+        the parts; the exchangeable supports (ALL, ONC, OI) are unions of
+        set partition classes too.
 
-    def _ordered_table(self, n, labels, support=ALL):
+        Any other engine that names a support (monotone and c-monotone)
+        computes K_u once per set partition of the support, at u, by the
+        moment-cumulant recursion (_support_table), with phi evaluated at
+        those u alone, and gives it to every supported word of the class.
+        An engine that names none evaluates phi on every word of OP_n and
+        sums mu~ over each word's ideal.
+        """
+        _check_size(n)
+        if self.support == ALL and not self.exchangeable:
+            return self._ordered_table(n, labels)
+        at = Atoms(_labels_or_default(n, labels))
+        if self.exchangeable:
+            classes = {w: K.rgs_word(w) for w in K.osp_words(n)}
+            table = _mu_tilde_table({u: self._phi_word(u, at) for u in
+                                     dict.fromkeys(classes.values())},
+                                    classes, self.support)
+        else:
+            classes, steps = _support_steps(self.support, n)
+            table = _support_table(lambda u: self._phi_word(u, at), steps)
+        return {w: table.get(u, ZERO) for w, u in classes.items()}
+
+    def _ordered_table(self, n, labels):
         """cumulant_table from every word's own phi, and the mu~ sum of
-        each word of support over its ideal."""
+        each word over its ideal."""
         at = Atoms(_labels_or_default(n, labels))
         return _mu_tilde_table({w: self._phi_word(w, at)
-                                for w in K.osp_words(n)}, support=support)
+                                for w in K.osp_words(n)})
 
     def multiplicative_cumulant(self, pi, labels):
         """K_(pi): product of one-block cumulants over the blocks of pi."""
@@ -402,6 +419,7 @@ class Engine:
     def exchangeability_check(self, n, labels=None):
         """Block-permutation invariance of K_pi; returns the witnesses."""
         from itertools import permutations
+        _check_size(n)
         # each word's own K, every word's sum: the table must not assume
         # what it tests
         table = self._ordered_table(n, labels)
@@ -663,6 +681,64 @@ def _mu_tilde_table(phis, classes=None, support=ALL):
                 acc[i] = c * k if old is None else old + c * k
         table[v] = Poly({monos[i]: c for i, c in acc.items() if c}
                         ) * Fraction(1, d)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _support_steps(support, n):
+    """(classes, steps) of the moment-cumulant recursion on a support:
+    classes maps each word of OP_n to its restricted growth string u, or to
+    None off the support, and steps holds (u, D, rows) for each u, by
+    decreasing block count.  rows pairs the class c of each supported
+    sigma < u with D times the sum of zeta~(sigma, u) over the sigma of
+    class c, an int."""
+    classes = {w: K.rgs_word(w) if _on_support(support, w) else None
+               for w in K.osp_words(n)}
+    steps = []
+    for u in sorted(filter(None, dict.fromkeys(classes.values())), key=max,
+                    reverse=True):
+        words, types = K.typed_ideal(u)
+        d, weights = _weight_rows(K.zeta_tilde_type, types)
+        rows = {}
+        for w, ((_, k),) in zip(words, weights):
+            c = classes[w]
+            if c is not None and w != u:
+                rows[c] = rows.get(c, 0) + k
+        steps.append((u, d, tuple(rows.items())))
+    return classes, tuple(steps)
+
+
+def _support_table(phi, steps):
+    """{u: K_u} for the classes u of _support_steps, from phi at u alone.
+
+    phi = K * zeta~ (mu~ * zeta~ = delta), K vanishes off the support and
+    takes the value K_c on each supported sigma of class c, so
+    K_u = phi_u - sum over the rows (c, k) of K_c k / D, and each K_c has
+    more blocks than u.  Each K_u adds phi_u and the K_c's integer
+    numerators, keyed by monomial id, as integers over one denominator
+    and is divided by it once.
+    """
+    ids, monos = {}, []
+    cleared = {}  # {u: (d, {monomial id: int})}, K_u = ints / d
+    table = {}
+    for u, d, rows in steps:
+        denom = d * lcm(*(cleared[c][0] for c, _ in rows))
+        acc = {}
+        for mono, c in phi(u).terms.items():
+            i = ids.get(mono)
+            if i is None:
+                i = ids[mono] = len(monos)
+                monos.append(mono)
+            acc[i] = c * denom
+        get = acc.get
+        for c, k in rows:
+            dc, ints = cleared[c]
+            f = k * (denom // (d * dc))
+            for i, x in ints.items():
+                acc[i] = get(i, 0) - f * x
+        out = K.divided(acc, denom)
+        cleared[u] = K.cleared(out)
+        table[u] = Poly({monos[i]: c for i, c in out.items()})
     return table
 
 

@@ -17,6 +17,7 @@ import ospart
 from ospart import cli
 from ospart import partitions as P
 from ospart.partitions import OrderedSetPartition
+from ospart.symbolic import Poly
 
 # a fresh interpreter that imports these ospart sources
 _ENV = dict(os.environ, PYTHONPATH=str(Path(ospart.__file__).parents[1]))
@@ -157,6 +158,30 @@ def test_cumulants_c2m():
                    "--direction", "c2m")
     assert doc["table"]["1,2|3"] == {"K[112]": "1", "K[123]": "1/2",
                                      "K[213]": "1/2"}
+
+
+def test_cumulants_render_each_shared_cumulant_once(monkeypatch):
+    # the words of one set partition share one K object: m2c renders each
+    # distinct object once, and every word still prints its own K
+    real = Poly.render_map
+    rendered = []
+
+    def counting(self):
+        rendered.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Poly, "render_map", counting)
+    for name, eng in cli.systems.ENGINES.items():
+        raw = eng.cumulant_table(4, "1234")
+        distinct = {id(k): k for k in raw.values()}
+        assert len(distinct) < len(raw), name
+        del rendered[:]
+        doc = run_json("cumulants", "--system", name, "-n", "4")
+        assert sorted(map(id, rendered)) == sorted(
+            {id(k) for k in rendered}), name
+        assert len(rendered) == len(distinct), name
+        for pi in P.enumerate_partitions(4):
+            assert doc["table"][str(pi)] == real(raw[pi.word]), (name, pi)
 
 
 def test_cumulants_cap():

@@ -417,9 +417,24 @@ def test_sizes_below_one_are_refused():
     for n in (-1, 0):
         with pytest.raises(ValueError, match="n must be >= 1"):
             S.monotone_mc_defect(n)
+        for eng in S.ENGINES.values():
+            for call in (eng.cumulant_table, eng.exchangeability_check):
+                with pytest.raises(ValueError, match="n must be >= 1"):
+                    call(n)
     for eng in S.ENGINES.values():
         with pytest.raises(ValueError, match="n must be >= 1"):
             eng.cumulant_n(())
+
+
+def test_sizes_must_be_ints():
+    # a bool is not read as 1, nor a str, float or None as a size
+    for n in (True, 2.0, "3", None):
+        with pytest.raises(TypeError, match="n must be an int"):
+            S.monotone_mc_defect(n)
+        for eng in S.ENGINES.values():
+            for call in (eng.cumulant_table, eng.exchangeability_check):
+                with pytest.raises(TypeError, match="n must be an int"):
+                    call(n)
 
 
 def test_clt_moments():
@@ -1390,10 +1405,10 @@ def _typed(poly):
 
 
 def test_cumulant_table_evaluates_each_phi_once(monkeypatch):
-    # the table evaluates phi_w once per word of OP_n, an exchangeable
-    # engine once per restricted growth string and on no other word, and
-    # sums the same values as the per-v ideal sum over each word's own phi,
-    # coefficient types included
+    # an exchangeable engine evaluates phi once per restricted growth
+    # string, monotone and c-monotone once per noncrossing one, and on no
+    # other word; the table sums the same values as the per-v ideal sum
+    # over each word's own phi, coefficient types included
     for eng in S.ENGINES.values():
         real = type(eng)._phi_word
         calls = []
@@ -1412,8 +1427,8 @@ def test_cumulant_table_evaluates_each_phi_once(monkeypatch):
                 if eng.exchangeable:
                     assert sorted(calls) == rgs, (eng.name, n)
                 else:
-                    assert len(calls) == K.fubini(n), (eng.name, n)
-                    assert sorted(calls) == sorted(K.osp_words(n)), (
+                    assert sorted(calls) == [u for u in rgs if P.is_class(
+                        P.OrderedSetPartition._raw(n, u), P.NC)], (
                         eng.name, n)
                 at = S.Atoms(labels)
                 phis = {w: real(eng, w, at) for w in K.osp_words(n)}
@@ -1488,6 +1503,21 @@ def test_tables_are_the_definition_and_vanish_exactly_off_the_support(
                     assert on or not terms, where
                     if len(set(labels or range(n))) == n:
                         assert terms or not on, where
+
+
+def test_support_cumulants_depend_only_on_the_set_partition(full_mode):
+    # what the set-partition tables rest on, by the definition: on every
+    # engine's support, K_w is K at the restricted growth string of w, and
+    # that string lies in the support too
+    for eng in S.ENGINES.values():
+        for n in range(1, 7 if full_mode else 6):
+            for labels in (None, "XYXZYX"[:n], "X" * n):
+                want = definition_table(eng, n, labels)
+                for w, terms in want.items():
+                    if _supported(eng, n, w):
+                        u = K.rgs_word(w)
+                        assert _supported(eng, n, u), (eng.name, w)
+                        assert terms == want[u], (eng.name, labels, w)
 
 
 def test_off_support_cumulants_evaluate_no_phi(monkeypatch):

@@ -290,9 +290,7 @@ class Poly(SparseSum):
         parts = []
         for mono in sorted(self.terms, key=_mono_key):
             c = self.terms[mono]
-            factors = "".join(
-                f"{symbol_str(s)}" + (f"^{e}" if e > 1 else "")
-                for s, e in mono)
+            factors = _mono_str(mono, "")
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -309,10 +307,16 @@ class Poly(SparseSum):
         """Deterministic {monomial string: "p/q"} mapping for serialization."""
         out = {}
         for mono in sorted(self.terms, key=_mono_key):
-            key = "*".join(f"{symbol_str(s)}" + (f"^{e}" if e > 1 else "")
-                           for s, e in mono) or "1"
-            out[key] = str(self.terms[mono])
+            out[_mono_str(mono, "*") or "1"] = str(self.terms[mono])
         return out
+
+
+@lru_cache(maxsize=None)
+def _mono_str(mono, sep):
+    """The factors of a monomial, each symbol_str with ^e past the first
+    power, joined by sep; "" for the empty monomial."""
+    return sep.join(symbol_str(s) + (f"^{e}" if e > 1 else "")
+                    for s, e in mono)
 
 
 def _mono_mul(m1, m2):

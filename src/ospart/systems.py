@@ -31,8 +31,12 @@ monotone and c-monotone (Hasebe-Saigo, Ann. IHP 47, 2011).  On its
 support every engine's K_pi depends only on the set partition of pi (on
 the monotone ones it is the product of one-block cumulants), so
 cumulant_table computes one K per set partition.  cumulant_table and
-cumulant on the default atoms give ZERO off the support without a sum;
-caller-given atoms, copies (cumulant_indexed), the dilations and
+cumulant on the default atoms give ZERO off the support without a sum.
+On it, an exchangeable engine's cumulant is Moebius inversion on the set
+partition lattice, sum of mu_Pi(c, pi) phi_c over the set partitions c
+refining pi's, with the integer mu_Pi; the monotone one-block cumulants of
+the moment-cumulant formula come from the monotone tables' recursion.
+Caller-given atoms, copies (cumulant_indexed), the dilations and
 exchangeability_check, which tests an invariance and must not assume it,
 sum over the whole ideal.
 """
@@ -40,7 +44,7 @@ sum over the whole ideal.
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from math import factorial, lcm, prod
 
 from . import _kernels as K
@@ -212,12 +216,24 @@ class Engine:
         """K_pi = sum over sigma <= pi of phi_sigma mu~(sigma,pi).
 
         On the default atoms, K_pi off the engine's support is ZERO with no
-        phi evaluated; caller-given atoms, which may live in another ring,
-        always take the sum.
+        phi evaluated.  On it, an exchangeable engine sums on the set
+        partition lattice: K_pi is the sum of mu_Pi(c, u) phi_c over the set
+        partitions c that refine pi's, u (_refinement_rows).  Caller-given
+        atoms, which may live in another ring, always take the mu~ sum over
+        pi's ideal.
         """
         labels = _per_element(pi.n, labels)
-        if atoms is None and not _on_support(self.support, pi.word):
-            return ZERO
+        if atoms is None:
+            if not _on_support(self.support, pi.word):
+                return ZERO
+            if self.exchangeable:
+                at = Atoms(labels)
+                acc = {}
+                get = acc.get
+                for c, mu in _refinement_rows(K.rgs_word(pi.word)):
+                    for mono, x in self._phi_word(c, at).terms.items():
+                        acc[mono] = get(mono, 0) + x * mu
+                return Poly({mono: x for mono, x in acc.items() if x})
         at = atoms or Atoms(labels)
         return _ideal_sum(pi.word, lambda w: self._phi_word(w, at),
                           K.mu_tilde_type)
@@ -261,7 +277,7 @@ class Engine:
             return self._ordered_table(n, labels)
         at = Atoms(_labels_or_default(n, labels))
         if self.exchangeable:
-            classes = {w: K.rgs_word(w) for w in K.osp_words(n)}
+            classes = _rgs_classes(n)
             table = _mu_tilde_table({u: self._phi_word(u, at) for u in
                                      dict.fromkeys(classes.values())},
                                     classes, self.support)
@@ -648,6 +664,43 @@ def _on_support(support, word):
     return test is None or test(word)
 
 
+@lru_cache(maxsize=None)
+def _rgs_classes(n):
+    """{word: its restricted growth string} over OP_n, in osp_words order,
+    each string one shared tuple.  Read-only: every caller shares it."""
+    words, shared = K.osp_words(n), {}
+    return {w: shared.setdefault(u, u)
+            for w, u in zip(words, map(K.rgs_word, words))}
+
+
+@lru_cache(maxsize=None)
+def _refinement_rows(u):
+    """((c, mu), ...) over the set partitions c that refine the restricted
+    growth string u, each c its restricted growth string, and mu the
+    integer Moebius function mu_Pi(c, u) = prod over u's blocks B of
+    (-1)^(t_B - 1) (t_B - 1)!, t_B the number of c's blocks inside B.
+
+    For an exchangeable engine, mu_Pi(c, u) phi_c is the mu~ sum over the
+    sigma <= u of class c: they order c's t_B blocks inside each B in t_B!
+    ways, each with mu~ = prod_B (-1)^(t_B - 1) / t_B and phi_sigma =
+    phi_c.  Each block of size k takes the set partitions of [k] from
+    _rgs_classes(k), so a block larger than OSP_WORDS_CAP is refused as
+    osp_words refuses it."""
+    blocks = tuple(_positions_by_block(u).values())
+    rows = []
+    for subs in product(*(dict.fromkeys(_rgs_classes(len(blk)).values())
+                          for blk in blocks)):
+        word, off, mu = [0] * len(u), 0, 1
+        for blk, s in zip(blocks, subs):
+            t = max(s)
+            for pos, x in zip(blk, s):
+                word[pos] = off + x
+            off += t
+            mu *= (-1) ** (t - 1) * factorial(t - 1)
+        rows.append((K.rgs_word(word), mu))
+    return tuple(rows)
+
+
 def _mu_tilde_table(phis, classes=None, support=ALL):
     """{v: K_v} for every word v of phis: K_v is the sum of phi_sigma
     mu~(sigma, v) over sigma <= v for v in the class support, and ZERO,
@@ -692,8 +745,8 @@ def _support_steps(support, n):
     decreasing block count.  rows pairs the class c of each supported
     sigma < u with D times the sum of zeta~(sigma, u) over the sigma of
     class c, an int."""
-    classes = {w: K.rgs_word(w) if _on_support(support, w) else None
-               for w in K.osp_words(n)}
+    classes = {w: u if _on_support(support, w) else None
+               for w, u in _rgs_classes(n).items()}
     steps = []
     for u in sorted(filter(None, dict.fromkeys(classes.values())), key=max,
                     reverse=True):
@@ -799,10 +852,17 @@ def _ideal_sum(v, value, weight):
 
 
 def moments_from_cumulants(table, pi):
-    """phi_pi = sum over sigma <= pi of K_sigma zeta~(sigma,pi)."""
-    if any(w not in table for w in K.ideal_words(pi.word)):
-        raise ValueError("cumulant table does not cover the ideal")
-    return _ideal_sum(pi.word, table.__getitem__, K.zeta_tilde_type)
+    """phi_pi = sum over sigma <= pi of K_sigma zeta~(sigma,pi).
+
+    zeta~ vanishes nowhere, so the sum reads every sigma of pi's ideal once,
+    and a sigma missing from the table raises ValueError."""
+    def value(w):
+        try:
+            return table[w]
+        except KeyError:
+            raise ValueError("cumulant table does not cover the ideal"
+                             ) from None
+    return _ideal_sum(pi.word, value, K.zeta_tilde_type)
 
 
 def monotone_mc_defect(n, labels=None):
@@ -816,12 +876,15 @@ def monotone_mc_defect(n, labels=None):
 @lru_cache(maxsize=None)
 def _monotone_block_rows(k):
     """(D, rows): D K_k of the monotone engine on positions 0..k-1 as
-    (runs, int) rows, its mu~ sum over OP_k evaluated once per size k.
-    Each phi is the Poly keyed by its runs, a sorted tuple of position
-    tuples, so the rows serve every label tuple of length k."""
-    d, rows = K.cleared(_ideal_sum((1,) * k, lambda w: Poly(
-        {tuple(sorted(map(tuple, _monotone_runs(w)))): 1}),
-        K.mu_tilde_type).terms)
+    (runs, int) rows, computed once per size k by the recursion of the
+    monotone tables (_support_table on _support_steps(MONOTONE, k)), so phi
+    is evaluated at the Catalan(k) noncrossing classes alone.  Each phi is
+    the Poly keyed by its runs, a sorted tuple of position tuples, so the
+    rows serve every label tuple of length k."""
+    table = _support_table(lambda u: Poly(
+        {tuple(sorted(map(tuple, _monotone_runs(u)))): 1}),
+        _support_steps(MONOTONE_CLASS, k)[1])
+    d, rows = K.cleared(table[(1,) * k].terms)
     return d, tuple(rows.items())
 
 
@@ -856,21 +919,13 @@ def _monotone_partition_rows(n):
     return denom, tuple((denom // d, blocks) for d, blocks in rows)
 
 
-def _monotone_cumulant_sum(labels):
-    """The sum of 1/|pi|! prod_B K_B over the monotone partitions pi.
-
-    Each noncrossing set partition pi is the underlying partition of
-    |pi|!/tau(pi)! monotone ones, tau(pi)! its tree factorial, so the sum
-    runs over the noncrossing set partitions with weight 1/tau(pi)!
-    (Hasebe-Saigo, The monotone cumulants, Ann. IHP Probab. Stat. 47,
-    2011).  The block cumulants are one integer row set per block size, on
-    positions (_monotone_block_rows), and the weights one integer per
-    partition (_monotone_partition_rows).  Each call expands the products
-    in integers, with each block's runs read through its positions, forms
-    one monomial per distinct run set and divides once by L.  The tests
-    keep the sum over the monotone partitions as the oracle.
-    """
-    denom, rows = _monotone_partition_rows(len(labels))
+@lru_cache(maxsize=None)
+def _monotone_sum_rows(n):
+    """(L, rows): L times the sum of _monotone_cumulant_sum on positions
+    0..n-1, as (runs, int) rows, one per distinct run set.  The products
+    of the block cumulants (_monotone_block_rows), each block's runs read
+    through its positions, are expanded in integers once per n."""
+    denom, rows = _monotone_partition_rows(n)
     acc = {}
     for f, blocks in rows:
         terms = [((), f)]
@@ -881,9 +936,27 @@ def _monotone_cumulant_sum(labels):
             terms = [(runs + block_runs, c * k) for block_runs, k in carried
                      for runs, c in terms]
         add_into(acc, [(tuple(sorted(runs)), c) for runs, c in terms])
+    return denom, tuple(acc.items())
+
+
+def _monotone_cumulant_sum(labels):
+    """The sum of 1/|pi|! prod_B K_B over the monotone partitions pi.
+
+    Each noncrossing set partition pi is the underlying partition of
+    |pi|!/tau(pi)! monotone ones, tau(pi)! its tree factorial, so the sum
+    runs over the noncrossing set partitions with weight 1/tau(pi)!
+    (Hasebe-Saigo, The monotone cumulants, Ann. IHP Probab. Stat. 47,
+    2011).  The block cumulants are one integer row set per block size, on
+    positions (_monotone_block_rows), and the weights one integer per
+    partition (_monotone_partition_rows); their products on positions are
+    expanded once per n (_monotone_sum_rows).  Each call forms one monomial
+    per run set on its labels and divides once by L.  The tests keep the
+    sum over the monotone partitions as the oracle.
+    """
+    denom, rows = _monotone_sum_rows(len(labels))
     atoms = Atoms(labels)
     return Poly(K.divided(add_into({}, (
-        (mono, c * k) for runs, c in acc.items()
+        (mono, c * k) for runs, c in rows
         for mono, k in atoms.product(runs).terms.items())), denom))
 
 

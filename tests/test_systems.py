@@ -14,7 +14,7 @@ from ospart import partitions as P
 from ospart import systems as S
 from ospart.symbolic import (FREE_CUMULANT, MOMENT, PSI_MOMENT, Poly,
                              free_cumulant_symbol, moment_symbol,
-                             psi_moment_symbol, scalar_symbol)
+                             psi_moment_symbol, scalar_symbol, time_symbol)
 
 from conftest import definition_table
 
@@ -393,23 +393,26 @@ def test_monotone_mc_formula_n6_and_repeated_labels_n7():
 
 
 def test_monotone_block_cumulants_sum_once_per_size(monkeypatch):
-    # the mu~ sum over OP_k runs once per block size k, however many
-    # calls and label words ask for it
+    # the block cumulants are built once per block size k, by the recursion
+    # on the monotone tables' plan of size k, however many calls and label
+    # words ask for them
     calls = []
 
-    def counting(v):
-        calls.append(v)
-        return typed(v)
+    def counting(phi, steps):
+        calls.append(steps)
+        return real(phi, steps)
 
-    typed = K.typed_ideal
-    monkeypatch.setattr(K, "typed_ideal", counting)
+    real = S._support_table
+    monkeypatch.setattr(S, "_support_table", counting)
     S._monotone_block_rows.cache_clear()
     S._monotone_partition_rows.cache_clear()
+    S._monotone_sum_rows.cache_clear()
     for _ in range(2):
         for labels in ("XYZXY", "XXXXX", "XYX", "VWXYZ", "XY", "Z"):
             assert S.monotone_mc_defect(len(labels), labels).is_zero()
-    # one mu~ sum per size; MONOTONE.phi_pi of the left side asks for none
-    assert sorted(calls) == [(1,) * k for k in range(1, 6)]
+    # one recursion per size; MONOTONE.phi_pi of the left side runs none
+    assert sorted(calls, key=len) == [S._support_steps(P.MONOTONE, k)[1]
+                                      for k in range(1, 6)]
     assert S._monotone_block_rows.cache_info().misses == 5
 
 
@@ -670,7 +673,6 @@ def test_indices_must_be_ints():
 # ---------------------------------------------------------------------------
 
 def test_phi_t_examples():
-    from ospart.symbolic import time_symbol
     t1 = Poly.sym(time_symbol(1))
     assert S.MONOTONE.phi_t(top(1), ("X",)) == t1 * m("X")
     phi = S.MONOTONE.phi_t(top(2), XY)
@@ -1681,6 +1683,91 @@ def test_scale_is_the_per_term_product(monkeypatch):
             assert len(divisions) == len(divided), (x, s)
             assert len(products) == 1 + len(distinct - divided), (x, s)
             assert len(products) + len(divisions) == 1 + len(distinct)
+
+
+# ---------------------------------------------------------------------------
+# exchangeable cumulants on the set-partition lattice
+# ---------------------------------------------------------------------------
+
+def test_refinement_rows_are_the_mu_tilde_sum_per_set_partition(full_mode):
+    # the rows of u are the mu~(sigma, u) of u's ideal, summed over the
+    # sigma of each set partition: one row per refinement, an int each
+    for n in range(1, 8 if full_mode else 7):
+        for u in dict.fromkeys(map(K.rgs_word, K.osp_words(n))):
+            want = {}
+            for w, t in zip(*K.typed_ideal(u)):
+                c = K.rgs_word(w)
+                want[c] = want.get(c, 0) + K.mu_tilde_type(t)
+            rows = S._refinement_rows(u)
+            assert len(dict(rows)) == len(rows), u
+            assert dict(rows) == want, u
+            assert all(type(mu) is int for _, mu in rows), u
+
+
+def test_exchangeable_cumulant_is_the_full_sum(full_mode):
+    # the set-partition route of the default atoms against the mu~ sum
+    # over pi's ideal that caller-given atoms take: values and coefficient
+    # types, on every word for n <= 5 and sampled words for n = 6
+    for eng in (S.TENSOR, S.FREE, S.BOOLEAN):
+        for n in range(1, 7):
+            words = K.osp_words(n)
+            if n == 6 and not full_mode:
+                words = words[::41]
+            for labels in ("UVWXYZ"[:n], "XYXZYX"[:n], "X" * n):
+                for w in words:
+                    pi = P.OrderedSetPartition._raw(n, w)
+                    got = eng.cumulant(pi, labels)
+                    want = eng.cumulant(pi, labels, atoms=S.Atoms(labels))
+                    assert _typed(got) == _typed(want), (eng.name, labels, w)
+
+
+def test_monotone_block_rows_are_the_mu_tilde_sum():
+    # K_k on positions, by the monotone plan's recursion, against the mu~
+    # sum of the engine's phi over all of OP_k: mu~(sigma, 1^k) is
+    # (-1)^(p - 1) / p for sigma of p blocks
+    for k in range(1, 7):
+        at = S.Atoms(range(k))
+        want = Poly.sum([S.MONOTONE._phi_word(w, at)
+                         * F((-1) ** (max(w) - 1), max(w))
+                         for w in K.osp_words(k)])
+        d, rows = S._monotone_block_rows(k)
+        got = Poly.sum([at.product(runs) * F(x, d) for runs, x in rows])
+        assert got == want, k
+        assert d == math.lcm(*(F(x).denominator
+                               for x in want.terms.values())), k
+
+
+def test_cumulants_past_the_word_cap_are_refused_alike():
+    # every engine refuses a block past OSP_WORDS_CAP with the words'
+    # own error, whichever route its cumulant takes
+    with pytest.raises(ValueError) as want:
+        K.osp_words(K.OSP_WORDS_CAP + 1)
+    labels = "ABCDEFGH"[:K.OSP_WORDS_CAP + 1]
+    assert len(labels) == K.OSP_WORDS_CAP + 1
+    for eng in S.ENGINES.values():
+        with pytest.raises(ValueError) as got:
+            eng.cumulant_n(labels)
+        assert str(got.value) == str(want.value), eng.name
+
+
+def test_monomials_render_alike_in_text_and_maps():
+    # str joins a monomial's factors with no separator and render_map with
+    # "*", each factor a symbol with ^e past the first power
+    N = Poly.sym(scalar_symbol("N"))
+    t2 = Poly.sym(time_symbol(2))
+    cases = [
+        (Poly(), "0", {}),
+        (Poly.const(F(-3, 2)), "-3/2", {"1": "-3/2"}),
+        (m("X") * m("X") * c("Y", "Z"), "c[YZ]m[X]^2", {"c[YZ]*m[X]^2": "1"}),
+        (m("X") * -1 + pm("X", "Y") * 2 + N * N * N * F(1, 3) + 4,
+         "4 - m[X] + 2 pm[XY] + 1/3 N^3",
+         {"1": "4", "m[X]": "-1", "pm[XY]": "2", "N^3": "1/3"}),
+        (t2 * m("X1", "X2") ** 2, "m[X1,X2]^2t2", {"m[X1,X2]^2*t2": "1"}),
+    ]
+    for p, text, rendered in cases:
+        assert str(p) == text
+        assert p.render_map() == rendered
+        assert list(p.render_map()) == list(rendered)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ through descent statistics and homogeneous Eulerian polynomials.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import factorial, prod
-from operator import itemgetter
+from itertools import groupby, permutations, product
+from math import factorial
+from operator import gt, itemgetter
 
 from . import _kernels as K
 from .coefficients import goldberg_from_stats, goldberg_from_word
@@ -108,7 +108,7 @@ def _projector_terms(n: int, k: int = 1):
     """
     out = []
     for order in permutations(range(n)):
-        d = sum(x > y for x, y in zip(order, order[1:]))
+        d = sum(map(gt, order, order[1:]))
         coeff = _descent_weights(n, d)[k]
         if coeff:
             out.append((order, coeff))
@@ -139,11 +139,13 @@ def nct_cumulant(elements):
     inside a block follows the positions.
 
     The elements expand multilinearly.  Each element is cleared to
-    integers over its own denominator; each choice of one term per element
-    gives one integer product c, and each permutation of the projector
-    table adds c times its integer weight to the concatenation of the
-    chosen words in its order.  Every output word is then divided once,
-    by the table's denominator times the elements' denominators.
+    integers over its own denominator.  The permutations are walked as a
+    tree of prefixes: each node carries the integer products of its
+    prefix's elements and its descent count, so each node concatenates
+    once per product term, and each leaf adds its products times the
+    integer weight of its descent count.  Every output word is then
+    divided once, by the table's denominator times the elements'
+    denominators.
     """
     elements = tuple(elements)
     if not elements:
@@ -158,8 +160,12 @@ def nct_cumulant(elements):
 
 
 def _nct_expand(elements):
-    """nct_cumulant of two or more NCPolys, by term choice in integers."""
-    den, rows = _projector_rows(len(elements), 1)
+    """nct_cumulant of two or more NCPolys, along the permutation tree."""
+    n = len(elements)
+    # Solomon's weight depends only on the descent count: the k = 1 row
+    # of each count, over the projector table's denominator
+    den, weights = K.cleared({d: _descent_weights(n, d)[1]
+                              for d in range(n)})
     choices = []
     for e in elements:
         d, ints = K.cleared(e.terms)
@@ -167,12 +173,23 @@ def _nct_expand(elements):
         choices.append(tuple(ints.items()))
     acc = {}
     get = acc.get
-    for picked in product(*choices):
-        words = tuple(w for w, _ in picked)
-        c = prod(c for _, c in picked)
-        for take, wt in rows:
-            key = sum(take(words), ())
-            acc[key] = get(key, 0) + c * wt
+
+    def grow(prefix, last, rest, des):
+        for j, i in enumerate(rest):
+            step = des + (i < last)
+            if len(rest) == 1:
+                wt = weights[step]
+                for w, c in prefix:
+                    c *= wt
+                    for u, cu in choices[i]:
+                        key = w + u
+                        acc[key] = get(key, 0) + c * cu
+            else:
+                grow([(w + u, c * cu) for w, c in prefix
+                      for u, cu in choices[i]],
+                     i, rest[:j] + rest[j + 1:], step)
+
+    grow((((), 1),), -1, tuple(range(n)), 0)
     return NCPoly(K.divided(acc, den))
 
 
@@ -248,32 +265,65 @@ def _projector_rows(n: int, k: int = 1):
                     for order, wt in ints.items())
 
 
+@lru_cache(maxsize=None)
+def _run_rows(runs, k=1):
+    """(D, ((getter, weight), ...)): the (m, k) projector table, m the sum
+    of the run lengths, applied to the run-index word 0^p1 1^p2 ... and
+    summed per image.  Each getter takes the run letters (one per run) to
+    the image word; images whose weights cancel are left out.  Runs of
+    length one give the (m, k) table itself."""
+    m = sum(runs)
+    if m == len(runs):
+        return _projector_rows(m, k)
+    den, rows = _projector_rows(m, k)
+    word = tuple(i for i, p in enumerate(runs) for _ in range(p))
+    sums = {}
+    get = sums.get
+    for take, wt in rows:
+        key = take(word)
+        sums[key] = get(key, 0) + wt
+    return den, tuple((itemgetter(*key), wt) for key, wt in sums.items()
+                      if wt)
+
+
 def _project(ints, d, k=1):
     """The k-th Eulerian piece of the polynomial {word: int} / d, unit
-    dropped.  Words are grouped by degree m; each word adds its integer
-    times each row's weight of the (m, k) table to its rearranged word,
-    and the words of degree m are divided once, by D_m * d."""
+    dropped.  Each word splits into its run letters and run lengths
+    (aabbbc: abc and 2, 3, 1); the run table of its lengths takes the run
+    letters to each image word with the table's weights summed per image,
+    and the word adds its integer times those weights.  The words of
+    degree m are divided once, by D_m * d."""
     by_degree = {}
     for w, c in ints.items():
         if w:
             by_degree.setdefault(len(w), []).append((w, c))
     out = {}
     for m, words in by_degree.items():
-        den, rows = _projector_rows(m, k)
         acc = {}
         get = acc.get
         for w, c in words:
-            for take, wt in rows:
-                key = take(w)
+            letters, runs = [], []
+            for a, run in groupby(w):
+                letters.append(a)
+                runs.append(len(tuple(run)))
+            for take, wt in _run_rows(tuple(runs), k)[1]:
+                key = take(letters)
                 acc[key] = get(key, 0) + c * wt
-        out.update(K.divided(acc, den * d))
+        out.update(K.divided(acc, _projector_rows(m, k)[0] * d))
     return NCPoly(out)
+
+
+def _check_int(name, value):
+    """TypeError unless value is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int")
 
 
 def pi_k(letters, k: int) -> NCPoly:
     """Degree-k piece of the dilated word: (1/k!) sum of K_pi over |pi|=k,
     the k-th Eulerian idempotent, summed over the descent table."""
     letters = tuple(letters)
+    _check_int("k", k)
     if not 1 <= k <= len(letters):
         raise ValueError("k out of range")
     return _project({letters: 1}, 1, k)
@@ -286,6 +336,9 @@ def dilation_coefficients(letters):
     ideal of the one-block partition.
     """
     letters = tuple(letters)
+    if not letters:
+        raise ValueError("the dilation coefficients are not defined on the "
+                         "empty word")
     n = len(letters)
     coeffs = [{} for _ in range(n + 1)]
     one = (1,) * n
@@ -426,6 +479,7 @@ def _check_cbh_args(letters, order, cap):
         raise ValueError("need at least one letter")
     if len(set(letters)) != len(letters):
         raise ValueError("letters must be distinct")
+    _check_int("order", order)
     if order < 1:
         raise ValueError("order must be >= 1")
     if cap is not None and order > cap:
@@ -473,7 +527,9 @@ def cbh_cumulant(letters, order, cap=DEFAULT_DEGREE_CAP) -> TruncatedNCSeries:
 
     That sum is the projector of the product of the letter exponentials
     with its unit removed, since the log of a group-like element is its
-    projector (Reutenauer, Free Lie Algebras, ch. 3).
+    projector (Reutenauer, Free Lie Algebras, ch. 3).  A multi-power
+    word's runs are its powers, so it walks the run table of (p, q, ...),
+    one row per distinct image, not all (p + q + ...)! rearrangements.
     """
     _check_cbh_args(letters, order, cap)
     scale, ints = _exp_product(letters, order)

@@ -1,4 +1,3 @@
-import collections
 import functools
 import itertools
 import operator
@@ -234,6 +233,11 @@ def test_pi_k_identities():
         assert total == FL.NCPoly.word(letters), letters
         with pytest.raises(ValueError):
             FL.pi_k(letters, n + 1)
+        # the type is checked before the range: a bool or a float is
+        # refused, not read as an index
+        for bad in (1.0, True, False, F(1), float(n + 1), "1", None):
+            with pytest.raises(TypeError, match="k must be an int"):
+                FL.pi_k(letters, bad)
 
 
 def _pi_k_oracle(letters):
@@ -311,6 +315,9 @@ def test_dilation_identity(full_mode):
         assert len(coeffs) == n
         for k in range(1, n + 1):
             assert coeffs[k - 1] == FL.pi_k(letters, k), (letters, k)
+    for empty in ("", ()):
+        with pytest.raises(ValueError, match="empty word"):
+            FL.dilation_coefficients(empty)
 
 
 def test_phi_word_partition_checks_its_word():
@@ -487,28 +494,93 @@ def test_cbh_cumulant_matches_coproduct_definition(letters, top):
         assert _exact_types(series)
 
 
-def test_cbh_cumulant_visits_each_projector_term_of_each_multi_power(
-        monkeypatch):
-    # the permutations of one multi-power word are not grouped by image:
-    # each table term of each word is applied exactly once
-    calls = collections.Counter()
-    rows = FL._projector_rows
+def _compositions(m):
+    """Every tuple of positive ints summing to m."""
+    if m == 0:
+        return [()]
+    return [(p,) + rest for p in range(1, m + 1)
+            for rest in _compositions(m - p)]
 
-    def counted(m, k=1):
-        def take(word, get):
-            calls[m] += 1
-            return get(word)
-        den, table = rows(m, k)
-        return den, tuple((functools.partial(take, get=g), wt)
-                          for g, wt in table)
 
-    monkeypatch.setattr(FL, "_projector_rows", counted)
+def test_run_rows_sum_the_table_per_image():
+    for m in range(1, 7):
+        for runs in _compositions(m):
+            word = tuple(i for i, p in enumerate(runs) for _ in range(p))
+            for k in range(1, m + 1):
+                want = add_into({}, [(tuple(word[i] for i in order), coeff)
+                                     for order, coeff
+                                     in FL._projector_terms(m, k)])
+                den, rows = FL._run_rows(runs, k)
+                got = {take(range(len(runs))): F(wt, den)
+                       for take, wt in rows}
+                assert len(got) == len(rows), (runs, k)
+                assert got == want, (runs, k)
+    # one table per run composition of the multi-powers, however many
+    # words share it
     letters, order = "abc", 5
+    FL._run_rows.cache_clear()
     FL.cbh_cumulant(letters, order)
-    powers = _multi_powers(len(letters), order)
-    assert calls == {m: sum(sum(p) == m for p in powers)
-                     * len(FL._projector_terms(m, 1))
-                     for m in range(1, order + 1)}
+    runs = {tuple(p for p in powers if p)
+            for powers in _multi_powers(len(letters), order)}
+    info = FL._run_rows.cache_info()
+    assert (info.misses, info.currsize) == (len(runs), len(runs))
+
+
+def test_run_cache_holds_one_table_per_composition():
+    # one word per set partition of 6 positions: 203 letter patterns, but
+    # only the 32 compositions of 6 as run lengths
+    words = {K.rgs_word(w) for w in itertools.product(range(6), repeat=6)}
+    assert len(words) == 203
+    FL._run_rows.cache_clear()
+    for w in words:
+        FL.pi_on_poly(FL.NCPoly.word(["abcdef"[i - 1] for i in w]))
+    assert FL._run_rows.cache_info().currsize <= len(_compositions(6)) == 32
+
+
+def _per_permutation(terms, k=1):
+    """The k-th piece of {word: coefficient}: each word adds, per order of
+    the (len, k) table, its coefficient times the order's to the word
+    rearranged by that order."""
+    out = add_into({}, [(tuple(w[i] for i in order), c * coeff)
+                        for w, c in terms.items() if w
+                        for order, coeff in FL._projector_terms(len(w), k)])
+    return {w: c.numerator if c.denominator == 1 else c
+            for w, c in out.items()}
+
+
+def _same_terms(got, want):
+    return got.terms == want and all(
+        type(c) is type(want[w]) for w, c in got.terms.items())
+
+
+_WORDS = st.sampled_from(["a", "ab", "abc"]).flatmap(
+    lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=1,
+                              max_size=6).map(tuple))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_WORDS)
+@example(tuple("abab"))
+@example(tuple("aabca"))
+@example(tuple("aaaaaa"))
+@example(tuple("abbbca"))
+def test_pi_k_matches_per_permutation_sum(word):
+    # runs, non-run repeats and distinct letters: the run tables agree
+    # with the sum over every permutation of the table
+    for k in range(1, len(word) + 1):
+        assert _same_terms(FL.pi_k(word, k),
+                           _per_permutation({word: 1}, k)), (word, k)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.dictionaries(
+    _WORDS, st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(5, 6), 3,
+                             F(-7, 4), -2]), max_size=5))
+@example({tuple("abab"): F(1, 2), tuple("aabca"): 3, tuple("aab"): F(-2, 3)})
+@example({tuple("aaa"): 1, tuple("a"): F(1, 3)})
+def test_pi_on_poly_matches_per_permutation_sum(terms):
+    assert _same_terms(FL.pi_on_poly(FL.NCPoly(terms)),
+                       _per_permutation(terms)), terms
 
 
 @pytest.mark.parametrize("count, order", [(60, 2), (12, 3)])
@@ -565,6 +637,14 @@ def test_cbh_caps_and_validation():
         FL.cbh_direct("aa", 3)
     with pytest.raises(ValueError):
         FL.cbh_goldberg("", 3)
+    for route in (FL.cbh_direct, FL.cbh_cumulant, FL.cbh_goldberg):
+        for bad in (2.0, True, False, F(2), 0.5, "2", None):
+            with pytest.raises(TypeError, match="order must be an int"):
+                route("ab", bad)
+            with pytest.raises(TypeError, match="order must be an int"):
+                route("ab", bad, cap=None)
+        with pytest.raises(ValueError):
+            route("ab", 0)
 
 
 def test_goldberg_word_coefficient_examples():
@@ -670,6 +750,31 @@ def test_nct_cumulant_expands_mixed_denominators_with_collisions():
     assert got and all(got.terms.values())
     assert all(type(c) is int or (type(c) is F and c.denominator > 1)
                for c in got.terms.values())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_nct_cumulant_with_colliding_elements_matches_projector_fold(data):
+    # shared letters, constant terms and zero elements: products of
+    # different permutations land on the same word, or on nothing
+    n = data.draw(st.integers(2, 5))
+    elements = data.draw(st.lists(st.dictionaries(
+        st.lists(st.sampled_from("ab"), max_size=2).map(tuple),
+        st.sampled_from([F(1), F(-1), F(1, 2), F(-3, 4), 2, -3]),
+        max_size=3).map(FL.NCPoly), min_size=n, max_size=n))
+    got = FL.nct_cumulant(elements)
+    want = _projector_fold(elements)
+    assert got == want, elements
+    assert all(type(c) is (int if F(c).denominator == 1 else F) and c
+               for c in got.terms.values()), elements
+
+
+def test_nct_cumulant_of_constants_and_zero_vanishes():
+    a, one = FL.NCPoly.word("a"), FL.NCPoly.one()
+    # a constant commutes with everything: its cumulants with others vanish
+    assert not FL.nct_cumulant([a, one, FL.NCPoly.word("b")])
+    assert not FL.nct_cumulant([a, FL.NCPoly(), a])
+    assert not FL.nct_cumulant([one, one])
 
 
 _MIXED = [FL.NCPoly({("a",): F(2), ("a", "b"): F(-1, 3)}),

@@ -397,18 +397,14 @@ def _beta_type(x: int, t) -> int:
 
 def _holds_per_type(n: int, holds) -> bool:
     """True when holds(t) for the type t = type(u, v) of every comparable
-    pair of OP_n.  Each type is judged once per call and its verdict kept
-    for that call only; the types of v's ideal are the rows of v's block
-    sizes, read without carrying a u word to v."""
-    verdicts = {}
-    for v in osp_words(n):
-        for t in _ideal_rows(_block_sizes(v))[1]:
-            ok = verdicts.get(t)
-            if ok is None:
-                ok = verdicts[t] = holds(t)
-            if not ok:
-                return False
-    return True
+    pair of OP_n, each judged once: the compositions of m = 1..n, as t is
+    the type of u <= v when v's block sizes are t with n - m added to one
+    part and u splits the j-th v-block into t_j blocks."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError("n must be an int")
+    if not 1 <= n <= OSP_WORDS_CAP:
+        raise ValueError(f"n must be in 1..{OSP_WORDS_CAP}")
+    return all(holds(t) for m in range(1, n + 1) for t in compositions(m))
 
 
 def mu_zeta_identity(n: int) -> bool:
@@ -431,6 +427,8 @@ def mu_zeta_identity(n: int) -> bool:
 
 def beta_semigroup_identity(n: int, s: int, t: int) -> bool:
     """Check beta_s * beta_t = beta_{st} on every comparable pair."""
+    if s < 0 or t < 0:
+        raise ValueError(f"s and t must be >= 0, got s = {s}, t = {t}")
     return _holds_per_type(n, lambda tv: sum(
         _beta_type(s, t1) * _beta_type(t, t2)
         for t1, t2 in _interval_types(tv)) == _beta_type(s * t, tv))

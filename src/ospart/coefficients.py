@@ -10,7 +10,7 @@ Beta-function monomial rule, never numerically.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, isqrt, lcm
 
 from . import _kernels as K
 from .partitions import OrderedSetPartition
@@ -165,9 +165,12 @@ def weisner(tau, eta) -> Fraction:
 
 def weisner_from_word(rw) -> Fraction:
     """Weisner/Solomon closed form of a word with s letters and asc
-    ascents: (-1)^(s-asc-1) / (s C(s-1, asc))."""
-    asc = stats(rw)[2]
-    s = len(rw)
+    ascents: (-1)^(s-asc-1) / (s C(s-1, asc)), cached on (s, asc)."""
+    return _weisner_value(len(rw), stats(rw)[2])
+
+
+@lru_cache(maxsize=None)
+def _weisner_value(s: int, asc: int) -> Fraction:
     return Fraction((-1) ** (s - asc - 1), s * comb(s - 1, asc))
 
 
@@ -236,7 +239,8 @@ def goldberg_from_stats(des: int, asc: int, qs: tuple) -> Fraction:
 
 def _over_blocks(fn, tau, eta, pi) -> Fraction:
     """Product of fn over the pieces of the relative word of (tau, eta)
-    that the blocks of pi cut out (tau's blocks in each pi-block)."""
+    that the blocks of pi cut out (tau's blocks in each pi-block): their
+    numerators and denominators multiplied as ints, divided once."""
     if not (tau.n == eta.n == pi.n):
         raise ValueError("mismatched ground sets")
     rw = K.relative_word(tau.word, eta.word)
@@ -245,10 +249,11 @@ def _over_blocks(fn, tau, eta, pi) -> Fraction:
     t = K.order_type(tau.word, pi.word)
     if t is None:  # tau is not below pi
         return Fraction(0)
-    total = Fraction(1)
-    for piece in K.segments(rw, t):
-        total *= fn(piece)
-    return total
+    num = den = 1
+    for value in map(fn, K.segments(rw, t)):
+        num *= value.numerator
+        den *= value.denominator
+    return Fraction(num, den)
 
 
 def weisner3(tau, eta, pi) -> Fraction:
@@ -349,14 +354,7 @@ VanishingReport = namedtuple(
 
 
 def _is_prime(m):
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
 
 
 def vanishing_checks(tau, eta) -> VanishingReport:
@@ -367,9 +365,5 @@ def vanishing_checks(tau, eta) -> VanishingReport:
     zero_crit = des == asc and len(tau) % 2 == 0
     # at eta = 1^, g(tau, eta) = delta(tau, eta): the prime criterion fails
     prime_crit = _is_prime(len(tau)) and len(eta) > 1
-    ok = True
-    if zero_crit and val != 0:
-        ok = False
-    if prime_crit and val == 0:
-        ok = False
+    ok = not (zero_crit and val != 0) and not (prime_crit and val == 0)
     return VanishingReport(val, zero_crit, prime_crit, ok)

@@ -5,6 +5,7 @@ kernels of index tuples, interval structure and the text formats
 ("2,4|3,5|1" for blocks, "31212" for words).
 """
 
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 
@@ -45,6 +46,12 @@ def _cover_word(n, blocks):
     if not all(w):
         raise ValueError("blocks do not cover the ground set")
     return tuple(w)
+
+
+@lru_cache(maxsize=128, typed=True)
+def _block_values(p):
+    """{1, ..., p}, cached by type too: a float p still fails in range()."""
+    return frozenset(range(1, p + 1))
 
 
 def _word_blocks(word):
@@ -162,8 +169,9 @@ class OrderedSetPartition(_Partition):
         word = tuple(word)
         if not word:
             raise ValueError("empty word")
-        p = max(word)
-        if set(word) != set(range(1, p + 1)):
+        values = set(word)
+        p = max(values)
+        if p > len(word) or values != _block_values(p):
             raise ValueError(f"word values must cover 1..{p}: {word}")
         return cls._raw(len(word), word)
 

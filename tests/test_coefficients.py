@@ -1,9 +1,12 @@
 import itertools
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ospart import _kernels as K
 from ospart import coefficients as C
 from ospart import partitions as P
 
@@ -353,6 +356,66 @@ def test_weisner3_top_is_weisner():
             for tau in P.enumerate_partitions(n):
                 assert C.weisner3(tau, eta, top) == C.weisner(tau, eta)
                 assert C.goldberg3(tau, eta, top) == C.goldberg(tau, eta)
+
+
+def _weisner_uncached(rw):
+    """The Weisner closed form of a word as first written: no cache."""
+    asc = C.stats(rw)[2]
+    return F((-1) ** (len(rw) - asc - 1), len(rw) * comb(len(rw) - 1, asc))
+
+
+def _per_piece_product(piece_value, tau, eta, pi):
+    """A relative coefficient with one Fraction product per piece of the
+    relative word of (tau, eta) that pi's blocks cut out."""
+    rw = K.relative_word(tau.word, eta.word)
+    t = K.order_type(tau.word, pi.word)
+    if rw is None or t is None:
+        return F(0)
+    total = F(1)
+    for piece in K.segments(rw, t):
+        total *= piece_value(piece)
+    return total
+
+
+@st.composite
+def _triples(draw):
+    """(tau, eta, pi) on n <= 8 points: eta merges and reorders tau's
+    blocks (tau refines it), pi merges runs of consecutive tau blocks
+    (tau <= pi); either is sometimes an unrelated partition instead."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.integers(1, n))
+    fill = draw(st.lists(st.integers(1, p), min_size=n - p, max_size=n - p))
+    tau = draw(st.permutations(list(range(1, p + 1)) + fill))
+    hosts = draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
+    labels = [1]
+    for cut in draw(st.lists(st.booleans(), min_size=p - 1,
+                             max_size=p - 1)):
+        labels.append(labels[-1] + cut)
+    eta = K.kernel_word([hosts[b - 1] for b in tau])
+    pi = tuple(labels[b - 1] for b in tau)
+    anything = st.lists(st.integers(1, n), min_size=n, max_size=n).map(
+        K.kernel_word)
+    if draw(st.integers(0, 5)) == 0:
+        eta = draw(anything)
+    if draw(st.integers(0, 5)) == 0:
+        pi = draw(anything)
+    return o(tuple(tau)), o(eta), o(pi)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_triples())
+@example((o("21"), o("12"), o("12")))              # tau is not below pi
+@example((o("112"), o("121"), o("111")))           # tau does not refine eta
+def test_closed_forms_match_per_piece_fraction_products(triple):
+    tau, eta, pi = triple
+    top = P.OrderedSetPartition.one_block(tau.n)
+    for got, piece_value, third in (
+            (C.weisner(tau, eta), _weisner_uncached, top),
+            (C.goldberg(tau, eta), _goldberg_run_by_run, top),
+            (C.weisner3(tau, eta, pi), _weisner_uncached, pi),
+            (C.goldberg3(tau, eta, pi), _goldberg_run_by_run, pi)):
+        assert type(got) is F
+        assert got == _per_piece_product(piece_value, tau, eta, third)
 
 
 # ---------------------------------------------------------------------------

@@ -366,12 +366,12 @@ def test_identity_scans_keep_type_caches_small():
 
 
 def test_identity_scans_walk_each_interval_type_once_per_call(monkeypatch):
-    # the sum over [u, v] depends on type(u, v) alone: each call reads the
-    # types of every v in OP_5 (4,501 comparable pairs) from the rows of
-    # v's block sizes, carries no u word to v through typed_ideal, walks
-    # the stream once per distinct type, 2^5 - 1 of them, and keeps nothing
+    # the sum over [u, v] depends on type(u, v) alone, and the types of
+    # OP_5's 4,501 comparable pairs are the compositions of m <= 5: each
+    # call walks the stream once per composition, 2^5 - 1 of them, builds
+    # no word of OP_5, no ideal row and no typed ideal, and keeps nothing
     # for the next call
-    walks, rows, ideals = [], [], []
+    walks, rows, ideals, words = [], [], [], []
     walk, row, ideal = (_pure._interval_types, _pure._ideal_rows,
                         _pure.typed_ideal)
 
@@ -393,6 +393,7 @@ def test_identity_scans_walk_each_interval_type_once_per_call(monkeypatch):
     assert sum(len(ideal(v)[1]) for v in K.osp_words(5)) == 4501
     for v in K.osp_words(5):
         assert row(_pure._block_sizes(v))[1] == ideal(v)[1], v
+    monkeypatch.setattr(_pure, "osp_words", words.append)
     for scan in (lambda: K.mu_zeta_identity(5),
                  lambda: K.beta_semigroup_identity(5, 3, 4)):
         for _ in range(2):
@@ -401,8 +402,36 @@ def test_identity_scans_walk_each_interval_type_once_per_call(monkeypatch):
             ideals.clear()
             assert scan()
             assert len(walks) == len(set(walks)) == 2 ** 5 - 1
-            assert rows == [_pure._block_sizes(v) for v in K.osp_words(5)]
+            assert rows == []
             assert ideals == []
+            assert words == []
+
+
+def test_interval_types_of_op_n_are_the_compositions_up_to_n(full_mode):
+    # the theorem the identity scans rest on: type(u, v) over the
+    # comparable pairs of OP_n takes every composition of m = 1..n, and
+    # nothing else
+    for n in range(1, (6 if full_mode else 5) + 1):
+        types = {t for v in K.osp_words(n) for t in K.typed_ideal(v)[1]}
+        assert types == {t for m in range(1, n + 1)
+                         for t in K.compositions(m)}, n
+
+
+def test_identity_scans_check_their_arguments():
+    for scan in (K.mu_zeta_identity,
+                 lambda n: K.beta_semigroup_identity(n, 2, 3)):
+        for n in (True, False, 3.0, "3", None):
+            with pytest.raises(TypeError, match="n must be an int"):
+                scan(n)
+        for n in (0, -1, K.OSP_WORDS_CAP + 1, 10 ** 18):
+            with pytest.raises(ValueError, match="n must be in"):
+                scan(n)
+    assert K.mu_zeta_identity(K.OSP_WORDS_CAP)
+    for s, t in ((-1, 2), (2, -1), (-2, -3)):
+        with pytest.raises(ValueError, match=f"s = {s}, t = {t}"):
+            K.beta_semigroup_identity(3, s, t)
+    assert K.beta_semigroup_identity(3, 0, 4)
+    assert K.beta_semigroup_identity(3, 5, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,17 @@ def test_construction_validation():
             P.OrderedSetPartition.parse(text)
 
 
+def test_from_word_refuses_a_block_index_past_its_length_at_once():
+    # a cover of 1..p needs p letters: (1, 10**18) is refused before any
+    # set of 10**18 block indices is built
+    for word in ((1, 10 ** 18), (1, 3), (2,), (1, 2, 4, 4), (1, 2.5, 3),
+                 (0, 1), (1, 1, 3)):
+        with pytest.raises(ValueError, match="must cover"):
+            P.OrderedSetPartition.from_word(word)
+    for word in ((1,), (2, 1, 2), (3, 1, 2, 1)):
+        assert P.OrderedSetPartition.from_word(word).word == word
+
+
 def test_parse_takes_ascii_digits_only():
     # a Unicode digit, a superscript, a sign or an underscore is not an
     # element: one ValueError names it, never int()'s own message

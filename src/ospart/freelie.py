@@ -97,22 +97,13 @@ def _descent_weights(n: int, d: int):
 
 
 @lru_cache(maxsize=None)
-def _projector_terms(n: int, k: int = 1):
-    """Position rearrangements with coefficients: the k-th Eulerian piece
-    of degree n (k = 1: the projector); orders weighing 0 are left out.
-
-    A permutation sigma with d descents weighs [t^k] C(t + n - 1 - d, n).
-    At k = 1 that is Solomon's (-1)^d / (n C(n-1, d)): the sum of
-    (-1)^(p-1)/p over the ordered set partitions, p blocks each, whose
-    block-concatenated position order is sigma.
-    """
-    out = []
-    for order in permutations(range(n)):
-        d = sum(map(gt, order, order[1:]))
-        coeff = _descent_weights(n, d)[k]
-        if coeff:
-            out.append((order, coeff))
-    return tuple(out)
+def _solomon_ints(n: int, k: int = 1):
+    """(D, ints): a permutation of degree n with d descents weighs
+    ints[d] / D in the k-th Eulerian piece, D the least common denominator
+    of the row (k = 1: Solomon's (-1)^d / (n C(n-1, d))).  Every projector
+    table reads its denominator and its integer weights from this row."""
+    den, ints = K.cleared({d: _descent_weights(n, d)[k] for d in range(n)})
+    return den, tuple(ints.values())
 
 
 def _block_order(word):
@@ -162,10 +153,8 @@ def nct_cumulant(elements):
 def _nct_expand(elements):
     """nct_cumulant of two or more NCPolys, along the permutation tree."""
     n = len(elements)
-    # Solomon's weight depends only on the descent count: the k = 1 row
-    # of each count, over the projector table's denominator
-    den, weights = K.cleared({d: _descent_weights(n, d)[1]
-                              for d in range(n)})
+    # Solomon's weight depends only on the descent count
+    den, weights = _solomon_ints(n)
     choices = []
     for e in elements:
         d, ints = K.cleared(e.terms)
@@ -255,31 +244,28 @@ def pi_convolution_oracle(letters) -> NCPoly:
 
 
 @lru_cache(maxsize=None)
-def _projector_rows(n: int, k: int = 1):
-    """(D, ((getter, weight), ...)): D the common denominator of the
-    (n, k) projector table, and per order a tuple-valued getter (itemgetter
-    of one index would return the item, not a 1-tuple) with the integer
-    D * coefficient, in table order."""
-    d, ints = K.cleared(dict(_projector_terms(n, k)))
-    return d, tuple((itemgetter(*order) if n > 1 else tuple, wt)
-                    for order, wt in ints.items())
-
-
-@lru_cache(maxsize=None)
 def _run_rows(runs, k=1):
-    """(D, ((getter, weight), ...)): the (m, k) projector table, m the sum
-    of the run lengths, applied to the run-index word 0^p1 1^p2 ... and
-    summed per image.  Each getter takes the run letters (one per run) to
-    the image word; images whose weights cancel are left out.  Runs of
-    length one give the (m, k) table itself."""
+    """(D, ((getter, weight), ...)): the (m, k) projector, m the sum of the
+    run lengths, applied to the run-index word 0^p1 1^p2 ... and summed per
+    image, in integers over the (m, k) Solomon row's D.  Each getter takes
+    the run letters (one per run) to the image word; images whose weights
+    cancel are left out.  Runs of length one give the table itself: every
+    permutation of range(m) weighing nonzero, in `permutations` order; any
+    other composition sums that table per image."""
     m = sum(runs)
+    den, ints = _solomon_ints(m, k)
     if m == len(runs):
-        return _projector_rows(m, k)
-    den, rows = _projector_rows(m, k)
+        rows = []
+        for order in permutations(range(m)):
+            wt = ints[sum(map(gt, order, order[1:]))]
+            if wt:
+                # itemgetter of one index would return the item, not a tuple
+                rows.append((itemgetter(*order) if m > 1 else tuple, wt))
+        return den, tuple(rows)
     word = tuple(i for i, p in enumerate(runs) for _ in range(p))
     sums = {}
     get = sums.get
-    for take, wt in rows:
+    for take, wt in _run_rows((1,) * m, k)[1]:
         key = take(word)
         sums[key] = get(key, 0) + wt
     return den, tuple((itemgetter(*key), wt) for key, wt in sums.items()
@@ -290,9 +276,9 @@ def _project(ints, d, k=1):
     """The k-th Eulerian piece of the polynomial {word: int} / d, unit
     dropped.  Each word splits into its run letters and run lengths
     (aabbbc: abc and 2, 3, 1); the run table of its lengths takes the run
-    letters to each image word with the table's weights summed per image,
-    and the word adds its integer times those weights.  The words of
-    degree m are divided once, by D_m * d."""
+    letters to each image word with the table's integer weights summed per
+    image, and the word adds its integer times those weights.  The words
+    of degree m are divided once, by the (m, k) Solomon row's D times d."""
     by_degree = {}
     for w, c in ints.items():
         if w:
@@ -309,7 +295,7 @@ def _project(ints, d, k=1):
             for take, wt in _run_rows(tuple(runs), k)[1]:
                 key = take(letters)
                 acc[key] = get(key, 0) + c * wt
-        out.update(K.divided(acc, _projector_rows(m, k)[0] * d))
+        out.update(K.divided(acc, _solomon_ints(m, k)[0] * d))
     return NCPoly(out)
 
 
@@ -363,6 +349,7 @@ class TruncatedNCSeries:
     __slots__ = ("poly", "order")
 
     def __init__(self, poly: NCPoly, order: int):
+        _check_int("order", order)
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order

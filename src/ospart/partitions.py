@@ -48,9 +48,9 @@ def _cover_word(n, blocks):
     return tuple(w)
 
 
-@lru_cache(maxsize=128, typed=True)
+@lru_cache(maxsize=128)
 def _block_values(p):
-    """{1, ..., p}, cached by type too: a float p still fails in range()."""
+    """{1, ..., p}."""
     return frozenset(range(1, p + 1))
 
 
@@ -165,10 +165,13 @@ class OrderedSetPartition(_Partition):
 
     @classmethod
     def from_word(cls, word):
-        """Build from a word whose values are exactly {1,...,p}."""
+        """Build from a word whose values are exactly the ints 1..p."""
         word = tuple(word)
         if not word:
             raise ValueError("empty word")
+        # a bool or a float equal to an index would pass the set test below
+        if any(isinstance(b, bool) or not isinstance(b, int) for b in word):
+            raise ValueError(f"word values must cover 1..p as ints: {word}")
         values = set(word)
         p = max(values)
         if p > len(word) or values != _block_values(p):

@@ -287,11 +287,11 @@ class Engine:
         return {w: table.get(u, ZERO) for w, u in classes.items()}
 
     def _ordered_table(self, n, labels):
-        """cumulant_table from every word's own phi, and the mu~ sum of
-        each word over its ideal."""
-        at = Atoms(_labels_or_default(n, labels))
-        return _mu_tilde_table({w: self._phi_word(w, at)
-                                for w in K.osp_words(n)})
+        """cumulant_table from every word's own phi, evaluated once per
+        word, and the mu~ sum of each word over its ideal."""
+        phi = self._memo_phi(Atoms(_labels_or_default(n, labels)))
+        return {w: _ideal_sum(w, phi, K.mu_tilde_type)
+                for w in K.osp_words(n)}
 
     def multiplicative_cumulant(self, pi, labels):
         """K_(pi): product of one-block cumulants over the blocks of pi."""
@@ -701,12 +701,12 @@ def _refinement_rows(u):
     return tuple(rows)
 
 
-def _mu_tilde_table(phis, classes=None, support=ALL):
+def _mu_tilde_table(phis, classes, support):
     """{v: K_v} for every word v of phis: K_v is the sum of phi_sigma
     mu~(sigma, v) over sigma <= v for v in the class support, and ZERO,
-    with no ideal walked, for v off it.  phis holds a Poly for each word of
-    OP_n, or, given classes, which maps each word of OP_n to a word of
-    phis, for each class: sigma reads phis[classes[sigma]].
+    with no ideal walked, for v off it.  phis holds a Poly for each class,
+    and classes maps each word of OP_n to its class's word of phis: sigma
+    reads phis[classes[sigma]].
 
     Each phi is flattened once into (monomial id, coefficient) rows, one id
     per distinct monomial of the table.  Each K_v adds the integers c k,
@@ -716,8 +716,7 @@ def _mu_tilde_table(phis, classes=None, support=ALL):
     ids = {}
     rows = {w: [(ids.setdefault(mono, len(ids)), c)
                 for mono, c in x.terms.items()] for w, x in phis.items()}
-    if classes is not None:
-        rows = {w: rows[u] for w, u in classes.items()}
+    rows = {w: rows[u] for w, u in classes.items()}
     monos = list(ids)
     table = {}
     for v in phis:

@@ -114,14 +114,28 @@ def _osp_projector_terms(n):
         yield FL._block_order(w), F((-1) ** (p - 1), p)
 
 
+@functools.cache
+def _projector_terms(n, k=1):
+    """The (n, k) projector table from its closed form: each permutation
+    of range(n), in `permutations` order, with its coefficient
+    [t^k] C(t + n - 1 - d, n), d its descent count; orders weighing 0 are
+    left out."""
+    out = []
+    for order in itertools.permutations(range(n)):
+        d = sum(map(operator.gt, order, order[1:]))
+        coeff = FL._descent_weights(n, d)[k]
+        if coeff:
+            out.append((order, coeff))
+    return tuple(out)
+
+
 def test_projector_terms_match_osp_sum():
-    from math import factorial
     for n in range(1, 7):
         grouped = {}
         for order, coeff in _osp_projector_terms(n):
             grouped[order] = grouped.get(order, 0) + coeff
-        table = dict(FL._projector_terms(n))
-        assert len(table) == factorial(n) == len(FL._projector_terms(n))
+        table = dict(_projector_terms(n))
+        assert len(table) == factorial(n) == len(_projector_terms(n))
         assert table == grouped, n
 
 
@@ -271,8 +285,8 @@ def test_pi_k_adds_integer_weights_per_word():
     for letters in ("aaaabbb", "aabb", "abab", "abcab", "aaa", "abcd", "a"):
         n = len(letters)
         for k in range(1, n + 1):
-            table = FL._projector_terms(n, k)
-            scale, rows = FL._projector_rows(n, k)
+            table = _projector_terms(n, k)
+            scale, rows = FL._run_rows((1,) * n, k)
             assert [F(x, scale) for _, x in rows] == [c for _, c in table]
             assert [take(tuple(range(n))) for take, _ in rows] == [
                 order for order, _ in table]
@@ -287,7 +301,7 @@ def test_pi_k_adds_integer_weights_per_word():
 
 def test_projector_table_is_solomon_closed_form():
     for n in range(1, 8):
-        table = dict(FL._projector_terms(n))
+        table = dict(_projector_terms(n))
         assert len(table) == factorial(n)
         for order in itertools.permutations(range(n)):
             d = sum(x > y for x, y in zip(order, order[1:]))
@@ -402,6 +416,19 @@ def test_series_reflected_operators():
                 op(bad, a)
 
 
+def test_series_order_must_be_an_int():
+    # 2.5 was accepted, and log_trunc then failed in range()
+    for bad in (2.5, 2.0, True, F(2), "2", None):
+        for make in (lambda o: FL.TruncatedNCSeries(FL.NCPoly.one(), o),
+                     lambda o: FL.TruncatedNCSeries.letter("a", o),
+                     FL.TruncatedNCSeries.one):
+            with pytest.raises(TypeError, match="order must be an int"):
+                make(bad)
+    with pytest.raises(ValueError):
+        FL.TruncatedNCSeries(FL.NCPoly.one(), -1)
+    assert not FL.log_trunc(FL.TruncatedNCSeries(FL.NCPoly.one(), 2)).poly
+
+
 # the power loops that exp/log/inv replaced, over the untruncated NCPoly
 # product: the oracles of the integer series kernel
 
@@ -509,7 +536,7 @@ def test_run_rows_sum_the_table_per_image():
             for k in range(1, m + 1):
                 want = add_into({}, [(tuple(word[i] for i in order), coeff)
                                      for order, coeff
-                                     in FL._projector_terms(m, k)])
+                                     in _projector_terms(m, k)])
                 den, rows = FL._run_rows(runs, k)
                 got = {take(range(len(runs))): F(wt, den)
                        for take, wt in rows}
@@ -522,8 +549,10 @@ def test_run_rows_sum_the_table_per_image():
     FL.cbh_cumulant(letters, order)
     runs = {tuple(p for p in powers if p)
             for powers in _multi_powers(len(letters), order)}
+    # and the all-ones table each composition is summed from
+    tables = runs | {(1,) * sum(r) for r in runs}
     info = FL._run_rows.cache_info()
-    assert (info.misses, info.currsize) == (len(runs), len(runs))
+    assert (info.misses, info.currsize) == (len(tables), len(tables))
 
 
 def test_run_cache_holds_one_table_per_composition():
@@ -537,13 +566,50 @@ def test_run_cache_holds_one_table_per_composition():
     assert FL._run_rows.cache_info().currsize <= len(_compositions(6)) == 32
 
 
+def test_projector_tables_share_one_integer_row_per_degree():
+    # every cached weight is an int over the (m, k) Solomon row's D
+    for m in range(1, 7):
+        for k in range(1, m + 1):
+            den, ints = FL._solomon_ints(m, k)
+            assert type(den) is int and all(type(x) is int for x in ints)
+            assert [F(x, den) for x in ints] == [
+                FL._descent_weights(m, d)[k] for d in range(m)], (m, k)
+            for runs in _compositions(m):
+                rd, rows = FL._run_rows(runs, k)
+                assert rd == den, (runs, k)
+                assert all(type(wt) is int and wt for _, wt in rows)
+    # and _run_rows, _project and _nct_expand read D and the weights from
+    # that one row: a row of 3D and -3 times each integer negates every
+    # result, where a reader of D or the weights elsewhere would be left
+    # unchanged or off by a factor of 3
+    cases = [lambda: FL.pi_k("aabcab", 2), lambda: FL.pi_k("abcd", 1),
+             lambda: FL.pi_on_poly(_MIXED[0] * _MIXED[1]),
+             lambda: FL.nct_cumulant(_MIXED),
+             lambda: FL.cbh_cumulant("ab", 5).poly]
+    want = [f() for f in cases]
+    row = FL._solomon_ints
+
+    def scaled(n, k=1):
+        den, ints = row(n, k)
+        return 3 * den, tuple(-3 * x for x in ints)
+
+    FL._run_rows.cache_clear()
+    FL._solomon_ints = scaled
+    try:
+        got = [f() for f in cases]
+    finally:
+        FL._solomon_ints = row
+        FL._run_rows.cache_clear()
+    assert all(w and _same_terms(-g, w.terms) for g, w in zip(got, want))
+
+
 def _per_permutation(terms, k=1):
     """The k-th piece of {word: coefficient}: each word adds, per order of
     the (len, k) table, its coefficient times the order's to the word
     rearranged by that order."""
     out = add_into({}, [(tuple(w[i] for i in order), c * coeff)
                         for w, c in terms.items() if w
-                        for order, coeff in FL._projector_terms(len(w), k)])
+                        for order, coeff in _projector_terms(len(w), k)])
     return {w: c.numerator if c.denominator == 1 else c
             for w, c in out.items()}
 
@@ -716,7 +782,7 @@ def test_nct_cumulant_on_letters_is_projector():
         assert FL.nct_cumulant(elems) == FL.pi_projector(letters), letters
 
 
-def _projector_fold(elements, terms=FL._projector_terms):
+def _projector_fold(elements, terms=_projector_terms):
     """Left fold over an (order, coeff) table: every product from scratch."""
     total = None
     for order, coeff in terms(len(elements)):

@@ -9,7 +9,7 @@ from ospart import _kernels as K
 from ospart import incidence as I
 from ospart import partitions as P
 from ospart._kernels import _pure
-from ospart.symbolic import Poly, scalar_symbol
+from ospart.symbolic import Poly, scalar_symbol, time_symbol
 from ospart.systems import _weight_rows
 
 o = P.osp
@@ -87,6 +87,18 @@ def test_beta_examples():
     for pi in P.enumerate_partitions(3):
         assert I.beta(1, pi, pi) == 1
     assert I.beta(5, bottom(2), top(2)) == comb(5, 2)
+
+
+def test_binomial_derivative_is_the_log_series():
+    # d/dt C(t, k) = sum_{a=1..k} (-1)^(a-1)/a C(t, k-a), the coefficients
+    # of log(1 + x) convolved with (1 + x)^t: it is why the two evolution
+    # forms of diffeq_residuals agree with d/dt_j phi^t for any phi
+    t = time_symbol(1)
+    x = Poly.sym(t)
+    for k in range(1, 10):
+        want = sum((I.generalized_binomial(x, k - a) * F((-1) ** (a - 1), a)
+                    for a in range(1, k + 1)), Poly())
+        assert I.generalized_binomial(x, k).diff(t) == want, k
 
 
 def test_beta_vec_and_gamma():

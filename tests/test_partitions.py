@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,15 @@ def test_from_word_refuses_a_block_index_past_its_length_at_once():
             P.OrderedSetPartition.from_word(word)
     for word in ((1,), (2, 1, 2), (3, 1, 2, 1)):
         assert P.OrderedSetPartition.from_word(word).word == word
+
+
+def test_from_word_refuses_values_that_are_not_ints():
+    # True == 1 and 1.0 == 1 pass a set test of 1..p, and 1.0 as p fails
+    # inside range(): each is refused as a word value instead
+    for word in ((True, 2), (2, 1.0), (1.0, 2.0), (1, True), (False,),
+                 ("1", 2), (1, None), (Fraction(1), 2)):
+        with pytest.raises(ValueError, match="must cover"):
+            P.OrderedSetPartition.from_word(word)
 
 
 def test_parse_takes_ascii_digits_only():

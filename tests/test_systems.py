@@ -1452,13 +1452,12 @@ def test_exchangeable_table_matches_the_ordered_route(full_mode):
     for eng in (S.TENSOR, S.FREE, S.BOOLEAN):
         for n in range(1, 7 if full_mode else 6):
             for labels in (None, "X" * n, "XYXZYX"[:n], "XXYYXZ"[:n]):
-                at = S.Atoms(S._labels_or_default(n, labels))
-                want = S._mu_tilde_table({w: eng._phi_word(w, at)
-                                          for w in K.osp_words(n)})
+                want = definition_table(eng, n, labels)
                 got = eng.cumulant_table(n, labels)
                 assert list(got) == list(want), (eng.name, n)
-                for w in want:
-                    assert _typed(got[w]) == _typed(want[w]), (
+                for w, terms in want.items():
+                    assert _typed(got[w]) == {
+                        mono: (type(x), x) for mono, x in terms.items()}, (
                         eng.name, labels, w)
 
 
